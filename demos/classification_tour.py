@@ -6,12 +6,10 @@ names the canonical algebras where the cyclic-K0 criterion applies.
 """
 
 from lpa_invariants import (
-    b_matrix,
+    analyse,
     canonical_form,
     cayley_class,
     cayley_graph,
-    cokernel_pointed,
-    det_exact,
     kp_decide,
     rose_graph,
     stemmed_rose_graph,
@@ -26,8 +24,8 @@ print("K0 groups of the Cayley graph algebras, n = 1..12")
 print("-" * 56)
 for n in range(1, 13):
     g = cayley_graph(n)
-    k0 = cokernel_pointed(g)
-    det = det_exact(b_matrix(g))
+    analysis = analyse(g)  # K0 and det from one elimination
+    k0, det = analysis.k0, analysis.det
     cls = cayley_class(n)
     print(
         f"  n={n:>2}  K0 = {factors_str(k0.group.factors):>6}  "

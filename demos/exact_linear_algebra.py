@@ -8,6 +8,7 @@ cross-checking the exact value.
 from lpa_invariants import (
     CirculantRow,
     IntMatrix,
+    analyse,
     b_matrix,
     cayley_graph,
     circulant_det_product,
@@ -36,10 +37,13 @@ print("\nu @ T @ v really is diag(d); |det u| =", abs(det_exact(dec.u)),
       "and |det v| =", abs(det_exact(dec.v)))
 print("The cokernel Z^3 / Im(T) is Z/%d + Z/%d + Z/%d." % dec.d)
 
-print("\nDeterminants of B = I - A^t for Cayley graphs (exact Bareiss):")
+print("\nDeterminants of B = I - A^t for Cayley graphs: read off the Smith")
+print("elimination's pivots, checked against Bareiss and the circulant product:")
 for n in range(1, 13):
-    b = b_matrix(cayley_graph(n))
-    det = det_exact(b)
+    g = cayley_graph(n)
+    b = b_matrix(g)
+    det = analyse(g).det
+    assert det == det_exact(b)
     product = circulant_det_product(CirculantRow(b.entries[0])).product
     print(
         f"  n={n:>2}  det = {det:>2}  circulant product = {product.real:+.9f}"

@@ -34,15 +34,19 @@ from .intlinalg import (
     CirculantRow,
     IntMatrix,
     SmithDecomposition,
+    SparseSmith,
     circulant_det_product,
     det_exact,
     smith_normal_form,
+    sparse_smith,
 )
 from .ktheory import (
     INFINITE,
     AbelianGroup,
+    GraphAnalysis,
     GroupElement,
     PointedK0,
+    analyse,
     b_matrix,
     cokernel_pointed,
     element_order,
@@ -70,6 +74,7 @@ __all__ = [
     "Edge",
     "FiniteGroupTable",
     "Graph",
+    "GraphAnalysis",
     "GroupElement",
     "INFINITE",
     "IntMatrix",
@@ -79,7 +84,9 @@ __all__ = [
     "PISReport",
     "PointedK0",
     "SmithDecomposition",
+    "SparseSmith",
     "adjacency_matrix",
+    "analyse",
     "b_matrix",
     "canonical_form",
     "cayley_class",
@@ -100,5 +107,6 @@ __all__ = [
     "rose_graph",
     "saturate",
     "smith_normal_form",
+    "sparse_smith",
     "stemmed_rose_graph",
 ]

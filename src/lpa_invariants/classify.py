@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from typing import Literal, Optional
 
 from .graphs import Graph, pis_report
-from .intlinalg import det_exact
-from .ktheory import b_matrix, cokernel_pointed, pointed_iso_exists
+from .ktheory import PointedK0, analyse, pointed_iso_exists
 
 __all__ = [
     "KPVerdict",
@@ -97,7 +96,7 @@ def sign_of(value: int) -> Sign:
 
 def det_sign(g: Graph) -> Sign:
     """Sign of det(I - A^t)."""
-    return sign_of(det_exact(b_matrix(g)))
+    return sign_of(analyse(g).det)
 
 
 def _signs_compatible(a: Sign, b: Sign) -> bool:
@@ -122,8 +121,10 @@ def kp_decide(e: Graph, f: Graph) -> KPVerdict:
     if not (pis_e and pis_f):
         return KPVerdict("NotApplicable", tuple(trace))
 
-    k0_e = cokernel_pointed(e)
-    k0_f = cokernel_pointed(f)
+    analysis_e = analyse(e)
+    analysis_f = analyse(f)
+    k0_e = analysis_e.k0
+    k0_f = analysis_f.k0
     trace.append(("k0_factors_first", str(list(k0_e.group.factors))))
     trace.append(("k0_factors_second", str(list(k0_f.group.factors))))
     if k0_e.group.factors != k0_f.group.factors:
@@ -140,8 +141,8 @@ def kp_decide(e: Graph, f: Graph) -> KPVerdict:
     if pointed == "UNSUPPORTED":
         return KPVerdict("Unknown", tuple(trace))
 
-    sign_e = det_sign(e)
-    sign_f = det_sign(f)
+    sign_e = sign_of(analysis_e.det)
+    sign_f = sign_of(analysis_f.det)
     trace.append(("det_sign_first", sign_e))
     trace.append(("det_sign_second", sign_f))
     compatible = _signs_compatible(sign_e, sign_f)
@@ -164,7 +165,14 @@ def canonical_form(g: Graph) -> Optional[CanonicalAlgebra]:
     """
     if not pis_report(g).purely_infinite_simple:
         return None
-    k0 = cokernel_pointed(g)
+    analysis = analyse(g)
+    return _canonical(True, analysis.k0, analysis.det)
+
+
+def _canonical(pis: bool, k0: PointedK0, det: int) -> Optional[CanonicalAlgebra]:
+    """The rule of `canonical_form`, on invariants already computed."""
+    if not pis:
+        return None
     factors = k0.group.factors
     if factors == ():
         order = 1
@@ -172,7 +180,7 @@ def canonical_form(g: Graph) -> Optional[CanonicalAlgebra]:
         order = factors[0]
     else:
         return None
-    if det_sign(g) != "NEGATIVE":
+    if det >= 0:
         return None
     n = order + 1
     residue = k0.distinguished.coords[0] % order if order > 1 else 0

@@ -18,7 +18,7 @@ import json
 import sys
 from typing import IO
 
-from .classify import EXIT_CODES, canonical_form, cayley_class, kp_decide, sign_of
+from .classify import EXIT_CODES, _canonical, cayley_class, kp_decide, sign_of
 from .graphs import (
     Graph,
     adjacency_matrix,
@@ -29,8 +29,7 @@ from .graphs import (
     rose_graph,
     stemmed_rose_graph,
 )
-from .intlinalg import det_exact, smith_normal_form
-from .ktheory import b_matrix, cokernel_pointed
+from .ktheory import analyse, b_matrix
 from .monoid import crosscheck_cokernel, default_bound, mstar_group, presentation, saturate
 
 SCHEMA_VERSION = 1
@@ -72,18 +71,17 @@ def _write_graph(g: Graph, path: str | None, out: IO[str]) -> None:
 
 def invariant_report(g: Graph) -> dict:
     """All invariants of one graph as a JSON-ready dict."""
-    b = b_matrix(g)
-    decomposition = smith_normal_form(b)
-    k0 = cokernel_pointed(g)
-    det = det_exact(b)
+    analysis = analyse(g)
+    k0 = analysis.k0
+    det = analysis.det
     pis = pis_report(g)
-    canonical = canonical_form(g)
+    canonical = _canonical(pis.purely_infinite_simple, k0, det)
     return {
         "schema": SCHEMA_VERSION,
         "graph": {"vertices": g.n_vertices, "edges": g.n_edges},
         "adjacency": [list(row) for row in adjacency_matrix(g).entries],
-        "b_matrix": [list(row) for row in b.entries],
-        "snf_diagonal": list(decomposition.d),
+        "b_matrix": [list(row) for row in b_matrix(g).entries],
+        "snf_diagonal": list(analysis.snf_diagonal),
         "k0_factors": list(k0.group.factors),
         "vertex_images": [list(img.coords) for img in k0.vertex_images],
         "distinguished": list(k0.distinguished.coords),
@@ -184,13 +182,15 @@ def _table_rows(max_n: int) -> list[dict]:
     rows = []
     for n in range(1, max_n + 1):
         g = cayley_graph(n)
-        k0 = cokernel_pointed(g)
-        det = det_exact(b_matrix(g))
-        canonical = canonical_form(g)
+        analysis = analyse(g)
+        det = analysis.det
+        canonical = _canonical(
+            pis_report(g).purely_infinite_simple, analysis.k0, det
+        )
         rows.append(
             {
                 "n": n,
-                "k0_factors": list(k0.group.factors),
+                "k0_factors": list(analysis.k0.group.factors),
                 "det": det,
                 "det_sign": sign_of(det),
                 "class_id": cayley_class(n).class_id,

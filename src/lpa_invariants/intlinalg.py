@@ -1,9 +1,10 @@
 """Exact integer linear algebra on arbitrary-precision matrices.
 
-Determinants are computed by fraction-free (Bareiss) elimination, Smith
-normal form tracks the unimodular row/column transforms, and circulant
-determinants can be cross-checked against the roots-of-unity product
-formula.
+One sparse elimination (`sparse_smith`) gives the Smith normal form with
+its unimodular row/column transforms and, from the same pivots, the
+determinant.  Fraction-free (Bareiss) elimination (`det_exact`) is an
+independent determinant to check it against, and circulant determinants
+can be cross-checked against the roots-of-unity product formula.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import cmath
 import functools
 import operator
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -19,10 +21,12 @@ import numpy as np
 __all__ = [
     "IntMatrix",
     "SmithDecomposition",
+    "SparseSmith",
     "CirculantRow",
     "CirculantProduct",
     "det_exact",
     "smith_normal_form",
+    "sparse_smith",
     "circulant_det_product",
     "diagonal_matrix",
 ]
@@ -170,118 +174,220 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+class SparseSmith(NamedTuple):
+    """u @ B @ v == diag(d) from one sparse elimination, plus det B.
+
+    u is given by its rows and v by its columns, each a {index: value}
+    dict holding the nonzero entries only.  det is None when B is not
+    square.
+    """
+
+    d: tuple[int, ...]
+    u_rows: tuple[dict[int, int], ...]
+    v_cols: tuple[dict[int, int], ...]
+    det: int | None
+
+
+def _quotient(x: int, p: int) -> int:
+    """Nearest-integer quotient: |x - q*p| <= |p|/2."""
+    q, r = divmod(x, p)
+    return q + 1 if 2 * abs(r) > abs(p) else q
+
+
+def _axpy(target: dict[int, int], source: dict[int, int], q: int) -> None:
+    """target -= q * source, dropping entries that cancel."""
+    if not q:
+        return
+    for j, x in source.items():
+        y = target.get(j, 0) - q * x
+        if y:
+            target[j] = y
+        else:
+            del target[j]
+
+
+def _permutation_sign(perm: list[int]) -> int:
+    sign = 1
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        j = start
+        length = 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def sparse_smith(rows: Sequence[Mapping[int, int]], cols: int) -> SparseSmith:
+    """Smith normal form and determinant of a sparse integer matrix.
+
+    `rows[i]` maps column index to entry of row i.  One elimination pass
+    pivots on the smallest |entry| of the active block, ties broken by
+    the Markowitz cost (row nnz x column nnz), and clears the pivot's
+    column by row operations and its row by column operations.  When a
+    division leaves a remainder, the smallest remaining entry of that
+    column or row becomes the pivot and the clearing goes on, so the
+    pivot shrinks until it divides its whole row and column (cf. the
+    pivoting against coefficient growth of Havas, Majewski and Matthews,
+    1998).
+
+    Every operation in the pass adds a multiple of one row or column to
+    another, which has determinant 1; the pass leaves one pivot p_k in
+    row r_k and column c_k.  So det B is the sign of the permutation
+    r_k -> c_k times the product of the pivots, or 0 when some row has no
+    pivot.  The pivots, made nonnegative and sorted, are then repaired
+    into a divisibility chain by pairwise (gcd, lcm) steps; zeros trail.
+    """
+    nr = len(rows)
+    a: list[dict[int, int]] = []
+    col_rows: list[set[int]] = [set() for _ in range(cols)]
+    for i, row in enumerate(rows):
+        entries = {}
+        for j, x in row.items():
+            if not 0 <= j < cols:
+                raise ValueError(f"column index {j} out of range for {cols} columns")
+            x = operator.index(x)
+            if x:
+                entries[j] = x
+                col_rows[j].add(i)
+        a.append(entries)
+    u = [{i: 1} for i in range(nr)]
+    v = [{j: 1} for j in range(cols)]
+    active = [i for i in range(nr) if a[i]]
+
+    def row_sub(i: int, r: int, q: int) -> None:
+        # row i -= q * row r, keeping the column index in step
+        if not q:
+            return
+        target = a[i]
+        for j, x in a[r].items():
+            y = target.get(j, 0) - q * x
+            if y:
+                if j not in target:
+                    col_rows[j].add(i)
+                target[j] = y
+            else:
+                del target[j]
+                col_rows[j].discard(i)
+        _axpy(u[i], u[r], q)
+
+    def smallest(entries) -> tuple[int, int] | None:
+        best = None
+        for key, x in entries:
+            if best is None or abs(x) < best[0]:
+                best = (abs(x), key)
+        return None if best is None else best[1]
+
+    pivots: list[tuple[int, int, int]] = []
+    while active:
+        size = cost = 0
+        for i in active:
+            row = a[i]
+            width = len(row)
+            for j, x in row.items():
+                x = abs(x)
+                if not size or x < size:
+                    size, cost, r, c = x, width * len(col_rows[j]), i, j
+                elif x == size and width * len(col_rows[j]) < cost:
+                    cost, r, c = width * len(col_rows[j]), i, j
+        while True:
+            p = a[r][c]
+            for i in [i for i in col_rows[c] if i != r]:
+                row_sub(i, r, _quotient(a[i][c], p))
+            rest = smallest((i, a[i][c]) for i in col_rows[c] if i != r)
+            if rest is not None:
+                r = rest
+                continue
+            # Column c now meets row r only, so a column operation
+            # changes row r of a and v.
+            row = a[r]
+            for j in [j for j in row if j != c]:
+                q = _quotient(row[j], p)
+                y = row[j] - q * p
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+                    col_rows[j].discard(r)
+                _axpy(v[j], v[c], q)
+            rest = smallest((j, x) for j, x in row.items() if j != c)
+            if rest is None:
+                break
+            c = rest
+        pivots.append((r, c, p))
+        col_rows[c].clear()
+        active = [i for i in active if i != r and a[i]]
+
+    det = None
+    if nr == cols:
+        det = 0
+        if len(pivots) == nr:
+            perm = [0] * nr
+            det = 1
+            for r, c, p in pivots:
+                perm[r] = c
+                det *= p
+            det *= _permutation_sign(perm)
+
+    pivots.sort(key=lambda t: abs(t[2]))
+    pivot_rows = {r for r, _, _ in pivots}
+    pivot_cols = {c for _, c, _ in pivots}
+    u_out = [u[r] if p > 0 else {j: -x for j, x in u[r].items()} for r, _, p in pivots]
+    u_out += [u[i] for i in range(nr) if i not in pivot_rows]
+    v_out = [v[c] for _, c, _ in pivots]
+    v_out += [v[j] for j in range(cols) if j not in pivot_cols]
+    d = [abs(p) for _, _, p in pivots]
+
+    # Repair the divisibility chain: replace a violating adjacent pair
+    # (x, y) by (gcd, x*y/gcd).  Each fix strictly shrinks the earlier
+    # entry, so the loop terminates.
+    while True:
+        t = next((t for t in range(len(d) - 1) if d[t + 1] % d[t]), None)
+        if t is None:
+            break
+        x, y = d[t], d[t + 1]
+        g, s, w = _xgcd(x, y)
+        _axpy(v_out[t], v_out[t + 1], -1)
+        ut, ut1 = u_out[t], u_out[t + 1]
+        u_out[t] = _combine(s, ut, w, ut1)
+        u_out[t + 1] = _combine(-(y // g), ut, x // g, ut1)
+        _axpy(v_out[t + 1], v_out[t], (w * y) // g)
+        d[t], d[t + 1] = g, x * y // g
+
+    d += [0] * (min(nr, cols) - len(d))
+    return SparseSmith(tuple(d), tuple(u_out), tuple(v_out), det)
+
+
+def _combine(p: int, x: dict[int, int], q: int, y: dict[int, int]) -> dict[int, int]:
+    """p*x + q*y for sparse vectors."""
+    out = {j: p * c for j, c in x.items()} if p else {}
+    _axpy(out, y, -q)
+    return out
+
+
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     """Smith normal form with explicit unimodular transforms.
 
-    Classic Euclidean pivoting: gcd-reduce the pivot row/column, then
-    repair the divisibility chain pairwise.  Diagonal entries come out
-    nonnegative, divisibility-ordered, with zeros trailing, so the
-    diagonal is the canonical invariant-factor sequence.
+    A thin wrapper over `sparse_smith` that returns u and v as dense
+    matrices.  Diagonal entries come out nonnegative,
+    divisibility-ordered, with zeros trailing, so the diagonal is the
+    canonical invariant-factor sequence.
     """
-    a = m.to_lists()
-    nr, nc = m.rows, m.cols
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-    k = min(nr, nc)
-
-    def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def row_sub(i: int, j: int, q: int) -> None:
-        # row i -= q * row j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_sub(i: int, j: int, q: int) -> None:
-        # col i -= q * col j
-        for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def negate_row(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def row_combine(i: int, j: int, p: int, q: int, r: int, s: int) -> None:
-        # rows (i, j) <- (p*ri + q*rj, r*ri + s*rj); caller guarantees |ps - qr| = 1
-        a[i], a[j] = (
-            [p * x + q * y for x, y in zip(a[i], a[j])],
-            [r * x + s * y for x, y in zip(a[i], a[j])],
+    result = sparse_smith([dict(enumerate(row)) for row in m.entries], m.cols)
+    u = IntMatrix(
+        tuple(tuple(row.get(j, 0) for j in range(m.rows)) for row in result.u_rows)
+    )
+    v = IntMatrix(
+        tuple(
+            tuple(col.get(i, 0) for col in result.v_cols) for i in range(m.cols)
         )
-        u[i], u[j] = (
-            [p * x + q * y for x, y in zip(u[i], u[j])],
-            [r * x + s * y for x, y in zip(u[i], u[j])],
-        )
-
-    def clear(t: int) -> None:
-        # Move the smallest-magnitude nonzero of the trailing block to (t, t),
-        # then gcd-reduce until row t and column t are zero off the pivot.
-        best = None
-        piv = None
-        for i in range(t, nr):
-            row = a[i]
-            for j in range(t, nc):
-                x = row[j]
-                if x and (best is None or abs(x) < best):
-                    best = abs(x)
-                    piv = (i, j)
-        if piv is None:
-            return
-        if piv[0] != t:
-            swap_rows(t, piv[0])
-        if piv[1] != t:
-            swap_cols(t, piv[1])
-        while True:
-            i = next((i for i in range(t + 1, nr) if a[i][t]), None)
-            if i is not None:
-                row_sub(i, t, a[i][t] // a[t][t])
-                if a[i][t]:
-                    swap_rows(t, i)
-                continue
-            j = next((j for j in range(t + 1, nc) if a[t][j]), None)
-            if j is not None:
-                col_sub(j, t, a[t][j] // a[t][t])
-                if a[t][j]:
-                    swap_cols(t, j)
-                continue
-            break
-
-    for t in range(k):
-        clear(t)
-    for t in range(k):
-        if a[t][t] < 0:
-            negate_row(t)
-
-    # Repair the divisibility chain: replace a violating adjacent pair (x, y)
-    # by (gcd, x*y/gcd).  Each fix strictly shrinks the earlier entry, so the
-    # loop terminates.
-    while True:
-        t = next(
-            (
-                t
-                for t in range(k - 1)
-                if a[t][t] != 0 and a[t + 1][t + 1] % a[t][t] != 0
-            ),
-            None,
-        )
-        if t is None:
-            break
-        x, y = a[t][t], a[t + 1][t + 1]
-        col_sub(t, t + 1, -1)  # col t += col t+1, putting y below the pivot
-        g, s, w = _xgcd(x, y)
-        row_combine(t, t + 1, s, w, -(y // g), x // g)
-        col_sub(t + 1, t, (w * y) // g)
-
-    d = tuple(a[t][t] for t in range(k))
-    return SmithDecomposition(d=d, u=IntMatrix(u), v=IntMatrix(v))
+    )
+    return SmithDecomposition(d=result.d, u=u, v=v)
 
 
 @dataclass(frozen=True)

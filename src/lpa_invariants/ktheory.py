@@ -15,14 +15,16 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
-from .graphs import Graph, adjacency_matrix
-from .intlinalg import IntMatrix, smith_normal_form
+from .graphs import Graph
+from .intlinalg import IntMatrix, sparse_smith
 
 __all__ = [
     "INFINITE",
     "AbelianGroup",
     "GroupElement",
+    "GraphAnalysis",
     "PointedK0",
+    "analyse",
     "b_matrix",
     "cokernel_pointed",
     "element_order",
@@ -139,31 +141,60 @@ class PointedK0:
     distinguished: GroupElement
 
 
+@dataclass(frozen=True)
+class GraphAnalysis:
+    """Everything one elimination of B = I - A^t yields for a graph."""
+
+    snf_diagonal: tuple[int, ...]
+    k0: PointedK0
+    det: int
+
+
+def _b_rows(g: Graph) -> list[dict[int, int]]:
+    # Row i of I - A^t: 1 at (i, i), minus one at (i, j) per edge j -> i.
+    rows = [{i: 1} for i in range(g.n_vertices)]
+    for e in g.edges:
+        row = rows[e.range]
+        x = row.get(e.source, 0) - 1
+        if x:
+            row[e.source] = x
+        else:
+            del row[e.source]
+    return rows
+
+
 def b_matrix(g: Graph) -> IntMatrix:
     """I_n - A^t for the adjacency matrix A of g."""
-    a = adjacency_matrix(g)
-    return IntMatrix.identity(g.n_vertices) - a.transpose()
+    n = g.n_vertices
+    return IntMatrix(
+        tuple(tuple(row.get(j, 0) for j in range(n)) for row in _b_rows(g))
+    )
 
 
-def cokernel_pointed(g: Graph) -> PointedK0:
-    """Pointed cokernel of B = I - A^t in invariant-factor form.
+def analyse(g: Graph) -> GraphAnalysis:
+    """Smith diagonal, pointed K0 and det of B = I - A^t, from one pass.
 
     From u @ B @ v = diag(d), left-multiplication by u identifies
     Z^n / Im(B) with the direct sum of Z/d_i, so vertex i maps to column
     i of u reduced factor-wise; trivial factors (d_i = 1) are dropped.
+    The determinant comes off the same elimination.
     """
-    b = b_matrix(g)
-    dec = smith_normal_form(b)
-    keep = [i for i, di in enumerate(dec.d) if di != 1]
-    group = AbelianGroup(tuple(dec.d[i] for i in keep))
-    u = dec.u.entries
+    n = g.n_vertices
+    result = sparse_smith(_b_rows(g), n)
+    keep = [i for i, di in enumerate(result.d) if di != 1]
+    group = AbelianGroup(tuple(result.d[i] for i in keep))
+    rows = [result.u_rows[i] for i in keep]
     images = tuple(
-        group.element(tuple(u[i][j] for i in keep)) for j in range(g.n_vertices)
+        group.element(tuple(row.get(j, 0) for row in rows)) for j in range(n)
     )
-    distinguished = group.zero()
-    for image in images:
-        distinguished = group.add(distinguished, image)
-    return PointedK0(group=group, vertex_images=images, distinguished=distinguished)
+    distinguished = group.element(tuple(sum(row.values()) for row in rows))
+    k0 = PointedK0(group=group, vertex_images=images, distinguished=distinguished)
+    return GraphAnalysis(snf_diagonal=result.d, k0=k0, det=result.det)
+
+
+def cokernel_pointed(g: Graph) -> PointedK0:
+    """Pointed cokernel of B = I - A^t in invariant-factor form."""
+    return analyse(g).k0
 
 
 def element_order(group: AbelianGroup, x: GroupElement) -> int | float:

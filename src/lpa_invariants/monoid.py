@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from typing import Literal, Union
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .graphs import Graph, adjacency_matrix
 from .ktheory import cokernel_pointed, element_order
@@ -149,6 +147,10 @@ def _rank_vectors(w: np.ndarray, bound: int, table: np.ndarray) -> np.ndarray:
 
 
 def _components(total: int, src: np.ndarray, dst: np.ndarray):
+    # scipy is imported on first use: it is most of the package's import time.
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     if src.size == 0:
         return np.arange(total, dtype=np.int64), total
     graph = coo_matrix(
@@ -360,6 +362,9 @@ class CongruenceClasses:
         Returns None when the two vectors are not connected by elementary
         rewrites (translation-closure joins carry no in-box chain).
         """
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import breadth_first_order
+
         i, j = self.rank_of(x), self.rank_of(y)
         if i == j:
             return [tuple(int(v) for v in self.vectors[i])]

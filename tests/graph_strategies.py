@@ -1,0 +1,50 @@
+"""Hypothesis strategies for small directed multigraphs.
+
+Shared by the differential and metamorphic tests.  Drawn graphs have 0 to
+`max_vertices` vertices and each ordered pair (loops included) carries
+0 to `max_mult` parallel edges, so sinks, sources, isolated vertices,
+parallel edges and singular B = I - A^t (a vertex whose only edge is one
+loop gives a zero row) all turn up.  `NAMED_GRAPHS` pins each of those
+cases down as an explicit example.
+"""
+
+from hypothesis import strategies as st
+
+from lpa_invariants.graphs import Edge, Graph
+
+
+def graph_from_pairs(n: int, pairs) -> Graph:
+    edges = tuple(Edge(f"e{k}", s, r) for k, (s, r) in enumerate(pairs))
+    return Graph(tuple(f"v{i}" for i in range(n)), edges)
+
+
+@st.composite
+def multigraphs(draw, max_vertices: int = 7, max_mult: int = 3) -> Graph:
+    n = draw(st.integers(0, max_vertices))
+    pairs = []
+    for s in range(n):
+        for r in range(n):
+            # mostly no edge, so that sparse graphs with sinks are common
+            mult = draw(st.integers(0, max_mult)) if draw(st.booleans()) else 0
+            pairs += [(s, r)] * mult
+    return graph_from_pairs(n, pairs)
+
+
+NAMED_GRAPHS = {
+    "empty": graph_from_pairs(0, []),
+    "sink": graph_from_pairs(1, []),
+    "one_loop_singular": graph_from_pairs(1, [(0, 0)]),
+    "source_into_rose": graph_from_pairs(2, [(0, 1), (1, 1), (1, 1)]),
+    "isolated_vertex": graph_from_pairs(3, [(0, 1), (1, 0), (1, 1)]),
+    "parallel_edges": graph_from_pairs(2, [(0, 1)] * 3 + [(1, 0)] * 2),
+    "rank_one": graph_from_pairs(3, [(0, 0), (1, 1), (2, 0), (2, 1)]),
+}
+
+
+def permute(g: Graph, order) -> Graph:
+    """The same graph with vertex `order[i]` listed i-th."""
+    position = {old: new for new, old in enumerate(order)}
+    return Graph(
+        tuple(g.vertices[old] for old in order),
+        tuple(Edge(e.id, position[e.source], position[e.range]) for e in g.edges),
+    )

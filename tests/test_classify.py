@@ -1,6 +1,9 @@
 import itertools
 
 import pytest
+from graph_strategies import multigraphs, permute
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpa_invariants.classify import (
     CanonicalAlgebra,
@@ -14,11 +17,12 @@ from lpa_invariants.graphs import (
     Edge,
     Graph,
     cayley_graph,
+    pis_report,
     rose_graph,
     stemmed_rose_graph,
 )
 from lpa_invariants.intlinalg import det_exact
-from lpa_invariants.ktheory import b_matrix
+from lpa_invariants.ktheory import analyse, b_matrix
 
 SINK = Graph(("v1",), ())
 
@@ -209,3 +213,29 @@ class TestCayleyClass:
             "D": "ZxZ",
         }[residue_class(n)]
         assert cls.class_id == expected
+
+
+def _cheap_pointed_search(group):
+    # pointed_iso_exists enumerates automorphisms: keep to small groups
+    return not group.is_finite or len(group.factors) <= 1 or group.order <= 36
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_vertex_order_is_invisible(data):
+    """Relabelling the vertices changes no invariant and no verdict,
+    though the Smith transforms (and so the coordinates) may differ."""
+    g = data.draw(multigraphs(max_vertices=6, max_mult=2))
+    order = data.draw(st.permutations(range(g.n_vertices)))
+    h = permute(g, order)
+    a, b = analyse(g), analyse(h)
+    assert a.k0.group == b.k0.group
+    assert a.snf_diagonal == b.snf_diagonal
+    assert a.det == b.det
+    flags = ("sink_free", "condition_L", "cofinal", "has_cycle", "purely_infinite_simple")
+    pis_g, pis_h = pis_report(g), pis_report(h)
+    assert [getattr(pis_g, f) for f in flags] == [getattr(pis_h, f) for f in flags]
+    assert canonical_form(g) == canonical_form(h)
+    if _cheap_pointed_search(a.k0.group):
+        outcome = kp_decide(g, g).outcome
+        assert kp_decide(g, h).outcome == kp_decide(h, g).outcome == outcome

@@ -3,6 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import invariant_factors
 
 from lpa_invariants.intlinalg import (
     CirculantRow,
@@ -11,6 +14,7 @@ from lpa_invariants.intlinalg import (
     det_exact,
     diagonal_matrix,
     smith_normal_form,
+    sparse_smith,
 )
 
 
@@ -171,6 +175,51 @@ def test_snf_diagonal_product_matches_det(m):
 @given(int_matrices(square=True))
 def test_det_transpose_invariant(m):
     assert det_exact(m.transpose()) == det_exact(m)
+
+
+@settings(deadline=None)
+@given(int_matrices(max_dim=7))
+def test_snf_matches_sympy(m):
+    reference = DomainMatrix(
+        [[ZZ(x) for x in row] for row in m.entries], (m.rows, m.cols), ZZ
+    )
+    assert smith_normal_form(m).d == tuple(int(x) for x in invariant_factors(reference))
+
+
+class TestSparseSmith:
+    def test_det_off_the_pivots(self):
+        assert sparse_smith([{0: 1, 1: -2}, {0: -2, 1: 1}], 2).det == -3
+        assert sparse_smith([{1: 1}, {0: 1}], 2).det == -1
+        assert sparse_smith([{0: 2, 1: 4}, {0: 1, 1: 2}], 2).det == 0
+        assert sparse_smith([], 0).det == 1
+
+    def test_rectangular_has_no_det(self):
+        result = sparse_smith([{0: 2, 1: 4, 2: 6}, {0: 4, 1: 8, 2: 12}], 3)
+        assert result.d == (2, 0)
+        assert result.det is None
+
+    def test_zero_rows_and_columns(self):
+        result = sparse_smith([{}, {}], 3)
+        assert result.d == (0, 0)
+        assert result.u_rows == ({0: 1}, {1: 1})
+        assert sparse_smith([{}], 0).d == ()
+
+    def test_rejects_column_out_of_range(self):
+        with pytest.raises(ValueError):
+            sparse_smith([{2: 1}], 2)
+
+    def test_dense_coefficient_growth_stays_cheap(self):
+        # On dense input the pivot order decides how large u and v grow.
+        rng = random.Random(40)
+        rows = [[rng.randint(-3, 3) for _ in range(40)] for _ in range(40)]
+        result = sparse_smith([dict(enumerate(row)) for row in rows], 40)
+        assert result.det == det_exact(mat(rows))
+        bits = max(
+            abs(x).bit_length()
+            for vector in result.u_rows + result.v_cols
+            for x in vector.values()
+        )
+        assert bits < 10_000
 
 
 class TestCirculant:

@@ -1,11 +1,28 @@
 import pytest
+from graph_strategies import NAMED_GRAPHS, multigraphs
+from hypothesis import example, given, settings
+from sympy import ZZ as INTEGERS
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import invariant_factors
 
-from lpa_invariants.graphs import cayley_graph, rose_graph, stemmed_rose_graph
-from lpa_invariants.intlinalg import det_exact, smith_normal_form, IntMatrix
+from lpa_invariants.graphs import (
+    adjacency_matrix,
+    cayley_graph,
+    rose_graph,
+    stemmed_rose_graph,
+)
+from lpa_invariants.intlinalg import (
+    IntMatrix,
+    det_exact,
+    diagonal_matrix,
+    smith_normal_form,
+    sparse_smith,
+)
 from lpa_invariants.ktheory import (
     INFINITE,
     AbelianGroup,
     GroupElement,
+    analyse,
     b_matrix,
     cokernel_pointed,
     element_order,
@@ -153,23 +170,60 @@ class TestCokernelPointed:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 12])
     def test_vertex_images_generate(self, n):
-        k = cokernel_pointed(cayley_graph(n))
-        if k.group.is_finite:
-            span = {k.group.zero()}
-            frontier = [k.group.zero()]
-            while frontier:
-                x = frontier.pop()
-                for img in set(k.vertex_images):
-                    y = k.group.add(x, img)
-                    if y not in span:
-                        span.add(y)
-                        frontier.append(y)
-            assert len(span) == k.group.order
-        else:
-            # the image coordinate matrix must have full-rank trivial SNF
-            coords = IntMatrix(tuple(img.coords for img in k.vertex_images))
-            d = smith_normal_form(coords).d
-            assert all(x == 1 for x in d)
+        g = cayley_graph(n)
+        assert_images_present_cokernel(g, cokernel_pointed(g))
+
+
+def _sympy_matrix(rows, ncols):
+    return DomainMatrix(
+        [[INTEGERS(x) for x in row] for row in rows], (len(rows), ncols), INTEGERS
+    )
+
+
+def assert_images_present_cokernel(g, k):
+    """The vertex images kill every column of B and generate the group."""
+    group = k.group
+    b = b_matrix(g).entries
+    for j in range(g.n_vertices):
+        relation = group.zero()
+        for i in range(g.n_vertices):
+            relation = group.add(relation, group.scale(b[i][j], k.vertex_images[i]))
+        assert relation.is_zero
+    # Z^r maps onto the group iff the images together with the relations
+    # d_i * e_i span Z^r, i.e. every invariant factor of the stack is 1.
+    r = len(group.factors)
+    stack = [img.coords for img in k.vertex_images]
+    stack += [tuple(d * (i == t) for t in range(r)) for i, d in enumerate(group.factors) if d]
+    if r:
+        assert invariant_factors(_sympy_matrix(stack, r)) == (1,) * r
+
+
+@settings(deadline=None, max_examples=150)
+@given(multigraphs())
+@example(NAMED_GRAPHS["empty"])
+@example(NAMED_GRAPHS["sink"])
+@example(NAMED_GRAPHS["one_loop_singular"])
+@example(NAMED_GRAPHS["source_into_rose"])
+@example(NAMED_GRAPHS["isolated_vertex"])
+@example(NAMED_GRAPHS["parallel_edges"])
+@example(NAMED_GRAPHS["rank_one"])
+def test_analyse_matches_sympy(g):
+    """One elimination against sympy: invariant factors, det (also
+    against Bareiss), u @ B @ v == diag and the vertex images."""
+    n = g.n_vertices
+    b = b_matrix(g)
+    assert b == IntMatrix.identity(n) - adjacency_matrix(g).transpose()
+    analysis = analyse(g)
+    reference = _sympy_matrix(b.entries, n)
+    assert analysis.snf_diagonal == tuple(int(x) for x in invariant_factors(reference))
+    assert analysis.det == int(reference.det()) == det_exact(b)
+    result = sparse_smith([dict(enumerate(row)) for row in b.entries], n)
+    u = IntMatrix(tuple(tuple(row.get(j, 0) for j in range(n)) for row in result.u_rows))
+    v = IntMatrix(tuple(tuple(col.get(i, 0) for col in result.v_cols) for i in range(n)))
+    assert (u @ b @ v).entries == diagonal_matrix(result.d, n, n).entries
+    assert abs(det_exact(u)) == abs(det_exact(v)) == 1
+    assert analysis.k0 == cokernel_pointed(g)
+    assert_images_present_cokernel(g, analysis.k0)
 
 
 class TestElementOrder:

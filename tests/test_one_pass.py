@@ -1,0 +1,49 @@
+"""Each graph is eliminated once: K0, vertex images and det come from one
+`sparse_smith` call, and Bareiss stays off the command paths."""
+
+import sys
+
+import pytest
+
+import lpa_invariants
+from lpa_invariants.classify import kp_decide
+from lpa_invariants.cli import _table_rows, invariant_report
+from lpa_invariants.graphs import cayley_graph, stemmed_rose_graph
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts calls of the elimination and of Bareiss wherever the
+    package binds them."""
+    counts = {"sparse_smith": 0, "det_exact": 0}
+    modules = [
+        module
+        for name, module in list(sys.modules.items())
+        if name == "lpa_invariants" or name.startswith("lpa_invariants.")
+    ]
+    for name in counts:
+        original = getattr(lpa_invariants.intlinalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_invariant_report_eliminates_once(calls):
+    invariant_report(stemmed_rose_graph(4, 3))
+    assert calls == {"sparse_smith": 1, "det_exact": 0}
+
+
+def test_table_rows_eliminate_once_per_row(calls):
+    _table_rows(12)
+    assert calls == {"sparse_smith": 12, "det_exact": 0}
+
+
+def test_kp_decide_eliminates_each_graph_once(calls):
+    assert kp_decide(cayley_graph(2), cayley_graph(8)).outcome == "Isomorphic"
+    assert calls == {"sparse_smith": 2, "det_exact": 0}
