@@ -30,7 +30,7 @@ from .graphs import (
     stemmed_rose_graph,
 )
 from .ktheory import analyse, b_matrix
-from .monoid import crosscheck_cokernel, default_bound, mstar_group, presentation, saturate
+from .monoid import _crosscheck_classes, default_bound, mstar_group, presentation, saturate
 
 SCHEMA_VERSION = 1
 _TABLE_CAP = 500
@@ -234,7 +234,7 @@ def _cmd_monoid(args, out, err) -> int:
     bound = args.bound if args.bound is not None else default_bound(pres)
     classes = saturate(pres, bound)
     group = mstar_group(classes)
-    crosscheck = crosscheck_cokernel(g, bound)
+    crosscheck = _crosscheck_classes(g, classes, group)
     reps = classes.representatives()
     shown = reps[:_MAX_PRINTED_CLASSES]
     if args.json:

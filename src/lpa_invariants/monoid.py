@@ -4,10 +4,13 @@ The monoid is the free commutative monoid on the vertices modulo the
 relations v_i ~ sum_j a_ij v_j at non-sink vertices.  Equality is only
 decided inside a box: all vectors of N^n with coordinate sum <= bound
 are partitioned by the congruence generated by single-relation rewrites
-(both directions) plus translation closure, computed as connected
-components of the rewrite graph.  Conclusions therefore carry the bound,
-and a stabilisation flag (nonzero class counts unchanged over the last
-two bound increments) gates everything downstream.
+(both directions) plus translation closure.  The rewrites are contracted
+into class labels by connected components, and each translation round
+contracts its violating pairs into those labels.  Conclusions therefore
+carry the bound, and a stabilisation flag (nonzero class counts
+unchanged over the last two bound increments) gates everything
+downstream.  The three levels are swept in order of coordinate sum:
+each starts from the closure of the level below.
 
 The nonzero classes are additionally assembled into an explicit finite
 group table when every required sum stays inside the box, which is then
@@ -199,17 +202,26 @@ def _elementary_edges(p, bound, vectors, sums, table):
     return np.concatenate(srcs), np.concatenate(dsts), np.concatenate(esums)
 
 
-def _close_under_translation(labels, sub, subpos, images, total, seeds):
+def _merge(labels, left, right):
+    """Contract `labels` so that each left[i] and right[i] share a class.
+
+    Labels are contiguous ids, so the components are taken over the label
+    graph, whose nodes are the current classes, not over the box.
+    """
+    comp, _ = _components(int(labels.max()) + 1, labels[left], labels[right])
+    return comp[labels]
+
+
+def _close_under_translation(labels, sub, subpos, images):
     """Join (x + e_k, y + e_k) for x ~ y until no violations remain.
 
     Closure under adding one generator at a time implies closure under
     adding any vector, since partial translates stay inside the box.
     `images[k][i]` is the rank of sub[i] + e_k; `subpos` selects the part
-    of `sub` whose translates stay within the effective bound.
+    of `sub` whose translates stay within the effective bound.  Each round
+    contracts the violating pairs into the current labels.
     """
     sub_b = sub[subpos]
-    extra_src = list(seeds[0])
-    extra_dst = list(seeds[1])
     joins = 0
     while sub_b.size >= 2:
         lab = labels[sub_b]
@@ -230,17 +242,18 @@ def _close_under_translation(labels, sub, subpos, images, total, seeds):
         if not out_a:
             break
         joins += int(sum(a.size for a in out_a))
-        extra_src.extend(out_a)
-        extra_dst.extend(out_b)
-        labels, _ = _components(
-            total, np.concatenate(extra_src), np.concatenate(extra_dst)
-        )
+        labels = _merge(labels, np.concatenate(out_a), np.concatenate(out_b))
     return labels, joins
 
 
 def _saturate_box(p: MonoidPresentation, bound: int) -> _BoxSaturation:
     """Saturate the box at `bound`, also counting classes at the two
-    smaller bounds (their edge sets are sum-filtered subsets)."""
+    smaller bounds.
+
+    The closure at bound b-1 holds at bound b too, so each level starts
+    from the previous level's labels and adds only the elementary edges
+    whose larger endpoint sum is b.
+    """
     n = p.generator_count
     total = math.comb(n + bound, n)
     if total > _MAX_BOX_VECTORS:
@@ -262,30 +275,25 @@ def _saturate_box(p: MonoidPresentation, bound: int) -> _BoxSaturation:
         shifted[:, k] += 1
         images.append(_rank_vectors(shifted, bound, table))
 
-    labels = None
+    labels = np.arange(total, dtype=np.int64)
     joins = 0
     counts: dict[int, int | None] = {bound - 2: None, bound - 1: None}
+    done = -1  # edges with elem_esum <= done are already in `labels`
     for b in (bound - 2, bound - 1, bound):
         if b < 0:
             continue
-        keep = elem_esum <= b
-        e_src, e_dst = elem_src[keep], elem_dst[keep]
-        lab, _ = _components(total, e_src, e_dst)
+        new = (elem_esum > done) & (elem_esum <= b)
+        done = b
+        labels = _merge(labels, elem_src[new], elem_dst[new])
         subpos = np.flatnonzero(sub_sums <= b - 1)
-        lab, b_joins = _close_under_translation(
-            lab, sub, subpos, images, total, ([e_src], [e_dst])
-        )
-        if b == bound:
-            labels = lab
-            joins = b_joins
-        else:
-            counts[b] = int(np.unique(lab[sums <= b]).size) - 1
-    assert labels is not None
-    ncomp = int(np.unique(labels).size)
+        labels, joins = _close_under_translation(labels, sub, subpos, images)
+        if b < bound:
+            counts[b] = int(np.unique(labels[sums <= b]).size) - 1
 
     # Canonical class ids: order classes by their lexicographically least
     # member, so the zero vector always lands in class 0.
     uniq, first = np.unique(labels, return_index=True)
+    ncomp = int(uniq.size)
     order = np.argsort(first, kind="stable")
     relabel = np.empty(uniq.max() + 1, dtype=np.int64)
     relabel[uniq[order]] = np.arange(ncomp)
@@ -314,7 +322,10 @@ class CongruenceClasses:
     `labels[r]` is the class id of the r-th box vector in lexicographic
     order (`vectors[r]`); class 0 is always the singleton {zero vector}.
     `stabilized` records whether the nonzero class count was unchanged at
-    bounds bound-2, bound-1 and bound.
+    bounds bound-2, bound-1 and bound.  `translation_joins` counts the
+    pairs the translation closure joined at the final bound, starting from
+    the bound-1 closure plus the rewrites that reach sum `bound`; joins
+    made at the lower levels are not counted again.
     """
 
     generator_count: int
@@ -396,8 +407,11 @@ def saturate(p: MonoidPresentation, bound: int) -> CongruenceClasses:
     Every vector is rewritten through every relation in both directions
     (endpoints staying in the box), the resulting pairs are closed into
     equivalence classes, and the partition is then closed under
-    translation.  The stabilisation flag compares nonzero class counts
-    at bound-2, bound-1 and bound.
+    translation, each round merging class labels.  The stabilisation flag
+    compares nonzero class counts at bound-2, bound-1 and bound; the
+    levels are computed in that order, each one from the closure of the
+    one before plus the rewrites whose larger endpoint sum is the new
+    level.
     """
     bound = int(bound)
     needed = max([1] + [sum(rhs) for _, rhs in p.relations])
@@ -572,9 +586,13 @@ def crosscheck_cokernel(g: Graph, bound: int) -> CrosscheckVerdict:
     monoid side could not produce a stable finite group.
     """
     classes = saturate(presentation(g), bound)
-    if not classes.stabilized:
-        return "INCONCLUSIVE"
-    group = mstar_group(classes)
+    return _crosscheck_classes(g, classes, mstar_group(classes))
+
+
+def _crosscheck_classes(
+    g: Graph, classes: CongruenceClasses, group: Union[FiniteGroupTable, str]
+) -> CrosscheckVerdict:
+    """`crosscheck_cokernel` on a saturation of `g` and its `mstar_group`."""
     if isinstance(group, str):
         return "INCONCLUSIVE"
     k0 = cokernel_pointed(g)

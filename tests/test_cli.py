@@ -1,10 +1,13 @@
 import io
+import itertools
 import json
 
 import pytest
+from graph_strategies import graph_from_pairs, permute
 
 from lpa_invariants.cli import invariant_report, run
 from lpa_invariants.graphs import cayley_graph, graph_to_dict, stemmed_rose_graph
+from lpa_invariants.monoid import crosscheck_cokernel, mstar_group, presentation, saturate
 
 
 def invoke(argv):
@@ -224,6 +227,71 @@ class TestMonoid:
         code, _, err = invoke(["monoid", c_files[3], "--bound", "1"])
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("n, bound", [(3, 8), (6, 10), (7, 11)])
+    def test_json_agrees_with_public_api(self, c_files, n, bound):
+        """The command's own crosscheck gives what the public calls give."""
+        code, out, _ = invoke(["monoid", c_files[n], "--bound", str(bound), "--json"])
+        assert code == 0
+        g = cayley_graph(n)
+        classes = saturate(presentation(g), bound)
+        group = mstar_group(classes)
+        assert json.loads(out) == {
+            "schema": 1,
+            "bound": bound,
+            "stabilized": classes.stabilized,
+            "classes": classes.class_count,
+            "nonzero_classes": classes.nonzero_class_count,
+            "representatives": [list(r) for r in classes.representatives()[:100]],
+            "group": (
+                "NOT_CLOSED"
+                if isinstance(group, str)
+                else {
+                    "order": group.order,
+                    "element_class_ids": list(group.element_class_ids),
+                    "identity_class": group.identity_class,
+                    "invariant_factors": list(group.invariant_factors()),
+                    "table": [list(row) for row in group.table],
+                }
+            ),
+            "crosscheck": crosscheck_cokernel(g, bound),
+        }
+
+
+def _monoid_summary(g, bound, path):
+    path.write_text(json.dumps(graph_to_dict(g)))
+    code, out, err = invoke(["monoid", str(path), "--bound", str(bound), "--json"])
+    assert code == 0, err
+    data = json.loads(out)
+    group = data["group"]
+    return {
+        "classes": data["classes"],
+        "nonzero_classes": data["nonzero_classes"],
+        "stabilized": data["stabilized"],
+        "order": None if group == "NOT_CLOSED" else group["order"],
+        "invariant_factors": None if group == "NOT_CLOSED" else group["invariant_factors"],
+        "crosscheck": data["crosscheck"],
+    }
+
+
+# A source feeding a three-petal rose that shares a 2-cycle with a third
+# vertex: purely infinite simple, with K0 = Z/3.
+SOURCE_INTO_ROSE = graph_from_pairs(3, [(0, 1), (1, 1), (1, 1), (1, 1), (1, 2), (2, 1)])
+
+
+@pytest.mark.parametrize(
+    "g, bound, orders",
+    [
+        (cayley_graph(5), 10, [(4, 3, 2, 1, 0), (1, 3, 0, 4, 2), (2, 0, 1, 4, 3)]),
+        (SOURCE_INTO_ROSE, 10, list(itertools.permutations(range(3)))[1:]),
+    ],
+    ids=["C5", "source_into_rose"],
+)
+def test_monoid_ignores_vertex_order(tmp_path, g, bound, orders):
+    expected = _monoid_summary(g, bound, tmp_path / "g.json")
+    assert expected["crosscheck"] == "MATCH"
+    for k, order in enumerate(orders):
+        assert _monoid_summary(permute(g, order), bound, tmp_path / f"p{k}.json") == expected
 
 
 class TestArgumentErrors:

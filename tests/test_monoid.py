@@ -1,6 +1,9 @@
 import random
 
 import pytest
+from graph_strategies import NAMED_GRAPHS, multigraphs
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lpa_invariants.graphs import Graph, cayley_graph, rose_graph
 from lpa_invariants.monoid import (
@@ -285,3 +288,23 @@ class TestAgainstNaiveReference:
             frozenset(c.members(class_id)) for class_id in range(c.class_count)
         }
         assert fast == naive_partition(p, bound)
+
+
+@settings(deadline=None, max_examples=150)
+@given(multigraphs(max_vertices=3, max_mult=2), st.integers(0, 3))
+@example(NAMED_GRAPHS["empty"], 0)
+@example(NAMED_GRAPHS["sink"], 2)
+@example(NAMED_GRAPHS["source_into_rose"], 3)
+@example(NAMED_GRAPHS["parallel_edges"], 1)
+def test_sum_ordered_levels_match_naive(g, extra):
+    """The level-to-level sweep against the from-scratch reference: the
+    partition at the bound, and `stabilized` from the naive nonzero class
+    counts at bound-2, bound-1 and bound."""
+    p = presentation(g)
+    bound = max([1] + [sum(rhs) for _, rhs in p.relations]) + extra
+    c = saturate(p, bound)
+    fast = {frozenset(c.members(class_id)) for class_id in range(c.class_count)}
+    assert fast == naive_partition(p, bound)
+    counts = [len(naive_partition(p, b)) - 1 for b in (bound - 2, bound - 1) if b >= 0]
+    counts.append(c.nonzero_class_count)
+    assert c.stabilized == (len(counts) == 3 and len(set(counts)) == 1)
