@@ -222,25 +222,44 @@ def _cycle_vertices(g: Graph) -> set[int]:
     return on_cycle
 
 
-def _reach_masks(g: Graph) -> list[int]:
-    """reach[u] has bit w set iff there is a directed path u -> w."""
-    n = g.n_vertices
-    succ = g.successors
-    masks = []
-    for start in range(n):
-        seen = 1 << start
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in succ[v]:
-                    bit = 1 << w
-                    if not seen & bit:
-                        seen |= bit
-                        nxt.append(w)
-            frontier = nxt
-        masks.append(seen)
-    return masks
+def _reachable(adjacent, start: int) -> list[bool]:
+    """seen[w] is True iff a directed path in `adjacent` runs start -> w."""
+    seen = [False] * len(adjacent)
+    seen[start] = True
+    stack = [start]
+    while stack:
+        for w in adjacent[stack.pop()]:
+            if not seen[w]:
+                seen[w] = True
+                stack.append(w)
+    return seen
+
+
+def _cofinal_witness(g: Graph, on_cycle: set[int]) -> tuple[int, int] | None:
+    """First vertex u, in index order, that misses some cycle vertex, and
+    the first cycle vertex it misses; None when the graph is cofinal.
+
+    When the first cycle vertex, c, reaches every cycle vertex, a vertex
+    reaches all of them iff it reaches c, so u is the first vertex the
+    reverse search from c misses, and c is the first cycle vertex u
+    misses.  Otherwise vertices are searched one by one.
+    """
+    targets = sorted(on_cycle)
+    c = targets[0]
+    forward = _reachable(g.successors, c)
+    if all(forward[w] for w in targets):
+        predecessors: list[list[int]] = [[] for _ in g.vertices]
+        for e in g.edges:
+            predecessors[e.range].append(e.source)
+        backward = _reachable(predecessors, c)
+        u = next((u for u, ok in enumerate(backward) if not ok), None)
+        return None if u is None else (u, c)
+    for u in range(g.n_vertices):
+        seen = _reachable(g.successors, u)
+        missing = next((w for w in targets if not seen[w]), None)
+        if missing is not None:
+            return u, missing
+    return None
 
 
 def _cycle_without_exit(g: Graph) -> tuple[int, ...] | None:
@@ -296,6 +315,17 @@ def pis_report(g: Graph) -> PISReport:
     an exit.  cofinal: every vertex reaches every vertex that lies on a
     cycle.  has_cycle: some directed cycle exists.  The algebra test is
     the conjunction of all four.
+
+    Every test is O(V + E).  For cofinality, fix one cycle vertex c.  The
+    graph is cofinal iff c reaches every cycle vertex and every vertex
+    reaches c: then every vertex reaches every cycle vertex through c;
+    conversely, c and every other vertex reach every cycle vertex, c
+    among them.  So one forward and one reverse search from c decide it.
+    The witness is the first failing vertex in index order with the first
+    cycle vertex it misses.  Only when c misses some cycle vertex (never
+    cofinal: the cycle vertices then span more than one strong
+    component) does finding it take a search per vertex, up to the first
+    failure.
     """
     names = g.vertices
     witnesses: list[tuple[str, Any]] = []
@@ -318,14 +348,11 @@ def pis_report(g: Graph) -> PISReport:
 
     cofinal = True
     if on_cycle:
-        reach = _reach_masks(g)
-        targets = sorted(on_cycle)
-        for u in range(g.n_vertices):
-            missing = next((w for w in targets if not (reach[u] >> w) & 1), None)
-            if missing is not None:
-                cofinal = False
-                witnesses.append(("cofinal", (names[u], names[missing])))
-                break
+        witness = _cofinal_witness(g, on_cycle)
+        if witness is not None:
+            cofinal = False
+            u, missing = witness
+            witnesses.append(("cofinal", (names[u], names[missing])))
 
     pis = sink_free and condition_L and cofinal and has_cycle
     return PISReport(

@@ -2,15 +2,23 @@
 
 One sparse elimination (`sparse_smith`) gives the Smith normal form with
 its unimodular row/column transforms and, from the same pivots, the
-determinant.  Fraction-free (Bareiss) elimination (`det_exact`) is an
-independent determinant to check it against, and circulant determinants
-can be cross-checked against the roots-of-unity product formula.
+determinant.  Its pivot search is a heap holding each active row's best
+candidate, keyed (|entry|, Markowitz cost, row); after a pivot only the
+rows whose key may have moved are keyed again, so no step rescans the
+active block.  The transforms are kept as a log of row and column
+operations, and a row of u or a column of v is built by replaying the
+log backwards only when something reads it.  On the sparse B of a Cayley
+graph both make the pass near-linear in the size of the graph.
+Fraction-free (Bareiss) elimination (`det_exact`) is an independent
+determinant to check it against, and circulant determinants can be
+cross-checked against the roots-of-unity product formula.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import heapq
 import operator
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -178,13 +186,14 @@ class SparseSmith(NamedTuple):
     """u @ B @ v == diag(d) from one sparse elimination, plus det B.
 
     u is given by its rows and v by its columns, each a {index: value}
-    dict holding the nonzero entries only.  det is None when B is not
-    square.
+    dict holding the nonzero entries only.  Both are sequences that build
+    a vector from the elimination's operation log the first time it is
+    read.  det is None when B is not square.
     """
 
     d: tuple[int, ...]
-    u_rows: tuple[dict[int, int], ...]
-    v_cols: tuple[dict[int, int], ...]
+    u_rows: Sequence[dict[int, int]]
+    v_cols: Sequence[dict[int, int]]
     det: int | None
 
 
@@ -204,6 +213,66 @@ def _axpy(target: dict[int, int], source: dict[int, int], q: int) -> None:
             target[j] = y
         else:
             del target[j]
+
+
+def _replay(log: list[tuple[int, int, int]], vector: dict[int, int]) -> dict[int, int]:
+    """Apply the logged operations to `vector`, last operation first.
+
+    An entry (i, k, q) of the row log is "row i -= q * row k", that is
+    u <- (I - q e_i e_k^T) u, so u is the product of these factors, last
+    one leftmost, and row s of u is e_s^T times that product.  Taking
+    the factors from the left, each one does x[k] -= q * x[i].  An entry
+    (j, c, q) of the column log is "column j -= q * column c", that is
+    v <- v (I - q e_c e_j^T), and column s of v is that product times
+    e_s; taking the factors from the right, each one does
+    x[c] -= q * x[j].  So one replay serves both, at O(1) an operation.
+    """
+    for i, k, q in reversed(log):
+        x = vector.get(i)
+        if x:
+            y = vector.get(k, 0) - q * x
+            if y:
+                vector[k] = y
+            else:
+                del vector[k]
+    return vector
+
+
+class _Replayed(Sequence):
+    """Rows of u (or columns of v), each replayed from the log when read.
+
+    An item is either a built {index: value} dict or an (index, sign)
+    pair, standing for sign times unit vector `index` carried through the
+    log.  A built item is kept, so each vector is replayed at most once.
+    """
+
+    def __init__(self, log: list[tuple[int, int, int]], items: list) -> None:
+        self._log = log
+        self._items = items
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, k: int) -> dict[int, int]:
+        item = self._items[k]
+        if not isinstance(item, dict):
+            index, sign = item
+            item = self._items[k] = _replay(self._log, {index: sign})
+        return item
+
+    def __setitem__(self, k: int, vector: dict[int, int]) -> None:
+        self._items[k] = vector
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, _Replayed)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __add__(self, other) -> tuple[dict[int, int], ...]:
+        return tuple(self) + tuple(other)
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 def _permutation_sign(perm: list[int]) -> int:
@@ -228,7 +297,8 @@ def sparse_smith(rows: Sequence[Mapping[int, int]], cols: int) -> SparseSmith:
 
     `rows[i]` maps column index to entry of row i.  One elimination pass
     pivots on the smallest |entry| of the active block, ties broken by
-    the Markowitz cost (row nnz x column nnz), and clears the pivot's
+    the Markowitz cost (row nnz x column nnz), then by the lowest row,
+    then by the first entry in that row's order.  It clears the pivot's
     column by row operations and its row by column operations.  When a
     division leaves a remainder, the smallest remaining entry of that
     column or row becomes the pivot and the clearing goes on, so the
@@ -236,12 +306,27 @@ def sparse_smith(rows: Sequence[Mapping[int, int]], cols: int) -> SparseSmith:
     pivoting against coefficient growth of Havas, Majewski and Matthews,
     1998).
 
+    The pivot search does not rescan the active block.  Each active row
+    keeps its best candidate, keyed (|entry|, cost, row), in a heap with
+    lazy deletion: an entry counts only while it equals the row's current
+    key.  A row's key depends on its entries and on the nonzero counts of
+    its columns, so after each pivot only the rows that a row operation
+    changed, and the rows of each column whose count changed, are keyed
+    again.  The heap's minimum is the pivot the full scan would pick.
+
+    u and v are not built during the pass.  Each row operation
+    (row i -= q * row k) and column operation is logged as (i, k, q), and
+    a row of u or a column of v is built on first read by replaying its
+    log backwards (`_replay`), in time linear in the log.  Callers that
+    read a few rows, like the K0 of a graph, pay for those rows only.
+
     Every operation in the pass adds a multiple of one row or column to
     another, which has determinant 1; the pass leaves one pivot p_k in
     row r_k and column c_k.  So det B is the sign of the permutation
     r_k -> c_k times the product of the pivots, or 0 when some row has no
     pivot.  The pivots, made nonnegative and sorted, are then repaired
-    into a divisibility chain by pairwise (gcd, lcm) steps; zeros trail.
+    into a divisibility chain by pairwise (gcd, lcm) steps, which build
+    the rows and columns they combine; zeros trail.
     """
     nr = len(rows)
     a: list[dict[int, int]] = []
@@ -256,9 +341,12 @@ def sparse_smith(rows: Sequence[Mapping[int, int]], cols: int) -> SparseSmith:
                 entries[j] = x
                 col_rows[j].add(i)
         a.append(entries)
-    u = [{i: 1} for i in range(nr)]
-    v = [{j: 1} for j in range(cols)]
-    active = [i for i in range(nr) if a[i]]
+    row_ops: list[tuple[int, int, int]] = []
+    col_ops: list[tuple[int, int, int]] = []
+    # Rows changed and columns whose nonzero count changed since the last
+    # pivot; their keys are recomputed before the next pivot search.
+    changed_rows: set[int] = set()
+    changed_cols: set[int] = set()
 
     def row_sub(i: int, r: int, q: int) -> None:
         # row i -= q * row r, keeping the column index in step
@@ -270,11 +358,14 @@ def sparse_smith(rows: Sequence[Mapping[int, int]], cols: int) -> SparseSmith:
             if y:
                 if j not in target:
                     col_rows[j].add(i)
+                    changed_cols.add(j)
                 target[j] = y
             else:
                 del target[j]
                 col_rows[j].discard(i)
-        _axpy(u[i], u[r], q)
+                changed_cols.add(j)
+        changed_rows.add(i)
+        row_ops.append((i, r, q))
 
     def smallest(entries) -> tuple[int, int] | None:
         best = None
@@ -283,18 +374,35 @@ def sparse_smith(rows: Sequence[Mapping[int, int]], cols: int) -> SparseSmith:
                 best = (abs(x), key)
         return None if best is None else best[1]
 
+    key_of: dict[int, tuple[int, int, int, int]] = {}
+    heap: list[tuple[int, int, int, int]] = []
+
+    def rekey(i: int) -> None:
+        row = a[i]
+        if not row:
+            key_of.pop(i, None)
+            return
+        width = len(row)
+        best = None
+        for j, x in row.items():
+            k = (abs(x), width * len(col_rows[j]))
+            if best is None or k < best:
+                best, c = k, j
+        key = best + (i, c)
+        if key_of.get(i) != key:
+            key_of[i] = key
+            heapq.heappush(heap, key)
+
+    for i in range(nr):
+        rekey(i)
+
     pivots: list[tuple[int, int, int]] = []
-    while active:
-        size = cost = 0
-        for i in active:
-            row = a[i]
-            width = len(row)
-            for j, x in row.items():
-                x = abs(x)
-                if not size or x < size:
-                    size, cost, r, c = x, width * len(col_rows[j]), i, j
-                elif x == size and width * len(col_rows[j]) < cost:
-                    cost, r, c = width * len(col_rows[j]), i, j
+    while True:
+        while heap and key_of.get(heap[0][2]) != heap[0]:
+            heapq.heappop(heap)
+        if not heap:
+            break
+        _, _, r, c = heap[0]
         while True:
             p = a[r][c]
             for i in [i for i in col_rows[c] if i != r]:
@@ -304,7 +412,7 @@ def sparse_smith(rows: Sequence[Mapping[int, int]], cols: int) -> SparseSmith:
                 r = rest
                 continue
             # Column c now meets row r only, so a column operation
-            # changes row r of a and v.
+            # changes row r of a and the log of v.
             row = a[r]
             for j in [j for j in row if j != c]:
                 q = _quotient(row[j], p)
@@ -314,14 +422,23 @@ def sparse_smith(rows: Sequence[Mapping[int, int]], cols: int) -> SparseSmith:
                 else:
                     del row[j]
                     col_rows[j].discard(r)
-                _axpy(v[j], v[c], q)
+                    changed_cols.add(j)
+                if q:
+                    col_ops.append((j, c, q))
             rest = smallest((j, x) for j, x in row.items() if j != c)
             if rest is None:
                 break
             c = rest
         pivots.append((r, c, p))
         col_rows[c].clear()
-        active = [i for i in active if i != r and a[i]]
+        key_of.pop(r, None)
+        for j in changed_cols:
+            changed_rows.update(col_rows[j])
+        changed_rows.discard(r)
+        for i in changed_rows:
+            rekey(i)
+        changed_rows.clear()
+        changed_cols.clear()
 
     det = None
     if nr == cols:
@@ -337,10 +454,16 @@ def sparse_smith(rows: Sequence[Mapping[int, int]], cols: int) -> SparseSmith:
     pivots.sort(key=lambda t: abs(t[2]))
     pivot_rows = {r for r, _, _ in pivots}
     pivot_cols = {c for _, c, _ in pivots}
-    u_out = [u[r] if p > 0 else {j: -x for j, x in u[r].items()} for r, _, p in pivots]
-    u_out += [u[i] for i in range(nr) if i not in pivot_rows]
-    v_out = [v[c] for _, c, _ in pivots]
-    v_out += [v[j] for j in range(cols) if j not in pivot_cols]
+    u_out = _Replayed(
+        row_ops,
+        [(r, 1 if p > 0 else -1) for r, _, p in pivots]
+        + [(i, 1) for i in range(nr) if i not in pivot_rows],
+    )
+    v_out = _Replayed(
+        col_ops,
+        [(c, 1) for _, c, _ in pivots]
+        + [(j, 1) for j in range(cols) if j not in pivot_cols],
+    )
     d = [abs(p) for _, _, p in pivots]
 
     # Repair the divisibility chain: replace a violating adjacent pair
@@ -360,7 +483,7 @@ def sparse_smith(rows: Sequence[Mapping[int, int]], cols: int) -> SparseSmith:
         d[t], d[t + 1] = g, x * y // g
 
     d += [0] * (min(nr, cols) - len(d))
-    return SparseSmith(tuple(d), tuple(u_out), tuple(v_out), det)
+    return SparseSmith(tuple(d), u_out, v_out, det)
 
 
 def _combine(p: int, x: dict[int, int], q: int, y: dict[int, int]) -> dict[int, int]:

@@ -177,7 +177,9 @@ def analyse(g: Graph) -> GraphAnalysis:
     From u @ B @ v = diag(d), left-multiplication by u identifies
     Z^n / Im(B) with the direct sum of Z/d_i, so vertex i maps to column
     i of u reduced factor-wise; trivial factors (d_i = 1) are dropped.
-    The determinant comes off the same elimination.
+    Only the rows of u with d_i != 1 are read, so only they are built
+    (for C_n at most two).  The determinant comes off the same
+    elimination.
     """
     n = g.n_vertices
     result = sparse_smith(_b_rows(g), n)

@@ -38,6 +38,9 @@ NAMED_GRAPHS = {
     "isolated_vertex": graph_from_pairs(3, [(0, 1), (1, 0), (1, 1)]),
     "parallel_edges": graph_from_pairs(2, [(0, 1)] * 3 + [(1, 0)] * 2),
     "rank_one": graph_from_pairs(3, [(0, 0), (1, 1), (2, 0), (2, 1)]),
+    # vertex 0 reaches both loops, neither loop reaches the other: the
+    # first vertex that misses a cycle vertex is v1, not v0
+    "two_loops_apart": graph_from_pairs(3, [(0, 1), (0, 2), (1, 1), (2, 2)]),
 }
 
 

@@ -1,4 +1,7 @@
+import networkx as nx
 import pytest
+from graph_strategies import NAMED_GRAPHS, multigraphs
+from hypothesis import example, given, settings
 
 from lpa_invariants.graphs import (
     Edge,
@@ -234,6 +237,60 @@ class TestPISReport:
                 position = {v: i for i, v in enumerate(order)}
                 for e in g.edges:
                     assert position[e.source] < position[e.range]
+
+
+def networkx_pis(g):
+    """pis_report's flags and cofinal witness, from networkx and a search
+    from every vertex."""
+    multi = nx.MultiDiGraph()
+    multi.add_nodes_from(range(g.n_vertices))
+    multi.add_edges_from((e.source, e.range) for e in g.edges)
+    on_cycle = {v for v, _ in nx.selfloop_edges(multi)}
+    for comp in nx.strongly_connected_components(multi):
+        if len(comp) > 1:
+            on_cycle |= comp
+    cycles = list(nx.simple_cycles(nx.DiGraph(multi)))
+    assert bool(cycles) == bool(on_cycle)
+    witness = None
+    for u in range(g.n_vertices):
+        reach = nx.descendants(multi, u) | {u}
+        missing = [w for w in sorted(on_cycle) if w not in reach]
+        if missing:
+            witness = (g.vertices[u], g.vertices[missing[0]])
+            break
+    return {
+        "sink_free": all(d > 0 for _, d in multi.out_degree()),
+        # a cycle has no exit iff each of its vertices emits one edge
+        "condition_L": all(
+            any(multi.out_degree(v) > 1 for v in cycle) for cycle in cycles
+        ),
+        "cofinal": witness is None,
+        "has_cycle": bool(cycles),
+        "witness": witness,
+    }
+
+
+@settings(deadline=None, max_examples=300)
+@given(multigraphs(max_vertices=8, max_mult=2))
+@example(NAMED_GRAPHS["empty"])
+@example(NAMED_GRAPHS["sink"])
+@example(NAMED_GRAPHS["one_loop_singular"])
+@example(NAMED_GRAPHS["source_into_rose"])
+@example(NAMED_GRAPHS["isolated_vertex"])
+@example(NAMED_GRAPHS["two_loops_apart"])
+@example(SPLIT)
+def test_pis_report_matches_networkx(g):
+    report = pis_report(g)
+    reference = networkx_pis(g)
+    witness = reference.pop("witness")
+    assert {flag: getattr(report, flag) for flag in reference} == reference
+    assert dict(report.witnesses).get("cofinal") == witness
+
+
+def test_cofinal_witness_is_first_failing_vertex():
+    report = pis_report(NAMED_GRAPHS["two_loops_apart"])
+    assert not report.cofinal
+    assert ("cofinal", ("v1", "v2")) in report.witnesses
 
 
 class TestGraphJSON:

@@ -1,7 +1,8 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from graph_strategies import NAMED_GRAPHS, multigraphs
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
@@ -16,6 +17,8 @@ from lpa_invariants.intlinalg import (
     smith_normal_form,
     sparse_smith,
 )
+from lpa_invariants.graphs import cayley_graph
+from lpa_invariants.ktheory import _b_rows, analyse
 
 
 def mat(rows):
@@ -204,6 +207,56 @@ class TestSparseSmith:
         assert result.u_rows == ({0: 1}, {1: 1})
         assert sparse_smith([{}], 0).d == ()
 
+    def test_pivot_order_is_pinned(self):
+        # Every entry has |x| = 2; rows 1-3 tie on Markowitz cost 9, so
+        # row 1 wins, and in row 1 columns 0 and 2 tie, so column 0 wins.
+        rows = [
+            {0: 2, 1: 2, 2: -2, 3: 4},
+            {0: 2, 2: 2, 3: -2},
+            {1: -2, 2: 2, 3: 2},
+            {0: 4, 1: 2, 3: 2},
+        ]
+        result = sparse_smith(rows, 4)
+        assert result.d == (2, 2, 2, 0)
+        assert result.u_rows == (
+            {1: 1},
+            {0: 1, 1: -1},
+            {2: -1, 0: -1, 1: 1},
+            {3: 1, 1: -1, 0: -1},
+        )
+        assert result.v_cols == (
+            {0: 1},
+            {1: 1},
+            {2: 1, 0: -1, 1: 2},
+            {3: 1, 0: -3, 1: 5, 2: 4},
+        )
+        # The pivot (1, 1) clears column 0 of row 1 by a column operation,
+        # which lowers column 0's count; row 2 must be re-keyed, and then
+        # its tie between columns 0 and 2 goes to column 0.
+        result = sparse_smith([{}, {0: 1, 1: 1}, {0: 1, 2: -1}], 3)
+        assert result.d == (1, 1, 0)
+        assert result.u_rows == ({1: 1}, {2: 1}, {0: 1})
+        assert result.v_cols == ({1: 1}, {0: 1, 1: -1}, {2: 1, 0: 1, 1: -1})
+        # B of C_6: each pivot changes column counts, so rows are re-keyed
+        result = sparse_smith(_b_rows(cayley_graph(6)), 6)
+        assert result.d == (1, 1, 1, 1, 0, 0)
+        assert result.u_rows == (
+            {0: 1},
+            {1: -1, 0: -1},
+            {5: -1, 0: -1},
+            {2: 1, 5: -1, 0: -1},
+            {3: 1, 2: 1, 5: -1, 0: -1},
+            {4: 1, 1: -1, 2: -1, 5: 1},
+        )
+        assert result.v_cols == (
+            {0: 1},
+            {5: 1, 0: 1},
+            {1: 1, 0: 1},
+            {2: 1, 5: -1, 0: -1},
+            {3: 1, 2: 1, 5: -1, 0: -1},
+            {4: 1, 1: -1, 2: -1, 5: 1},
+        )
+
     def test_rejects_column_out_of_range(self):
         with pytest.raises(ValueError):
             sparse_smith([{2: 1}], 2)
@@ -220,6 +273,63 @@ class TestSparseSmith:
             for x in vector.values()
         )
         assert bits < 10_000
+
+
+@st.composite
+def sparse_matrices(draw, max_dim=7):
+    """Rectangular integer matrices, mostly zeros, sometimes with a zero
+    row and sometimes with a row that is the sum of two others."""
+    rows = draw(st.integers(1, max_dim))
+    cols = draw(st.integers(1, max_dim))
+    entry = st.one_of(st.just(0), st.integers(-5, 5))
+    entries = draw(
+        st.lists(
+            st.lists(entry, min_size=cols, max_size=cols),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    if draw(st.booleans()):
+        entries.insert(draw(st.integers(0, rows)), [0] * cols)
+    if len(entries) >= 2 and draw(st.booleans()):
+        entries.append([x + y for x, y in zip(entries[0], entries[1])])
+    return mat(entries)
+
+
+def full_transforms(result, rows, cols):
+    u = mat([[row.get(j, 0) for j in range(rows)] for row in result.u_rows])
+    v = mat([[col.get(i, 0) for col in result.v_cols] for i in range(cols)])
+    return u, v
+
+
+@settings(deadline=None, max_examples=300)
+@given(sparse_matrices())
+def test_replayed_transforms_are_exact(m):
+    """u and v, every vector replayed from the operation log, satisfy
+    u @ B @ v == diag(d) and are unimodular."""
+    result = sparse_smith([dict(enumerate(row)) for row in m.entries], m.cols)
+    u, v = full_transforms(result, m.rows, m.cols)
+    assert (u @ m @ v).entries == diagonal_matrix(result.d, m.rows, m.cols).entries
+    assert abs(det_exact(u)) == abs(det_exact(v)) == 1
+
+
+@settings(deadline=None, max_examples=150)
+@given(multigraphs())
+@example(NAMED_GRAPHS["empty"])
+@example(NAMED_GRAPHS["one_loop_singular"])
+@example(NAMED_GRAPHS["source_into_rose"])
+@example(NAMED_GRAPHS["rank_one"])
+def test_vertex_images_are_kept_rows_of_full_u(g):
+    """analyse replays only the rows of u with d_i != 1; they agree with
+    the same rows of the fully built u."""
+    n = g.n_vertices
+    result = sparse_smith(_b_rows(g), n)
+    u, _ = full_transforms(result, n, n)
+    k0 = analyse(g).k0
+    keep = [i for i, di in enumerate(result.d) if di != 1]
+    for j, image in enumerate(k0.vertex_images):
+        assert image == k0.group.element([u.entries[i][j] for i in keep])
+    assert k0.distinguished == k0.group.element([sum(u.entries[i]) for i in keep])
 
 
 class TestCirculant:

@@ -1,6 +1,8 @@
 """Each graph is eliminated once: K0, vertex images and det come from one
-`sparse_smith` call, and Bareiss stays off the command paths.  Each
-`lpainv monoid` call and each crosscheck saturates its box once."""
+`sparse_smith` call, and Bareiss stays off the command paths.  The work
+of that call on C_n grows linearly in n, and K0 builds only the rows of
+u it reads.  Each `lpainv monoid` call and each crosscheck saturates its
+box once."""
 
 import io
 import json
@@ -10,9 +12,10 @@ import pytest
 
 import lpa_invariants
 from lpa_invariants.classify import kp_decide
-from lpa_invariants import monoid
+from lpa_invariants import intlinalg, monoid
 from lpa_invariants.cli import _table_rows, invariant_report, run
 from lpa_invariants.graphs import cayley_graph, graph_to_dict, stemmed_rose_graph
+from lpa_invariants.ktheory import analyse
 
 
 @pytest.fixture
@@ -53,19 +56,43 @@ def test_kp_decide_eliminates_each_graph_once(calls):
     assert calls == {"sparse_smith": 2, "det_exact": 0}
 
 
+def counting(monkeypatch, module, name):
+    """Replaces module.name by a wrapper that counts its calls."""
+    counts = {name: 0}
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_elimination_work_is_linear_on_cayley_graphs(monkeypatch):
+    # One rounded quotient per row or column operation; sparse_smith
+    # looks `_quotient` up in its module.
+    divisions = counting(monkeypatch, intlinalg, "_quotient")
+    analyse(cayley_graph(200))
+    small = divisions["_quotient"]
+    divisions["_quotient"] = 0
+    analyse(cayley_graph(400))
+    assert 0 < divisions["_quotient"] <= 2.2 * small
+
+
+@pytest.mark.parametrize("n", [3, 6, 7, 12, 100, 101])
+def test_k0_builds_at_most_two_rows_of_u(monkeypatch, n):
+    replays = counting(monkeypatch, intlinalg, "_replay")
+    k0 = analyse(cayley_graph(n)).k0
+    assert replays["_replay"] <= 2
+    assert replays["_replay"] >= len(k0.group.factors)
+
+
 @pytest.fixture
 def saturations(monkeypatch):
     """Counts box saturations; `saturate` looks `_saturate_box` up in its
     module, so one binding covers every caller."""
-    counts = {"boxes": 0}
-    original = monoid._saturate_box
-
-    def counted(*args, **kwargs):
-        counts["boxes"] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(monoid, "_saturate_box", counted)
-    return counts
+    return counting(monkeypatch, monoid, "_saturate_box")
 
 
 def test_monoid_command_saturates_once(saturations, tmp_path):
@@ -74,9 +101,9 @@ def test_monoid_command_saturates_once(saturations, tmp_path):
     out = io.StringIO()
     assert run(["monoid", str(path), "--bound", "8", "--json"], stdout=out) == 0
     assert json.loads(out.getvalue())["crosscheck"] == "MATCH"
-    assert saturations == {"boxes": 1}
+    assert saturations == {"_saturate_box": 1}
 
 
 def test_crosscheck_saturates_once(saturations):
     assert monoid.crosscheck_cokernel(cayley_graph(4), 10) == "MATCH"
-    assert saturations == {"boxes": 1}
+    assert saturations == {"_saturate_box": 1}
