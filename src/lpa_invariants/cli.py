@@ -14,6 +14,7 @@ error stream as one line prefixed `error:`.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import IO
@@ -21,7 +22,6 @@ from typing import IO
 from .classify import EXIT_CODES, _canonical, cayley_class, kp_decide, sign_of
 from .graphs import (
     Graph,
-    adjacency_matrix,
     cayley_graph,
     graph_from_dict,
     graph_to_dict,
@@ -29,7 +29,7 @@ from .graphs import (
     rose_graph,
     stemmed_rose_graph,
 )
-from .ktheory import analyse, b_matrix
+from .ktheory import analyse
 from .monoid import _crosscheck_classes, default_bound, mstar_group, presentation, saturate
 
 SCHEMA_VERSION = 1
@@ -76,11 +76,20 @@ def invariant_report(g: Graph) -> dict:
     det = analysis.det
     pis = pis_report(g)
     canonical = _canonical(pis.purely_infinite_simple, k0, det)
+    # The printed matrices are plain int lists built from the edges; the
+    # elimination above has its own sparse B.
+    n = g.n_vertices
+    adjacency = [[0] * n for _ in range(n)]
+    for e in g.edges:
+        adjacency[e.source][e.range] += 1
+    b = [[-a for a in column] for column in zip(*adjacency)]  # -A^t
+    for i in range(n):
+        b[i][i] += 1
     return {
         "schema": SCHEMA_VERSION,
         "graph": {"vertices": g.n_vertices, "edges": g.n_edges},
-        "adjacency": [list(row) for row in adjacency_matrix(g).entries],
-        "b_matrix": [list(row) for row in b_matrix(g).entries],
+        "adjacency": adjacency,
+        "b_matrix": b,
         "snf_diagonal": list(analysis.snf_diagonal),
         "k0_factors": list(k0.group.factors),
         "vertex_images": [list(img.coords) for img in k0.vertex_images],
@@ -287,7 +296,11 @@ def _cmd_validate(args, out, err) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and shared by every `run`:
+    parsing leaves no state in it, and building it costs more than a small
+    command's mathematics."""
     parser = _Parser(prog="lpainv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

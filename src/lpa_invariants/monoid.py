@@ -97,7 +97,18 @@ def default_bound(p: MonoidPresentation) -> int:
 # coordinate most significant).  With N(k, r) = C(r + k, k) counting the
 # k-coordinate vectors of sum <= r, the rank of w is
 #     sum_i  N(n - i, b_i) - N(n - i, b_i - w_i),
-# where b_i is the budget left before coordinate i.
+# where b_i is the budget left before coordinate i.  That formula serves
+# single lookups (`CongruenceClasses.rank_of`) only.
+#
+# Whole arrays of translates are ranked off the lex order instead.  Lex
+# order is translation-invariant: x < y iff x + d < y + d for any integer
+# vector d.  So a translation w -> w + d that maps a set S of box vectors
+# onto a set T of box vectors keeps their order, and the i-th member of S
+# (by rank) goes to the i-th member of T.  Both sets are read off the box
+# by a mask, and `np.flatnonzero` lists each in rank order:
+#   - w -> w + e_k maps {sum w <= b - 1} onto {v : v_k >= 1};
+#   - w -> w - e_i + rhs maps {w_i >= 1, sum w + sum rhs - 1 <= b} onto
+#     {v : v >= rhs componentwise}.
 # ---------------------------------------------------------------------------
 
 
@@ -137,6 +148,7 @@ def _box_vectors(n: int, bound: int) -> np.ndarray:
 
 
 def _rank_vectors(w: np.ndarray, bound: int, table: np.ndarray) -> np.ndarray:
+    """Rank of each row of `w` in the box, by the formula above."""
     m, n = w.shape
     if n == 0:
         return np.zeros(m, dtype=np.int32)
@@ -176,30 +188,47 @@ class _BoxSaturation:
     sub_counts: tuple[int | None, int | None]  # nonzero classes at bound-2, bound-1
 
 
-def _elementary_edges(p, bound, vectors, sums, table):
+def _elementary_edges(p, bound, vectors, sums):
     """Rank pairs (w, w - e_i + rhs_i) for every in-box rewrite.
 
-    Also returns, per edge, the larger endpoint sum, so the edge set of
-    any smaller bound b is just the edges with endpoint sums <= b.
+    The rewrite is the translation by rhs_i - e_i, so it maps its sources
+    (w_i >= 1 and the target's sum within the bound) in rank order onto
+    its targets, the box vectors v >= rhs_i; sources and targets pair up
+    by position.  Also returns, per edge, the larger endpoint sum, so the
+    edge set of any smaller bound b is just the edges with endpoint sums
+    <= b.
     """
     srcs, dsts, esums = [], [], []
     for gi, rhs in p.relations:
-        rhs_arr = np.asarray(rhs, dtype=np.int16)
-        shift = int(rhs_arr.sum()) - 1  # >= 0: relations rewrite upward in sum
+        shift = sum(rhs) - 1  # >= 0: relations rewrite upward in sum
         ok = (vectors[:, gi] >= 1) & (sums + shift <= bound)
         idx = np.flatnonzero(ok)
         if idx.size == 0:
             continue
-        targets = vectors[idx].copy()
-        targets[:, gi] -= 1
-        targets += rhs_arr
+        covers = np.ones(len(vectors), dtype=bool)
+        for j, r in enumerate(rhs):
+            if r:
+                covers &= vectors[:, j] >= r
         srcs.append(idx.astype(np.int32))
-        dsts.append(_rank_vectors(targets, bound, table))
+        dsts.append(np.flatnonzero(covers).astype(np.int32))
         esums.append(sums[idx] + shift)
     if not srcs:
         empty = np.zeros(0, dtype=np.int32)
         return empty, empty, empty
     return np.concatenate(srcs), np.concatenate(dsts), np.concatenate(esums)
+
+
+def _shift_images(vectors):
+    """images[k][i] is the rank of sub[i] + e_k, where `sub` lists the box
+    vectors of sum <= bound - 1 in rank order.
+
+    The shift maps `sub` in rank order onto the box vectors with v_k >= 1,
+    so images[k] is just the list of those.
+    """
+    return [
+        np.flatnonzero(vectors[:, k] >= 1).astype(np.int32)
+        for k in range(vectors.shape[1])
+    ]
 
 
 def _merge(labels, left, right):
@@ -252,7 +281,11 @@ def _saturate_box(p: MonoidPresentation, bound: int) -> _BoxSaturation:
 
     The closure at bound b-1 holds at bound b too, so each level starts
     from the previous level's labels and adds only the elementary edges
-    whose larger endpoint sum is b.
+    whose larger endpoint sum is b.  No vector is ranked by formula: the
+    shift w -> w + e_k maps `sub` (sum <= bound - 1, in rank order) in
+    order onto the box vectors with v_k >= 1, so the ranks of the shifts
+    are the list of those (`_shift_images`), and the rewrite edges come
+    off the lex order the same way (`_elementary_edges`).
     """
     n = p.generator_count
     total = math.comb(n + bound, n)
@@ -265,15 +298,11 @@ def _saturate_box(p: MonoidPresentation, bound: int) -> _BoxSaturation:
     vectors = _box_vectors(n, bound)
     sums = vectors.sum(axis=1, dtype=np.int32)
 
-    elem_src, elem_dst, elem_esum = _elementary_edges(p, bound, vectors, sums, table)
+    elem_src, elem_dst, elem_esum = _elementary_edges(p, bound, vectors, sums)
 
     sub = np.flatnonzero(sums <= bound - 1).astype(np.int32)
     sub_sums = sums[sub]
-    images = []
-    for k in range(n):
-        shifted = vectors[sub].copy()
-        shifted[:, k] += 1
-        images.append(_rank_vectors(shifted, bound, table))
+    images = _shift_images(vectors)
 
     labels = np.arange(total, dtype=np.int64)
     joins = 0

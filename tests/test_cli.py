@@ -1,10 +1,15 @@
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from graph_strategies import graph_from_pairs, permute
 
+from lpa_invariants import cli
 from lpa_invariants.cli import invariant_report, run
 from lpa_invariants.graphs import cayley_graph, graph_to_dict, stemmed_rose_graph
 from lpa_invariants.monoid import crosscheck_cokernel, mstar_group, presentation, saturate
@@ -309,3 +314,55 @@ class TestArgumentErrors:
         code, _, err = invoke(["cayley", "--n", "seven"])
         assert code == 2
         assert err.startswith("error:")
+
+
+class TestParserReuse:
+    """One parser serves every `run` call of the process."""
+
+    def test_parse_error_leaves_next_call_unchanged(self, c_files):
+        argv = ["invariants", c_files[3], "--json"]
+        first = invoke(argv)
+        assert first[0] == 0 and first[2] == ""
+        for bad in (
+            ["frobnicate"],
+            ["invariants"],
+            ["invariants", c_files[3], "--json", "--bound", "3"],
+            ["table", "--max", "seven"],
+            ["table", "--max", "3", "--format", "xml"],
+            ["monoid", c_files[3], "--bound"],
+        ):
+            code, out, err = invoke(bad)
+            assert code == 2 and out == ""
+            assert err.startswith("error:")
+            assert invoke(argv) == first
+
+    def test_flags_of_one_call_do_not_stick(self):
+        code, as_json, _ = invoke(["table", "--max", "3", "--format", "json"])
+        assert code == 0 and json.loads(as_json)["schema"] == 1
+        code, as_md, _ = invoke(["table", "--max", "3"])
+        assert code == 0 and as_md.startswith("| n |")
+        assert invoke(["table", "--max", "600"])[0] == 2  # --force not kept
+        assert cli._build_parser() is cli._build_parser()
+
+
+def test_import_leaves_heavy_dependencies_unloaded():
+    """scipy is imported where the monoid needs it; sympy and networkx
+    only by tests.  None of them may load with the CLI."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    probe = (
+        "import sys, lpa_invariants.cli; "
+        "print(sorted(m for m in ('scipy', 'sympy', 'networkx') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 from graph_strategies import NAMED_GRAPHS, multigraphs
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lpa_invariants import monoid
 from lpa_invariants.graphs import Graph, cayley_graph, rose_graph
 from lpa_invariants.monoid import (
     NOT_CLOSED,
@@ -308,3 +310,50 @@ def test_sum_ordered_levels_match_naive(g, extra):
     counts = [len(naive_partition(p, b)) - 1 for b in (bound - 2, bound - 1) if b >= 0]
     counts.append(c.nonzero_class_count)
     assert c.stabilized == (len(counts) == 3 and len(set(counts)) == 1)
+
+
+@settings(deadline=None, max_examples=100)
+@given(multigraphs(max_vertices=5, max_mult=2), st.integers(0, 6))
+@example(NAMED_GRAPHS["empty"], 3)
+@example(NAMED_GRAPHS["sink"], 6)
+@example(NAMED_GRAPHS["source_into_rose"], 6)
+@example(NAMED_GRAPHS["parallel_edges"], 4)
+@example(NAMED_GRAPHS["rank_one"], 6)
+def test_lex_order_ranks_match_formula(g, extra):
+    """The shift images and rewrite edges read off the lex order, against
+    the ranking formula applied to the translated vectors."""
+    p = presentation(g)
+    n = p.generator_count
+    bound = max([1] + [sum(rhs) for _, rhs in p.relations]) + extra
+    vectors = monoid._box_vectors(n, bound)
+    sums = vectors.sum(axis=1, dtype=np.int32)
+    table = monoid._simplex_table(n, bound)
+
+    images = monoid._shift_images(vectors)
+    sub = vectors[sums <= bound - 1]
+    assert len(images) == n
+    for k, img in enumerate(images):
+        shifted = sub.copy()
+        shifted[:, k] += 1
+        assert img.dtype == np.int32
+        assert np.array_equal(img, monoid._rank_vectors(shifted, bound, table))
+
+    src, dst, esum = monoid._elementary_edges(p, bound, vectors, sums)
+    want_src, want_dst = [], []
+    for i, rhs in p.relations:
+        shift = sum(rhs) - 1
+        idx = np.flatnonzero((vectors[:, i] >= 1) & (sums + shift <= bound))
+        targets = vectors[idx].copy()
+        targets[:, i] -= 1
+        targets += np.asarray(rhs, dtype=np.int16)
+        want_src.append(idx)
+        want_dst.append(monoid._rank_vectors(targets, bound, table))
+    want_src = np.concatenate(want_src) if want_src else np.zeros(0, np.int64)
+    want_dst = np.concatenate(want_dst) if want_dst else np.zeros(0, np.int64)
+    assert src.dtype == dst.dtype == np.int32
+    assert np.array_equal(src, want_src)
+    assert np.array_equal(dst, want_dst)
+    assert np.array_equal(esum, np.maximum(sums[src], sums[dst]))
+    rows = [tuple(int(x) for x in v) for v in vectors]
+    for a, b in zip(src.tolist(), dst.tolist()):
+        assert is_single_rewrite(p, rows[a], rows[b])

@@ -2,7 +2,8 @@
 `sparse_smith` call, and Bareiss stays off the command paths.  The work
 of that call on C_n grows linearly in n, and K0 builds only the rows of
 u it reads.  Each `lpainv monoid` call and each crosscheck saturates its
-box once."""
+box once, and the saturation ranks its translates off the box's lex
+order, never by the ranking formula."""
 
 import io
 import json
@@ -107,3 +108,10 @@ def test_monoid_command_saturates_once(saturations, tmp_path):
 def test_crosscheck_saturates_once(saturations):
     assert monoid.crosscheck_cokernel(cayley_graph(4), 10) == "MATCH"
     assert saturations == {"_saturate_box": 1}
+
+
+def test_saturation_ranks_no_vector_by_formula(monkeypatch):
+    ranks = counting(monkeypatch, monoid, "_rank_vectors")
+    classes = monoid.saturate(monoid.presentation(cayley_graph(5)), 10)
+    assert classes.stabilized
+    assert ranks == {"_rank_vectors": 0}
