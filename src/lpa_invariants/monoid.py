@@ -2,30 +2,34 @@
 
 The monoid is the free commutative monoid on the vertices modulo the
 relations v_i ~ sum_j a_ij v_j at non-sink vertices.  Equality is only
-decided inside a box: all vectors of N^n with coordinate sum <= bound
-are partitioned by the congruence generated by single-relation rewrites
-(both directions) plus translation closure.  The rewrites are contracted
-into class labels by connected components, and each translation round
-contracts its violating pairs into those labels.  Conclusions therefore
-carry the bound, and a stabilisation flag (nonzero class counts
-unchanged over the last two bound increments) gates everything
-downstream.  The three levels are swept in order of coordinate sum:
-each starts from the closure of the level below.
+decided inside a box: all vectors of N^n with coordinate sum <= bound,
+in lexicographic order, are partitioned by the congruence generated by
+single-relation rewrites (both directions) plus translation closure.
+The rewrites are contracted into class labels by connected components,
+and each translation round contracts its violating pairs into those
+labels.  Conclusions therefore carry the bound, and a stabilisation flag
+(nonzero class counts unchanged over the last two bound increments)
+gates everything downstream.  The three levels are swept in order of
+coordinate sum: each starts from the closure of the level below.
 
-The nonzero classes are additionally assembled into an explicit finite
-group table when every required sum stays inside the box, which is then
-compared against the Smith-normal-form cokernel computation.
+`saturate` returns one `CongruenceClasses`: the box, its labels and the
+presentation.  It keeps no rewrite edges; `rewrite_path` rebuilds them
+per call.  The nonzero classes are additionally assembled into an
+explicit finite group table when every required sum stays inside the
+box, which is then compared against the Smith-normal-form cokernel
+computation.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Literal, Union
 
 import numpy as np
 
-from .graphs import Graph, adjacency_matrix
+from .graphs import Graph
 from .ktheory import cokernel_pointed, element_order
 
 __all__ = [
@@ -76,18 +80,30 @@ class MonoidPresentation:
 
 
 def presentation(g: Graph) -> MonoidPresentation:
-    """Read the defining relations off the adjacency rows of non-sinks."""
-    adj = adjacency_matrix(g).entries
-    relations = tuple(
-        (i, adj[i]) for i, deg in enumerate(g.out_degrees) if deg > 0
-    )
-    return MonoidPresentation(generator_count=g.n_vertices, relations=relations)
+    """Read the defining relations off the out-edges of the non-sinks:
+    rhs[j] of v_i counts the edges from v_i to v_j."""
+    relations = []
+    for i, targets in enumerate(g.successors):
+        if targets:
+            rhs = [0] * g.n_vertices
+            for j in targets:
+                rhs[j] += 1
+            relations.append((i, tuple(rhs)))
+    return MonoidPresentation(generator_count=g.n_vertices, relations=tuple(relations))
 
 
 def default_bound(p: MonoidPresentation) -> int:
     """max(8, 2 * n * largest relation sum); generous at desk scale."""
     max_sum = max((sum(rhs) for _, rhs in p.relations), default=1)
     return max(8, 2 * p.generator_count * max_sum)
+
+
+def _as_index(x, what: str) -> int:
+    """`x` as an int; floats, strings and other non-integers are rejected."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {x!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +113,9 @@ def default_bound(p: MonoidPresentation) -> int:
 # coordinate most significant).  With N(k, r) = C(r + k, k) counting the
 # k-coordinate vectors of sum <= r, the rank of w is
 #     sum_i  N(n - i, b_i) - N(n - i, b_i - w_i),
-# where b_i is the budget left before coordinate i.  That formula serves
-# single lookups (`CongruenceClasses.rank_of`) only.
+# where b_i is the budget left before coordinate i.  Only single lookups
+# use that formula: `CongruenceClasses.rank_of` computes it with
+# `math.comb`.
 #
 # Whole arrays of translates are ranked off the lex order instead.  Lex
 # order is translation-invariant: x < y iff x + d < y + d for any integer
@@ -110,17 +127,6 @@ def default_bound(p: MonoidPresentation) -> int:
 #   - w -> w - e_i + rhs maps {w_i >= 1, sum w + sum rhs - 1 <= b} onto
 #     {v : v >= rhs componentwise}.
 # ---------------------------------------------------------------------------
-
-
-def _simplex_table(n: int, bound: int) -> np.ndarray:
-    """table[k, r] = C(r + k, k), built by cumulative sums.
-
-    Callers guard the box size first, so int32 never overflows.
-    """
-    table = np.ones((n + 1, bound + 1), dtype=np.int32)
-    for k in range(1, n + 1):
-        table[k] = np.cumsum(table[k - 1])
-    return table
 
 
 def _box_vectors(n: int, bound: int) -> np.ndarray:
@@ -145,47 +151,6 @@ def _box_vectors(n: int, bound: int) -> np.ndarray:
         return out
 
     return build(n, bound)
-
-
-def _rank_vectors(w: np.ndarray, bound: int, table: np.ndarray) -> np.ndarray:
-    """Rank of each row of `w` in the box, by the formula above."""
-    m, n = w.shape
-    if n == 0:
-        return np.zeros(m, dtype=np.int32)
-    inclusive = w.cumsum(axis=1, dtype=np.int32)
-    before = inclusive - w
-    budgets = bound - before
-    ks = np.arange(n, 0, -1)
-    high = table[ks[None, :], budgets]
-    low = table[ks[None, :], budgets - w]
-    return (high - low).sum(axis=1, dtype=np.int32)
-
-
-def _components(total: int, src: np.ndarray, dst: np.ndarray):
-    # scipy is imported on first use: it is most of the package's import time.
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    if src.size == 0:
-        return np.arange(total, dtype=np.int64), total
-    graph = coo_matrix(
-        (np.ones(src.size, dtype=np.int8), (src, dst)), shape=(total, total)
-    )
-    ncomp, labels = connected_components(graph, directed=False)
-    return labels.astype(np.int64, copy=False), int(ncomp)
-
-
-@dataclass
-class _BoxSaturation:
-    vectors: np.ndarray
-    labels: np.ndarray
-    class_count: int
-    first_member: np.ndarray
-    table: np.ndarray
-    elem_src: np.ndarray
-    elem_dst: np.ndarray
-    translation_joins: int
-    sub_counts: tuple[int | None, int | None]  # nonzero classes at bound-2, bound-1
 
 
 def _elementary_edges(p, bound, vectors, sums):
@@ -237,8 +202,19 @@ def _merge(labels, left, right):
     Labels are contiguous ids, so the components are taken over the label
     graph, whose nodes are the current classes, not over the box.
     """
-    comp, _ = _components(int(labels.max()) + 1, labels[left], labels[right])
-    return comp[labels]
+    if left.size == 0:
+        return labels
+    # scipy is imported on first use: it is most of the package's import time.
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    total = int(labels.max()) + 1
+    graph = coo_matrix(
+        (np.ones(left.size, dtype=np.int8), (labels[left], labels[right])),
+        shape=(total, total),
+    )
+    _, comp = connected_components(graph, directed=False)
+    return comp.astype(np.int64, copy=False)[labels]
 
 
 def _close_under_translation(labels, sub, subpos, images):
@@ -275,9 +251,9 @@ def _close_under_translation(labels, sub, subpos, images):
     return labels, joins
 
 
-def _saturate_box(p: MonoidPresentation, bound: int) -> _BoxSaturation:
+def _saturate_box(p: MonoidPresentation, bound: int) -> CongruenceClasses:
     """Saturate the box at `bound`, also counting classes at the two
-    smaller bounds.
+    smaller bounds for the stabilisation flag.
 
     The closure at bound b-1 holds at bound b too, so each level starts
     from the previous level's labels and adds only the elementary edges
@@ -294,7 +270,6 @@ def _saturate_box(p: MonoidPresentation, bound: int) -> _BoxSaturation:
             f"saturation box has {total} vectors (limit {_MAX_BOX_VECTORS}); "
             "pass a smaller bound"
         )
-    table = _simplex_table(n, bound)
     vectors = _box_vectors(n, bound)
     sums = vectors.sum(axis=1, dtype=np.int32)
 
@@ -306,7 +281,7 @@ def _saturate_box(p: MonoidPresentation, bound: int) -> _BoxSaturation:
 
     labels = np.arange(total, dtype=np.int64)
     joins = 0
-    counts: dict[int, int | None] = {bound - 2: None, bound - 1: None}
+    counts: dict[int, int] = {}  # nonzero classes at bound-2 and bound-1
     done = -1  # edges with elem_esum <= done are already in `labels`
     for b in (bound - 2, bound - 1, bound):
         if b < 0:
@@ -328,19 +303,22 @@ def _saturate_box(p: MonoidPresentation, bound: int) -> _BoxSaturation:
     relabel[uniq[order]] = np.arange(ncomp)
     labels = relabel[labels]
     first_member = first[order]
+    sizes = np.bincount(labels, minlength=ncomp)
 
-    for arr in (vectors, labels, first_member):
+    for arr in (vectors, labels, first_member, sizes):
         arr.setflags(write=False)
-    return _BoxSaturation(
+    return CongruenceClasses(
+        generator_count=n,
+        bound=bound,
+        stabilized=counts.get(bound - 2) == counts.get(bound - 1) == ncomp - 1,
+        class_count=ncomp,
+        nonzero_class_count=ncomp - 1,
+        translation_joins=joins,
         vectors=vectors,
         labels=labels,
-        class_count=ncomp,
-        first_member=first_member,
-        table=table,
-        elem_src=elem_src,
-        elem_dst=elem_dst,
-        translation_joins=joins,
-        sub_counts=(counts[bound - 2], counts[bound - 1]),
+        class_sizes=sizes,
+        _first_member=first_member,
+        _presentation=p,
     )
 
 
@@ -354,7 +332,8 @@ class CongruenceClasses:
     bounds bound-2, bound-1 and bound.  `translation_joins` counts the
     pairs the translation closure joined at the final bound, starting from
     the bound-1 closure plus the rewrites that reach sum `bound`; joins
-    made at the lower levels are not counted again.
+    made at the lower levels are not counted again.  The rewrite edges are
+    not kept: `rewrite_path` rebuilds them from the presentation.
     """
 
     generator_count: int
@@ -367,18 +346,24 @@ class CongruenceClasses:
     labels: np.ndarray
     class_sizes: np.ndarray
     _first_member: np.ndarray
-    _table: np.ndarray
-    _elem_src: np.ndarray
-    _elem_dst: np.ndarray
+    _presentation: MonoidPresentation
 
     def rank_of(self, vec) -> int:
-        vec = tuple(int(x) for x in vec)
+        """Index of `vec` in `vectors`, by the ranking formula.
+
+        Coordinates must be integers (numpy integers included); anything
+        else raises ValueError rather than being truncated.
+        """
+        vec = tuple(_as_index(x, "vector coordinate") for x in vec)
         if len(vec) != self.generator_count:
             raise ValueError("vector has the wrong number of coordinates")
         if any(x < 0 for x in vec) or sum(vec) > self.bound:
             raise ValueError(f"vector {vec} lies outside the explored box")
-        w = np.asarray([vec], dtype=np.int64)
-        return int(_rank_vectors(w, self.bound, self._table)[0])
+        rank, budget = 0, self.bound
+        for k, w in zip(range(len(vec), 0, -1), vec):
+            rank += math.comb(budget + k, k) - math.comb(budget - w + k, k)
+            budget -= w
+        return rank
 
     def class_of(self, vec) -> int:
         return int(self.labels[self.rank_of(vec)])
@@ -400,7 +385,9 @@ class CongruenceClasses:
         """Chain of single-relation rewrites x -> ... -> y inside the box.
 
         Returns None when the two vectors are not connected by elementary
-        rewrites (translation-closure joins carry no in-box chain).
+        rewrites (translation-closure joins carry no in-box chain).  Each
+        call rebuilds the rewrite edges with `_elementary_edges`, as the
+        saturation does, and runs a breadth-first search over them.
         """
         from scipy.sparse import coo_matrix
         from scipy.sparse.csgraph import breadth_first_order
@@ -408,15 +395,15 @@ class CongruenceClasses:
         i, j = self.rank_of(x), self.rank_of(y)
         if i == j:
             return [tuple(int(v) for v in self.vectors[i])]
+        if self.labels[i] != self.labels[j]:
+            return None  # every rewrite edge lies inside one class
+        sums = self.vectors.sum(axis=1, dtype=np.int32)
+        src, dst, _ = _elementary_edges(
+            self._presentation, self.bound, self.vectors, sums
+        )
         total = len(self.labels)
-        if self._elem_src.size == 0:
-            return None
         graph = coo_matrix(
-            (
-                np.ones(self._elem_src.size, dtype=np.int8),
-                (self._elem_src, self._elem_dst),
-            ),
-            shape=(total, total),
+            (np.ones(src.size, dtype=np.int8), (src, dst)), shape=(total, total)
         ).tocsr()
         _, preds = breadth_first_order(
             graph, i_start=i, directed=False, return_predecessors=True
@@ -440,36 +427,15 @@ def saturate(p: MonoidPresentation, bound: int) -> CongruenceClasses:
     compares nonzero class counts at bound-2, bound-1 and bound; the
     levels are computed in that order, each one from the closure of the
     one before plus the rewrites whose larger endpoint sum is the new
-    level.
+    level.  `bound` must be an integer.
     """
-    bound = int(bound)
+    bound = _as_index(bound, "bound")
     needed = max([1] + [sum(rhs) for _, rhs in p.relations])
     if bound < needed:
         raise ValueError(
             f"bound {bound} too small to express any relation (need >= {needed})"
         )
-    final = _saturate_box(p, bound)
-    count_m2, count_m1 = final.sub_counts
-    stabilized = (
-        count_m2 is not None and count_m2 == count_m1 == final.class_count - 1
-    )
-    sizes = np.bincount(final.labels, minlength=final.class_count)
-    sizes.setflags(write=False)
-    return CongruenceClasses(
-        generator_count=p.generator_count,
-        bound=bound,
-        stabilized=stabilized,
-        class_count=final.class_count,
-        nonzero_class_count=final.class_count - 1,
-        translation_joins=final.translation_joins,
-        vectors=final.vectors,
-        labels=final.labels,
-        class_sizes=sizes,
-        _first_member=final.first_member,
-        _table=final.table,
-        _elem_src=final.elem_src,
-        _elem_dst=final.elem_dst,
-    )
+    return _saturate_box(p, bound)
 
 
 # ---------------------------------------------------------------------------

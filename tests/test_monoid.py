@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpa_invariants import monoid
-from lpa_invariants.graphs import Graph, cayley_graph, rose_graph
+from lpa_invariants.graphs import Graph, adjacency_matrix, cayley_graph, rose_graph
 from lpa_invariants.monoid import (
     NOT_CLOSED,
     MonoidPresentation,
@@ -30,6 +30,34 @@ def is_single_rewrite(p, x, y):
         if tuple(a - b for a, b in zip(x, y)) == delta:
             return True
     return False
+
+
+def needed_bound(p):
+    """Smallest bound `saturate` accepts for `p`."""
+    return max([1] + [sum(rhs) for _, rhs in p.relations])
+
+
+def _simplex_table(n, bound):
+    """table[k, r] = C(r + k, k), built by cumulative sums."""
+    table = np.ones((n + 1, bound + 1), dtype=np.int64)
+    for k in range(1, n + 1):
+        table[k] = np.cumsum(table[k - 1])
+    return table
+
+
+def _rank_vectors(w, bound, table):
+    """Rank of each row of `w` in the lex-ordered box of sum <= bound, by
+    the formula sum_k C(b_k + k, k) - C(b_k - w_k + k, k) read off the
+    table; an oracle independent of `CongruenceClasses.rank_of`."""
+    m, n = w.shape
+    if n == 0:
+        return np.zeros(m, dtype=np.int64)
+    w = w.astype(np.int64)
+    budgets = bound - (w.cumsum(axis=1) - w)
+    ks = np.arange(n, 0, -1)
+    high = table[ks[None, :], budgets]
+    low = table[ks[None, :], budgets - w]
+    return (high - low).sum(axis=1)
 
 
 class TestPresentation:
@@ -58,6 +86,18 @@ class TestPresentation:
             MonoidPresentation(2, ((0, (1,)),))
         with pytest.raises(ValueError):
             MonoidPresentation(2, ((0, (0, 0)),))
+
+    @settings(deadline=None, max_examples=100)
+    @given(multigraphs(max_vertices=5, max_mult=3))
+    @example(NAMED_GRAPHS["empty"])
+    @example(NAMED_GRAPHS["sink"])
+    @example(NAMED_GRAPHS["isolated_vertex"])
+    @example(NAMED_GRAPHS["parallel_edges"])
+    def test_relations_are_nonsink_adjacency_rows(self, g):
+        adj = adjacency_matrix(g).entries
+        p = presentation(g)
+        assert p.generator_count == g.n_vertices
+        assert p.relations == tuple((i, row) for i, row in enumerate(adj) if any(row))
 
     def test_default_bound(self):
         assert default_bound(presentation(C3)) == 12  # max(8, 2*3*2)
@@ -114,6 +154,79 @@ class TestSaturate:
             c.class_of((7, 0, 0))
         with pytest.raises(ValueError):
             c.class_of((1, 1))
+
+    def test_non_integer_coordinates_rejected(self):
+        c = saturate(presentation(C3), 8)
+        for bad in [(0.9, 0, 0), (1.5, 0, 0), (1.0, 0, 0), ("2", 0, 0), (None, 0, 0)]:
+            with pytest.raises(ValueError):
+                c.rank_of(bad)
+            with pytest.raises(ValueError):
+                c.class_of(bad)
+        for bad in (8.0, 8.5, "8"):
+            with pytest.raises(ValueError):
+                saturate(presentation(C3), bad)
+
+    def test_numpy_integers_accepted(self):
+        c = saturate(presentation(C3), np.int64(8))
+        assert c.bound == 8 and type(c.bound) is int
+        v1 = np.array([1, 0, 0], dtype=np.int16)
+        assert c.class_of(v1) == c.class_of((1, 0, 0)) != 0
+
+
+@settings(deadline=None, max_examples=50)
+@given(multigraphs(max_vertices=5, max_mult=2), st.integers(0, 4))
+@example(NAMED_GRAPHS["empty"], 0)
+@example(NAMED_GRAPHS["sink"], 4)
+@example(NAMED_GRAPHS["source_into_rose"], 4)
+@example(NAMED_GRAPHS["rank_one"], 4)
+def test_rank_of_over_whole_box(g, extra):
+    """`rank_of` inverts `vectors` on every row of the box, and agrees
+    with the table-driven formula."""
+    p = presentation(g)
+    bound = needed_bound(p) + extra
+    c = saturate(p, bound)
+    oracle = _rank_vectors(c.vectors, bound, _simplex_table(p.generator_count, bound))
+    assert np.array_equal(oracle, np.arange(len(c.vectors)))
+    for r, row in enumerate(c.vectors):
+        assert c.rank_of(row) == r
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    multigraphs(max_vertices=4, max_mult=2),
+    st.integers(0, 3),
+    st.randoms(use_true_random=False),
+)
+@example(NAMED_GRAPHS["empty"], 2, random.Random(0))
+@example(NAMED_GRAPHS["sink"], 3, random.Random(1))
+@example(NAMED_GRAPHS["one_loop_singular"], 2, random.Random(2))
+@example(NAMED_GRAPHS["parallel_edges"], 1, random.Random(3))
+@example(C3, 2, random.Random(4))
+def test_rewrite_paths_on_rebuilt_edges(g, extra, rng):
+    """Paths over the edges `rewrite_path` rebuilds per call: a single
+    rewrite is one step, every path is a chain of single rewrites, and
+    vectors in different classes have no path."""
+    p = presentation(g)
+    c = saturate(p, needed_bound(p) + extra)
+    rows = [tuple(int(x) for x in v) for v in c.vectors]
+    rewrites = []
+    for x in rows:
+        for i, rhs in p.relations:
+            y = tuple(a - (j == i) + r for j, (a, r) in enumerate(zip(x, rhs)))
+            if x[i] >= 1 and sum(y) <= c.bound:
+                rewrites.append((x, y))
+    for x, y in rng.sample(rewrites, min(15, len(rewrites))):
+        assert c.rewrite_path(x, y) == ([x] if x == y else [x, y])
+    for _ in range(15):
+        x = rng.choice(rows)
+        for y in (rng.choice(rows), rng.choice(c.members(c.class_of(x)))):
+            path = c.rewrite_path(x, y)
+            if c.class_of(x) != c.class_of(y):
+                assert path is None
+            elif path is not None:
+                assert path[0] == x and path[-1] == y
+                for a, b in zip(path, path[1:]):
+                    assert is_single_rewrite(p, a, b)
 
 
 class TestRewriteChains:
@@ -327,7 +440,7 @@ def test_lex_order_ranks_match_formula(g, extra):
     bound = max([1] + [sum(rhs) for _, rhs in p.relations]) + extra
     vectors = monoid._box_vectors(n, bound)
     sums = vectors.sum(axis=1, dtype=np.int32)
-    table = monoid._simplex_table(n, bound)
+    table = _simplex_table(n, bound)
 
     images = monoid._shift_images(vectors)
     sub = vectors[sums <= bound - 1]
@@ -336,7 +449,7 @@ def test_lex_order_ranks_match_formula(g, extra):
         shifted = sub.copy()
         shifted[:, k] += 1
         assert img.dtype == np.int32
-        assert np.array_equal(img, monoid._rank_vectors(shifted, bound, table))
+        assert np.array_equal(img, _rank_vectors(shifted, bound, table))
 
     src, dst, esum = monoid._elementary_edges(p, bound, vectors, sums)
     want_src, want_dst = [], []
@@ -347,7 +460,7 @@ def test_lex_order_ranks_match_formula(g, extra):
         targets[:, i] -= 1
         targets += np.asarray(rhs, dtype=np.int16)
         want_src.append(idx)
-        want_dst.append(monoid._rank_vectors(targets, bound, table))
+        want_dst.append(_rank_vectors(targets, bound, table))
     want_src = np.concatenate(want_src) if want_src else np.zeros(0, np.int64)
     want_dst = np.concatenate(want_dst) if want_dst else np.zeros(0, np.int64)
     assert src.dtype == dst.dtype == np.int32

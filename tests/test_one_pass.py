@@ -111,7 +111,10 @@ def test_crosscheck_saturates_once(saturations):
 
 
 def test_saturation_ranks_no_vector_by_formula(monkeypatch):
-    ranks = counting(monkeypatch, monoid, "_rank_vectors")
+    # `rank_of` is the package's only use of the ranking formula.
+    ranks = counting(monkeypatch, monoid.CongruenceClasses, "rank_of")
     classes = monoid.saturate(monoid.presentation(cayley_graph(5)), 10)
     assert classes.stabilized
-    assert ranks == {"_rank_vectors": 0}
+    assert ranks == {"rank_of": 0}
+    classes.class_of((1, 0, 0, 0, 0))
+    assert ranks == {"rank_of": 1}
