@@ -6,10 +6,10 @@ graphs, a pointed isomorphism of K0 groups together with determinant
 signs of I - A^t that are not strictly opposite forces an algebra
 isomorphism.  Pointed K0 is a complete obstruction in the other
 direction, so the decision procedure is three-valued: Isomorphic,
-NotIsomorphic, or Unknown (plus NotApplicable when either algebra fails
-purely infinite simplicity).  Cyclic K0 with negative determinant pins
-the algebra down to a matrix algebra over a classical Leavitt algebra
-L(1, n).
+NotIsomorphic, or Unknown on strictly opposite signs (plus NotApplicable
+when either algebra fails purely infinite simplicity).  Cyclic K0 with
+negative determinant pins the algebra down to a matrix algebra over a
+classical Leavitt algebra L(1, n).
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def kp_decide(e: Graph, f: Graph) -> KPVerdict:
     NotIsomorphic when pointed K0 data obstructs.  With a pointed
     isomorphism in hand, compatible determinant signs give Isomorphic;
     strictly opposite signs (where the restricted criterion is silent)
-    give Unknown, as does an undecided pointed comparison.
+    give Unknown.
     """
     trace: list[tuple[str, str]] = []
     pis_e = pis_report(e).purely_infinite_simple
@@ -138,8 +138,6 @@ def kp_decide(e: Graph, f: Graph) -> KPVerdict:
     trace.append(("pointed_iso", pointed))
     if pointed == "NO":
         return KPVerdict("NotIsomorphic", tuple(trace))
-    if pointed == "UNSUPPORTED":
-        return KPVerdict("Unknown", tuple(trace))
 
     sign_e = sign_of(analysis_e.det)
     sign_f = sign_of(analysis_f.det)

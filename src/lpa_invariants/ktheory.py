@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
@@ -33,10 +34,15 @@ __all__ = [
 
 INFINITE: float = math.inf
 
-# Exhaustive automorphism search is only attempted on groups up to this order.
-_ENUMERATION_LIMIT = 10_000
+IsoVerdict = Literal["YES", "NO"]
 
-IsoVerdict = Literal["YES", "NO", "UNSUPPORTED"]
+
+def _as_index(x, what: str) -> int:
+    """`x` as an int; floats, strings and other non-integers are rejected."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {x!r}") from None
 
 
 @dataclass(frozen=True)
@@ -46,7 +52,8 @@ class GroupElement:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        coords = tuple(_as_index(c, "coordinate") for c in self.coords)
+        object.__setattr__(self, "coords", coords)
 
     @property
     def is_zero(self) -> bool:
@@ -65,7 +72,7 @@ class AbelianGroup:
     factors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        factors = tuple(int(d) for d in self.factors)
+        factors = tuple(_as_index(d, "factor") for d in self.factors)
         if any(d < 0 for d in factors):
             raise ValueError("factors must be nonnegative")
         if any(d == 1 for d in factors):
@@ -93,7 +100,7 @@ class AbelianGroup:
         return math.prod(self.factors)
 
     def element(self, coords) -> GroupElement:
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(_as_index(c, "coordinate") for c in coords)
         if len(coords) != len(self.factors):
             raise ValueError(
                 f"expected {len(self.factors)} coordinates, got {len(coords)}"
@@ -202,78 +209,80 @@ def cokernel_pointed(g: Graph) -> PointedK0:
 def element_order(group: AbelianGroup, x: GroupElement) -> int | float:
     """Least k >= 1 with k*x = 0, or INFINITE."""
     group._check(x)
-    order = 1
-    for c, d in zip(x.coords, group.factors):
-        if d == 0:
-            if c != 0:
-                return INFINITE
+    pairs = list(zip(x.coords, group.factors))
+    if any(c for c, d in pairs if d == 0):
+        return INFINITE
+    return math.lcm(*(d // math.gcd(d, c) for c, d in pairs if d))
+
+
+def _valuation(n: int, q: int) -> int:
+    """Exponent of q > 1 in n >= 1."""
+    return next(e for e in itertools.count() if n % q ** (e + 1))
+
+
+def _coprime_base(values: list[int]) -> list[int]:
+    """Pairwise coprime q > 1 whose powers give every value, by splitting
+    any pair with g = gcd > 1 into g, a/g, b/g (no factoring)."""
+    base: list[int] = []
+    todo = [v for v in set(values) if v > 1]
+    while todo:
+        a = todo.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(a, b)
+            if g > 1:
+                del base[i]
+                todo += [v for v in (g, a // g, b // g) if v > 1]
+                break
         else:
-            order = math.lcm(order, d // math.gcd(d, c))
-    return order
-
-
-def _automorphism_sends(group: AbelianGroup, x: GroupElement, y: GroupElement) -> bool:
-    """Search for an automorphism with phi(x) = y by assigning images to
-    the factor generators (exhaustive, with subgroup-size pruning)."""
-    factors = group.factors
-    k = len(factors)
-    elems = list(group.elements())
-    by_order: dict[int, list[GroupElement]] = {}
-    for e in elems:
-        by_order.setdefault(int(element_order(group, e)), []).append(e)
-    candidates = [by_order.get(d, []) for d in factors]
-    total = int(group.order)
-
-    def span_size(images: list[GroupElement]) -> int:
-        seen = {group.zero()}
-        for img, d in zip(images, factors):
-            seen = {
-                group.add(s, group.scale(c, img)) for s in seen for c in range(d)
-            }
-        return len(seen)
-
-    chosen: list[GroupElement] = []
-
-    def assign(i: int) -> bool:
-        if i == k:
-            phi_x = group.zero()
-            for c, img in zip(x.coords, chosen):
-                phi_x = group.add(phi_x, group.scale(c, img))
-            return phi_x == y
-        expected = math.prod(factors[: i + 1])
-        for cand in candidates[i]:
-            chosen.append(cand)
-            if span_size(chosen) == expected and assign(i + 1):
-                return True
-            chosen.pop()
-        return False
-
-    if total == 1:
-        return x == y
-    return assign(0)
+            base.append(a)
+    return base
 
 
 def pointed_iso_exists(
     g: AbelianGroup, x: GroupElement, h: AbelianGroup, y: GroupElement
 ) -> IsoVerdict:
-    """Does some isomorphism g -> h carry x to y?
+    """Does some isomorphism g -> h carry x to y?  Exact for all groups.
 
-    NO when the factor lists or the element orders differ; YES when both
-    elements are zero (identity maps to identity under any isomorphism);
-    otherwise decided exactly by enumeration for finite groups of order
-    at most 10^4, and UNSUPPORTED beyond that (in particular for infinite
-    groups with nonzero distinguished elements).
+    NO when the factor lists differ.  Else g = T + Z^r, T = sum Z/d_j,
+    x = (t, f), y = (t', f'), and c is the gcd of f (0 when f = 0).
+
+    Orbits.  As Hom(T, Z^r) = 0, the automorphisms are (t, f) ->
+    (a t + n(f), b f) with a in Aut T, n: Z^r -> T and b in GL_r(Z).
+    b f runs over the vectors of content c, and n(f) over cT = wT with
+    w = gcd(c, exp T).  So x ~ y iff c(x) = c(y) and, at each prime p,
+    t'_p is in Aut(T_p) t_p + p^k T_p, k = v_p(w) (Aut T = prod Aut T_p).
+
+    At p, with h the p-height, this holds iff H(t_p) = H(t'_p), where
+    H(a)_i = min(h(p^i a), k + i) for i = 0..e_p.  (=>) Heights are
+    Aut-invariant and h(p^i s) >= k + i for s in p^k T_p.  (<=) Drop the
+    coordinates of valuation >= k from t_p and t'_p to get u and u': then
+    H(u) = H(t_p) = H(t'_p) = H(u'), and as every nonzero p^i u has height
+    < k + i, H(u) fixes the Ulm sequence of u, and likewise for u'.
+    Kaplansky (Infinite Abelian Groups, Thm. 24) gives a u = u', so a t_p
+    is in t'_p + p^k T_p.  With e_j = v_p(d_j) and v_j = v_p(gcd(t_j, d_j)),
+    H(t_p)_i - i = min({k} + {v_j : v_j + i < e_j}).
+
+    No factoring: each prime p divides one q of a coprime base of the d_j,
+    gcd(t_j, d_j), gcd(t'_j, d_j) and w, and each valuation is m = v_p(q)
+    times an exponent of q.  As mV + i < mE iff V + floor(i/m) < E, the
+    sequences in exponents of q decide every p | q.
     """
     g._check(x)
     h._check(y)
-    if g.factors != h.factors:
+    finite = [d for d in g.factors if d]
+    content = math.gcd(*x.coords[len(finite) :])
+    if g.factors != h.factors or content != math.gcd(*y.coords[len(finite) :]):
         return "NO"
-    ox = element_order(g, x)
-    oy = element_order(h, y)
-    if ox != oy:
-        return "NO"
-    if ox == 1:
+    w = math.gcd(content, math.lcm(*finite))
+    gx, gy = ([math.gcd(t, d) for t, d in zip(z.coords, finite)] for z in (x, y))
+    if gx == gy:  # the test reads t only through these gcds
         return "YES"
-    if not g.is_finite or g.order > _ENUMERATION_LIMIT:
-        return "UNSUPPORTED"
-    return "YES" if _automorphism_sends(g, x, y) else "NO"
+    for q in _coprime_base(finite + gx + gy + [w]):
+        e = [_valuation(d, q) for d in finite]
+        k = _valuation(w, q)
+        vx, vy = ([_valuation(c, q) for c in gz] for gz in (gx, gy))
+        for i in range(max(e) + 1):
+            hx, hy = ([v for v, ej in zip(vz, e) if v + i < ej] for vz in (vx, vy))
+            if min([k] + hx) != min([k] + hy):
+                return "NO"
+    return "YES"

@@ -23,14 +23,13 @@ computation.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Literal, Union
 
 import numpy as np
 
 from .graphs import Graph
-from .ktheory import cokernel_pointed, element_order
+from .ktheory import _as_index, cokernel_pointed, element_order
 
 __all__ = [
     "NOT_CLOSED",
@@ -60,11 +59,11 @@ class MonoidPresentation:
     relations: tuple[tuple[int, tuple[int, ...]], ...]
 
     def __post_init__(self) -> None:
-        n = self.generator_count
+        n = _as_index(self.generator_count, "generator count")
         rels = []
         for i, rhs in self.relations:
-            i = int(i)
-            rhs = tuple(int(x) for x in rhs)
+            i = _as_index(i, "relation generator index")
+            rhs = tuple(_as_index(x, "relation coefficient") for x in rhs)
             if not 0 <= i < n:
                 raise ValueError(f"relation generator index {i} out of range")
             if len(rhs) != n:
@@ -76,6 +75,7 @@ class MonoidPresentation:
                 # right sides would let rewrites shrink coordinate sums
                 raise ValueError("relation right-hand side must be nonempty")
             rels.append((i, rhs))
+        object.__setattr__(self, "generator_count", n)
         object.__setattr__(self, "relations", tuple(rels))
 
 
@@ -96,14 +96,6 @@ def default_bound(p: MonoidPresentation) -> int:
     """max(8, 2 * n * largest relation sum); generous at desk scale."""
     max_sum = max((sum(rhs) for _, rhs in p.relations), default=1)
     return max(8, 2 * p.generator_count * max_sum)
-
-
-def _as_index(x, what: str) -> int:
-    """`x` as an int; floats, strings and other non-integers are rejected."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {x!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 from graph_strategies import multigraphs, permute
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpa_invariants.classify import (
@@ -99,10 +99,10 @@ class TestKPDecide:
         assert verdict.outcome == "Unknown"
         assert ("det_signs_compatible", "False") in verdict.trace
 
-    def test_unknown_on_unsupported_pointed_comparison(self):
+    def test_infinite_pointed_k0_isomorphic_to_itself(self):
         verdict = kp_decide(INFINITE_POINTED, INFINITE_POINTED)
-        assert verdict.outcome == "Unknown"
-        assert ("pointed_iso", "UNSUPPORTED") in verdict.trace
+        assert verdict.outcome == "Isomorphic"
+        assert ("pointed_iso", "YES") in verdict.trace
 
     def test_trace_never_empty(self):
         for pair in [(SINK, SINK), (cayley_graph(1), cayley_graph(2))]:
@@ -215,11 +215,6 @@ class TestCayleyClass:
         assert cls.class_id == expected
 
 
-def _cheap_pointed_search(group):
-    # pointed_iso_exists enumerates automorphisms: keep to small groups
-    return not group.is_finite or len(group.factors) <= 1 or group.order <= 36
-
-
 @settings(deadline=None, max_examples=100)
 @given(st.data())
 def test_vertex_order_is_invisible(data):
@@ -236,6 +231,15 @@ def test_vertex_order_is_invisible(data):
     pis_g, pis_h = pis_report(g), pis_report(h)
     assert [getattr(pis_g, f) for f in flags] == [getattr(pis_h, f) for f in flags]
     assert canonical_form(g) == canonical_form(h)
-    if _cheap_pointed_search(a.k0.group):
-        outcome = kp_decide(g, g).outcome
-        assert kp_decide(g, h).outcome == kp_decide(h, g).outcome == outcome
+    outcome = kp_decide(g, g).outcome
+    assert kp_decide(g, h).outcome == kp_decide(h, g).outcome == outcome
+
+
+@settings(deadline=None, max_examples=150)
+@given(multigraphs(max_vertices=6, max_mult=2))
+@example(INFINITE_POINTED)
+@example(cayley_graph(6))
+def test_every_graph_decides_against_itself(g):
+    """The pointed comparison is exact and a graph's determinant sign
+    agrees with itself, so no self-comparison is Unknown."""
+    assert kp_decide(g, g).outcome in ("Isomorphic", "NotApplicable")

@@ -1,10 +1,18 @@
+import ast
+import itertools
+import math
+from pathlib import Path
+
+import numpy as np
 import pytest
 from graph_strategies import NAMED_GRAPHS, multigraphs
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from sympy import ZZ as INTEGERS
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import invariant_factors
 
+import lpa_invariants
 from lpa_invariants.graphs import (
     adjacency_matrix,
     cayley_graph,
@@ -36,6 +44,13 @@ ZZ = AbelianGroup((0, 0))
 
 
 class TestAbelianGroup:
+    def test_rejects_non_integer_factors(self):
+        with pytest.raises(ValueError):
+            AbelianGroup((2.5,))
+        with pytest.raises(ValueError):
+            AbelianGroup(("3",))
+        assert AbelianGroup((np.int64(2), np.int32(4))).factors == (2, 4)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             AbelianGroup((1, 2))
@@ -51,6 +66,18 @@ class TestAbelianGroup:
         assert AbelianGroup(()).order == 1
         assert KLEIN.order == 4
         assert ZZ.order == INFINITE
+
+    def test_element_rejects_non_integer_coordinates(self):
+        with pytest.raises(ValueError):
+            Z3.element((1.9,))
+        with pytest.raises(ValueError):
+            Z3.element(("1",))
+        assert Z3.element((np.int64(4),)).coords == (1,)
+
+    def test_group_element_rejects_non_integer_coordinates(self):
+        with pytest.raises(ValueError):
+            GroupElement((1.0,))
+        assert GroupElement((np.int8(2), 0)).coords == (2, 0)
 
     def test_element_reduction(self):
         assert Z3.element((7,)).coords == (1,)
@@ -291,10 +318,193 @@ class TestPointedIso:
     def test_infinite_zero_distinguished(self):
         assert pointed_iso_exists(ZZ, ZZ.zero(), ZZ, ZZ.zero()) == "YES"
 
-    def test_infinite_nonzero_unsupported(self):
+    def test_infinite_nonzero_decided(self):
         z = AbelianGroup((0,))
-        assert pointed_iso_exists(z, z.element((1,)), z, z.element((1,))) == "UNSUPPORTED"
+        assert pointed_iso_exists(z, z.element((1,)), z, z.element((1,))) == "YES"
+        assert pointed_iso_exists(z, z.element((1,)), z, z.element((-1,))) == "YES"
+        assert pointed_iso_exists(z, z.element((2,)), z, z.element((1,))) == "NO"
 
     def test_invalid_element_rejected(self):
         with pytest.raises(ValueError):
             pointed_iso_exists(Z3, GroupElement((1, 0)), Z3, Z3.zero())
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the pointed comparison.
+# ---------------------------------------------------------------------------
+
+
+def _automorphism_sends(group: AbelianGroup, x: GroupElement, y: GroupElement) -> bool:
+    """Search for an automorphism with phi(x) = y by assigning images to
+    the factor generators (exhaustive).  The image of generator i must
+    have order d_i and meet the span of the images before it only in 0,
+    so each complete assignment is an automorphism.  Generators with a
+    nonzero coordinate in x go first: once they are placed, phi(x) is
+    known and a wrong value cuts the branch."""
+    factors = group.factors
+    # per generator: each element of order d_i with its multiples 0..d_i - 1
+    candidates = [
+        [
+            [group.scale(k, e) for k in range(d)]
+            for e in group.elements()
+            if element_order(group, e) == d
+        ]
+        for d in factors
+    ]
+    order = sorted(range(len(factors)), key=lambda i: x.coords[i] == 0)
+    placed_by = sum(1 for c in x.coords if c)
+
+    def assign(level: int, span: set[GroupElement], phi_x: GroupElement) -> bool:
+        if level == placed_by and phi_x != y:
+            return False
+        if level == len(order):
+            return True
+        i = order[level]
+        for multiples in candidates[i]:
+            if any(m in span for m in multiples[1:]):
+                continue
+            grown = {group.add(s, m) for s in span for m in multiples}
+            if assign(level + 1, grown, group.add(phi_x, multiples[x.coords[i]])):
+                return True
+        return False
+
+    return assign(0, {group.zero()}, group.zero())
+
+
+def _enumerated(group: AbelianGroup, x: GroupElement, y: GroupElement) -> str:
+    # equal orders are necessary; checking them first spares the
+    # exhaustive search most of its NO answers
+    if element_order(group, x) != element_order(group, y):
+        return "NO"
+    return "YES" if _automorphism_sends(group, x, y) else "NO"
+
+
+def _shift_search(group: AbelianGroup, x: GroupElement, y: GroupElement) -> str:
+    """Brute force over the cT shifts for group = T + Z^r: x ~ y iff the
+    free parts have equal content c and t + s lies in the Aut(T)-orbit
+    of t' for some s in cT.  The orbit test is the finite case, which
+    the enumerator checks."""
+    s = len(group.factors) - group.rank
+    torsion = AbelianGroup(group.factors[:s])
+    c = math.gcd(*x.coords[s:])
+    if c != math.gcd(*y.coords[s:]):
+        return "NO"
+    t, t2 = torsion.element(x.coords[:s]), torsion.element(y.coords[:s])
+    shifts = {torsion.scale(c, a) for a in torsion.elements()}
+    for shift in shifts:
+        if pointed_iso_exists(torsion, torsion.add(t, shift), torsion, t2) == "YES":
+            return "YES"
+    return "NO"
+
+
+def _chains(limit: int) -> list[tuple[int, ...]]:
+    """Invariant-factor lists of every finite abelian group of order <= limit."""
+    out = []
+
+    def extend(chain: tuple[int, ...], order: int) -> None:
+        out.append(chain)
+        d = chain[-1] if chain else 2
+        while order * d <= limit:
+            extend(chain + (d,), order * d)
+            d += chain[-1] if chain else 1
+
+    extend((), 1)
+    return out
+
+
+SMALL_GROUPS = [AbelianGroup(f) for f in _chains(48)]
+
+
+def _iso(group: AbelianGroup, a, b) -> str:
+    return pointed_iso_exists(group, group.element(a), group, group.element(b))
+
+
+def _elements(group: AbelianGroup):
+    return st.tuples(
+        *(st.integers(0, d - 1) if d else st.integers(-12, 12) for d in group.factors)
+    ).map(group.element)
+
+
+class TestPointedIsoOracles:
+    def test_chains(self):
+        counts = [sum(1 for f in _chains(n) if math.prod(f) == n) for n in (8, 16, 36)]
+        assert counts == [3, 5, 4]
+
+    def test_every_pair_to_order_16(self):
+        for group in SMALL_GROUPS:
+            if group.order > 16:
+                continue
+            for x, y in itertools.product(group.elements(), repeat=2):
+                assert pointed_iso_exists(group, x, group, y) == _enumerated(group, x, y)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_drawn_pairs_to_order_48(self, data):
+        group = data.draw(st.sampled_from(SMALL_GROUPS))
+        x, y = data.draw(_elements(group)), data.draw(_elements(group))
+        assert pointed_iso_exists(group, x, group, y) == _enumerated(group, x, y)
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_free_part_against_shift_search(self, data):
+        torsion = data.draw(st.sampled_from(_chains(64)))
+        group = AbelianGroup(torsion + (0,) * data.draw(st.integers(1, 2)))
+        x = data.draw(_elements(group))
+        y = data.draw(_elements(group))
+        if data.draw(st.booleans()):
+            # the free part of x, negated and permuted: same content, so
+            # that the torsion parts decide
+            free = data.draw(st.permutations([-f for f in x.coords[len(torsion) :]]))
+            y = group.element(y.coords[: len(torsion)] + tuple(free))
+        assert pointed_iso_exists(group, x, group, y) == _shift_search(group, x, y)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_shift_does_not_reduce_to_the_quotient(self, p):
+        # T = Z/p + Z/p^2 and content p: (0, 1) and (1, 0) agree in T/pT,
+        # but no automorphism of T moves (0, 1) into (1, 0) + pT
+        g = AbelianGroup((p, p * p, 0))
+        assert _iso(g, (0, 1, p), (1, 0, p)) == "NO"
+        assert _iso(g, (0, 1, 1), (1, 0, 1)) == "YES"
+        assert _iso(g, (0, 1, p), (0, 1 + p, -p)) == "YES"
+
+    def test_order_64_and_729(self):
+        # Ulm sequences (heights of x, px, p^2 x, ...) decide these at once
+        g = AbelianGroup((2, 4, 8))
+        assert _iso(g, (1, 0, 0), (0, 2, 0)) == "NO"
+        assert _iso(g, (1, 0, 0), (1, 2, 0)) == "YES"
+        h = AbelianGroup((3, 9, 27))
+        assert _iso(h, (1, 0, 0), (0, 3, 0)) == "NO"
+        assert _iso(h, (0, 1, 0), (0, 1, 9)) == "YES"
+        assert _iso(h, (0, 1, 0), (0, 0, 3)) == "NO"
+
+    def test_large_factors_need_no_factoring(self):
+        # d has the prime factors 2^61 - 1 and 2^31 - 1: trial division
+        # up to sqrt(d) would not finish
+        m61, m31 = 2**61 - 1, 2**31 - 1
+        d = m61 * m31 * 12
+        cyclic = AbelianGroup((d,))
+        assert _iso(cyclic, (6,), (30,)) == "YES"  # 5 does not divide d
+        assert _iso(cyclic, (m61,), (m31,)) == "NO"
+        g = AbelianGroup((m61, d, 0))
+        # both of order m61, of height 0 in the m61-part Z/m61 + Z/m61
+        assert _iso(g, (1, 0, 0), (0, m31 * 12, 0)) == "YES"
+        assert _iso(g, (1, 0, 0), (0, 12, 0)) == "NO"
+        # content m61 leaves only the m61-part unshifted
+        assert _iso(g, (1, 0, m61), (1, 12, m61)) == "YES"
+        assert _iso(g, (1, 0, m61), (0, m61, m61)) == "NO"
+        assert _iso(g, (0, m61, m61), (0, 2 * m61, m61)) == "YES"
+        assert _iso(g, (0, m61, m61), (0, 2 * m61, 2)) == "NO"
+
+
+def test_library_imports_no_benchmark_code():
+    package = Path(lpa_invariants.__file__).parent
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in ("perfbench", "oracle"), (path.name, name)

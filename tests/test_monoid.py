@@ -87,6 +87,20 @@ class TestPresentation:
         with pytest.raises(ValueError):
             MonoidPresentation(2, ((0, (0, 0)),))
 
+    def test_rejects_non_integer_data(self):
+        for bad in [
+            (2, ((0.7, (1, 1)),)),
+            (2, ((0, (1.5, 1)),)),
+            (2, ((0, (1, "1")),)),
+            (2.0, ((0, (1, 1)),)),
+        ]:
+            with pytest.raises(ValueError):
+                MonoidPresentation(*bad)
+        p = MonoidPresentation(np.int64(2), ((np.int8(0), (np.int64(1), 1)),))
+        assert p.generator_count == 2
+        assert p.relations == ((0, (1, 1)),)
+        assert type(p.relations[0][1][0]) is int
+
     @settings(deadline=None, max_examples=100)
     @given(multigraphs(max_vertices=5, max_mult=3))
     @example(NAMED_GRAPHS["empty"])
