@@ -54,6 +54,8 @@ def _load_graph(path: str) -> Graph:
         raise _CliError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise _CliError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise _CliError(f"{path} is not valid JSON: nesting too deep") from None
     try:
         return graph_from_dict(data)
     except ValueError as exc:

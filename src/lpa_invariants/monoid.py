@@ -5,12 +5,13 @@ relations v_i ~ sum_j a_ij v_j at non-sink vertices.  Equality is only
 decided inside a box: all vectors of N^n with coordinate sum <= bound,
 in lexicographic order, are partitioned by the congruence generated by
 single-relation rewrites (both directions) plus translation closure.
-The rewrites are contracted into class labels by connected components,
-and each translation round contracts its violating pairs into those
-labels.  Conclusions therefore carry the bound, and a stabilisation flag
-(nonzero class counts unchanged over the last two bound increments)
-gates everything downstream.  The three levels are swept in order of
-coordinate sum: each starts from the closure of the level below.
+The rewrites are contracted into class labels by a hook-and-compress
+union-find, and each translation round contracts its violating pairs
+into those labels.  Conclusions therefore carry the bound, and a
+stabilisation flag (nonzero class counts unchanged over the last two
+bound increments) gates everything downstream.  The three levels are
+swept in order of coordinate sum: each starts from the closure of the
+level below.
 
 `saturate` returns one `CongruenceClasses`: the box, its labels and the
 presentation.  It keeps no rewrite edges; `rewrite_path` rebuilds them
@@ -191,22 +192,35 @@ def _shift_images(vectors):
 def _merge(labels, left, right):
     """Contract `labels` so that each left[i] and right[i] share a class.
 
-    Labels are contiguous ids, so the components are taken over the label
-    graph, whose nodes are the current classes, not over the box.
+    Hook-and-compress over the label graph, whose nodes are the current
+    class ids (Shiloach-Vishkin, 1982).  Each round maps the pairs onto
+    their roots and drops those already joined, hooks every remaining
+    root onto the smallest root it is paired with, and pointer-jumps
+    until nothing changes.  A root only ever hooks onto a smaller root,
+    so the pointers form a forest, and each round ends with every label
+    on a root.  The ids that come out are not contiguous; the
+    translation closure pairs consecutive members of each class after a
+    stable sort, so it joins the same pairs whatever the ids are, and the
+    final relabel by first member makes them canonical.
     """
     if left.size == 0:
         return labels
-    # scipy is imported on first use: it is most of the package's import time.
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    total = int(labels.max()) + 1
-    graph = coo_matrix(
-        (np.ones(left.size, dtype=np.int8), (labels[left], labels[right])),
-        shape=(total, total),
-    )
-    _, comp = connected_components(graph, directed=False)
-    return comp.astype(np.int64, copy=False)[labels]
+    a = labels[left].astype(np.int32)  # ids stay below _MAX_BOX_VECTORS
+    b = labels[right].astype(np.int32)
+    parent = np.arange(int(labels.max()) + 1, dtype=np.int32)
+    while True:
+        a, b = parent[a], parent[b]
+        apart = a != b
+        if not apart.any():
+            break
+        a, b = a[apart], b[apart]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    return parent[labels].astype(np.int64)
 
 
 def _close_under_translation(labels, sub, subpos, images):
@@ -379,27 +393,28 @@ class CongruenceClasses:
         Returns None when the two vectors are not connected by elementary
         rewrites (translation-closure joins carry no in-box chain).  Each
         call rebuilds the rewrite edges with `_elementary_edges`, as the
-        saturation does, and runs a breadth-first search over them.
+        saturation does, and searches those inside x's class breadth
+        first, both ways, one frontier array of ranks per level.
         """
-        from scipy.sparse import coo_matrix
-        from scipy.sparse.csgraph import breadth_first_order
-
         i, j = self.rank_of(x), self.rank_of(y)
-        if i == j:
-            return [tuple(int(v) for v in self.vectors[i])]
         if self.labels[i] != self.labels[j]:
             return None  # every rewrite edge lies inside one class
         sums = self.vectors.sum(axis=1, dtype=np.int32)
         src, dst, _ = _elementary_edges(
             self._presentation, self.bound, self.vectors, sums
         )
-        total = len(self.labels)
-        graph = coo_matrix(
-            (np.ones(src.size, dtype=np.int8), (src, dst)), shape=(total, total)
-        ).tocsr()
-        _, preds = breadth_first_order(
-            graph, i_start=i, directed=False, return_predecessors=True
-        )
+        inside = self.labels[src] == self.labels[i]
+        tails = np.concatenate([src[inside], dst[inside]])
+        heads = np.concatenate([dst[inside], src[inside]])
+        preds = np.full(len(self.labels), -1, dtype=np.int64)
+        preds[i] = i
+        frontier = np.array([i])
+        while preds[j] < 0 and frontier.size:
+            on_frontier = np.zeros(len(self.labels), dtype=bool)
+            on_frontier[frontier] = True
+            step = on_frontier[tails] & (preds[heads] < 0)
+            frontier, first = np.unique(heads[step], return_index=True)
+            preds[frontier] = tails[step][first]
         if preds[j] < 0:
             return None
         path = [j]

@@ -1,7 +1,9 @@
+import ast
 import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -81,6 +83,20 @@ class TestValidate:
         code, _, err = invoke(["validate", "/nonexistent/graph.json"])
         assert code == 2
         assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["validate", "invariants", "classify", "monoid"])
+def test_deeply_nested_json_is_one_error_line(tmp_path, command):
+    """Nesting past the interpreter's recursion limit is malformed input:
+    exit 2, nothing on stdout, one `error:` line."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    files = [str(deep)] * (2 if command == "classify" else 1)
+    code, out, err = invoke([command, *files])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "nesting too deep" in err
 
 
 class TestInvariants:
@@ -345,16 +361,19 @@ class TestParserReuse:
         assert cli._build_parser() is cli._build_parser()
 
 
-def test_import_leaves_heavy_dependencies_unloaded():
-    """scipy is imported where the monoid needs it; sympy and networkx
-    only by tests.  None of them may load with the CLI."""
+def test_import_leaves_heavy_dependencies_unloaded(c_files):
+    """The package needs numpy alone, and sympy and networkx serve
+    tests only.  Neither they nor scipy may load with the CLI, nor when
+    it runs the monoid box."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(root / "src"), env.get("PYTHONPATH")])
     )
+    argv = ["monoid", c_files[3], "--bound", "8", "--json"]
     probe = (
-        "import sys, lpa_invariants.cli; "
+        "import io, sys, lpa_invariants.cli as cli; "
+        f"assert cli.run({argv!r}, stdout=io.StringIO()) == 0; "
         "print(sorted(m for m in ('scipy', 'sympy', 'networkx') if m in sys.modules))"
     )
     result = subprocess.run(
@@ -366,3 +385,22 @@ def test_import_leaves_heavy_dependencies_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_runtime_imports_match_declared_dependencies():
+    """The third-party modules the package imports are exactly the
+    distributions `pyproject.toml` declares."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    imported = set()
+    for path in (root / "src" / "lpa_invariants").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"lpa_invariants"}
+    with open(root / "pyproject.toml", "rb") as handle:
+        specs = tomllib.load(handle)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower() for spec in specs}
+    assert third_party == declared == {"numpy"}

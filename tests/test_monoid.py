@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 from graph_strategies import NAMED_GRAPHS, multigraphs
@@ -218,11 +219,18 @@ def test_rank_of_over_whole_box(g, extra):
 @example(C3, 2, random.Random(4))
 def test_rewrite_paths_on_rebuilt_edges(g, extra, rng):
     """Paths over the edges `rewrite_path` rebuilds per call: a single
-    rewrite is one step, every path is a chain of single rewrites, and
-    vectors in different classes have no path."""
+    rewrite is one step, every path is a chain of single rewrites and a
+    shortest one in the networkx graph of `_elementary_edges`, None comes
+    exactly where networkx finds no path, and vectors in different
+    classes have no path."""
     p = presentation(g)
     c = saturate(p, needed_bound(p) + extra)
     rows = [tuple(int(x) for x in v) for v in c.vectors]
+    sums = c.vectors.sum(axis=1, dtype=np.int32)
+    src, dst, _ = monoid._elementary_edges(p, c.bound, c.vectors, sums)
+    edges = nx.Graph()
+    edges.add_nodes_from(range(len(rows)))
+    edges.add_edges_from(zip(src.tolist(), dst.tolist()))
     rewrites = []
     for x in rows:
         for i, rhs in p.relations:
@@ -235,12 +243,96 @@ def test_rewrite_paths_on_rebuilt_edges(g, extra, rng):
         x = rng.choice(rows)
         for y in (rng.choice(rows), rng.choice(c.members(c.class_of(x)))):
             path = c.rewrite_path(x, y)
+            i, j = c.rank_of(x), c.rank_of(y)
+            if path is None:
+                assert not nx.has_path(edges, i, j)
+            else:
+                assert len(path) - 1 == nx.shortest_path_length(edges, i, j)
             if c.class_of(x) != c.class_of(y):
                 assert path is None
             elif path is not None:
                 assert path[0] == x and path[-1] == y
                 for a, b in zip(path, path[1:]):
                     assert is_single_rewrite(p, a, b)
+
+
+def _merge_oracle(labels, left, right):
+    """Class of each position after joining left[k] with right[k]: a
+    pure-Python disjoint-set forest over the label values."""
+    parent = {}
+
+    def find(v):
+        parent.setdefault(v, v)
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in zip(left.tolist(), right.tolist()):
+        ra, rb = find(labels[a]), find(labels[b])
+        parent[max(ra, rb)] = min(ra, rb)
+    return np.array([find(v) for v in labels.tolist()], dtype=np.int64)
+
+
+def assert_same_partition(got, want):
+    assert got.shape == want.shape
+    joint = np.unique(np.stack([got, want]), axis=1).shape[1]
+    assert joint == np.unique(got).size == np.unique(want).size
+
+
+@st.composite
+def merge_inputs(draw):
+    labels = np.array(
+        draw(st.lists(st.integers(0, 30), min_size=1, max_size=40)), dtype=np.int64
+    )
+    index = st.integers(0, labels.size - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=60))
+    if pairs:  # repeat some pairs
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=10))
+    left = np.array([a for a, _ in pairs], dtype=np.int32)
+    right = np.array([b for _, b in pairs], dtype=np.int32)
+    return labels, left, right
+
+
+class TestMerge:
+    @settings(deadline=None, max_examples=200)
+    @given(merge_inputs())
+    @example(
+        (
+            np.array([3, 0, 3, 7, 9]),
+            np.array([0, 1, 2, 3, 3, 4], np.int32),
+            np.array([0, 3, 2, 1, 1, 2], np.int32),
+        )
+    )
+    def test_matches_disjoint_set_oracle(self, inputs):
+        """Repeated pairs, self-pairs and labels already shared."""
+        labels, left, right = inputs
+        got = monoid._merge(labels, left, right)
+        assert got.dtype == np.int64
+        assert_same_partition(got, _merge_oracle(labels, left, right))
+
+    @pytest.mark.parametrize("shape", ["shuffled", "zigzag"])
+    def test_long_paths_join_into_one_class(self, shape):
+        """A path of 10^5 nodes, in random order, and in the order
+        0, n-1, 1, n-2, ..., which makes the hooks climb slowly."""
+        n = 100_000
+        if shape == "shuffled":
+            order = np.random.default_rng(5).permutation(n)
+        else:
+            order = np.empty(n, dtype=np.int64)
+            order[0::2] = np.arange((n + 1) // 2)
+            order[1::2] = np.arange(n - 1, (n + 1) // 2 - 1, -1)
+        labels = np.arange(n, dtype=np.int64)
+        left, right = order[:-1].astype(np.int32), order[1:].astype(np.int32)
+        got = monoid._merge(labels, left, right)
+        assert got.dtype == np.int64
+        assert_same_partition(got, _merge_oracle(labels, left, right))
+        assert np.unique(got).size == 1
+
+    def test_no_pairs_returns_labels_itself(self):
+        labels = np.array([0, 2, 2, 5], dtype=np.int64)
+        empty = np.zeros(0, dtype=np.int32)
+        assert monoid._merge(labels, empty, empty) is labels
 
 
 class TestRewriteChains:
