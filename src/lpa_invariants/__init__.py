@@ -7,6 +7,10 @@ infinite simplicity, and a brute-force graph-monoid oracle; on top of
 these it applies the restricted algebraic Kirchberg-Phillips criterion
 to decide isomorphism of pairs, including the complete classification
 of the algebras of the Cayley graphs of the cyclic groups Z/nZ.
+
+The graph-monoid names are served from `.monoid` on first access
+(PEP 562), so that importing the package does not import numpy, which
+only the monoid box uses.
 """
 
 from .classify import (
@@ -51,16 +55,6 @@ from .ktheory import (
     cokernel_pointed,
     element_order,
     pointed_iso_exists,
-)
-from .monoid import (
-    NOT_CLOSED,
-    CongruenceClasses,
-    FiniteGroupTable,
-    MonoidPresentation,
-    crosscheck_cokernel,
-    mstar_group,
-    presentation,
-    saturate,
 )
 
 __version__ = "0.1.0"
@@ -110,3 +104,28 @@ __all__ = [
     "sparse_smith",
     "stemmed_rose_graph",
 ]
+
+_MONOID_NAMES = frozenset(
+    {
+        "NOT_CLOSED",
+        "CongruenceClasses",
+        "FiniteGroupTable",
+        "MonoidPresentation",
+        "crosscheck_cokernel",
+        "mstar_group",
+        "presentation",
+        "saturate",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _MONOID_NAMES:
+        from . import monoid
+
+        return getattr(monoid, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _MONOID_NAMES)

@@ -14,6 +14,7 @@ error stream as one line prefixed `error:`.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -30,7 +31,6 @@ from .graphs import (
     stemmed_rose_graph,
 )
 from .ktheory import analyse
-from .monoid import _crosscheck_classes, default_bound, mstar_group, presentation, saturate
 
 SCHEMA_VERSION = 1
 _TABLE_CAP = 500
@@ -240,6 +240,8 @@ def _cmd_table(args, out, err) -> int:
 
 
 def _cmd_monoid(args, out, err) -> int:
+    from .monoid import _crosscheck_classes, default_bound, mstar_group, presentation, saturate
+
     g = _load_graph(args.file)
     pres = presentation(g)
     bound = args.bound if args.bound is not None else default_bound(pres)
@@ -360,7 +362,8 @@ def run(argv, stdout: IO[str] | None = None, stderr: IO[str] | None = None) -> i
     err = stderr if stderr is not None else sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out):
+            args = parser.parse_args(argv)
     except _CliError as exc:
         err.write(f"error: {exc}\n")
         return 2

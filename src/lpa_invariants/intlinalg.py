@@ -9,9 +9,12 @@ active block.  The transforms are kept as a log of row and column
 operations, and a row of u or a column of v is built by replaying the
 log backwards only when something reads it.  On the sparse B of a Cayley
 graph both make the pass near-linear in the size of the graph.
-Fraction-free (Bareiss) elimination (`det_exact`) is an independent
-determinant to check it against, and circulant determinants can be
-cross-checked against the roots-of-unity product formula.
+`det_exact` is an independent determinant to check it against: a sparse
+fraction-free (Bareiss) elimination on rows kept as {column: value}
+dicts, which updates at each step only the rows that meet the pivot
+column and rescales every other row lazily, once, when it is next
+touched.  Circulant determinants can be cross-checked against the
+roots-of-unity product formula.  The module is pure Python.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ import operator
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 __all__ = [
     "IntMatrix",
@@ -126,33 +127,77 @@ def diagonal_matrix(d, rows: int, cols: int) -> IntMatrix:
 
 
 def det_exact(m: IntMatrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination.
+    """Exact determinant by sparse fraction-free (Bareiss) elimination.
 
-    Intermediate values stay bounded by minors of the input, and every
-    division is exact, so the result is correct for arbitrary integer
-    entries.
+    Step k of Bareiss' elimination (Bareiss, 1968) takes a pivot row with
+    p_{k+1} = its entry in column k, swaps it into position k (each swap
+    flips the sign), and replaces every later row a by
+    (p_{k+1} * a - a_k * pivot row) / p_k, with p_0 = 1.  By Sylvester's
+    identity every entry it produces is a minor of the input, so each
+    division is exact, and det = sign * p_n, the last pivot.
+
+    Rows are {column: value} dicts without zeros, and only the rows with
+    a nonzero in column k are updated at step k.  A row whose entry there
+    is 0 would only be scaled by p_{k+1} / p_k, and these factors
+    telescope: a row last made exact after step s - 1 is, at step k, its
+    stored values times p_k / p_s.  Each row keeps that s as its stamp
+    and is brought up to date by one exact `* p_k // p_s` when it is next
+    touched, as a pivot or in an update.  No row is ever divided by
+    anything but a true Bareiss denominator, so the result is
+    fraction-free and shares nothing with the Smith pivoting of
+    `sparse_smith`, which makes it an independent check of that det.
     """
     if not m.is_square:
         raise ValueError(f"determinant requires a square matrix, got {m.rows}x{m.cols}")
     n = m.rows
-    if n == 0:
-        return 1
-    a = np.array(m.to_lists(), dtype=object)
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m.entries]
+    col_rows: list[set[int]] = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            col_rows[j].add(i)
+    at = list(range(n))  # at[k]: the row in position k
+    pos = list(range(n))  # pos[i]: the position of row i
+    stamp = [0] * n  # row i is exact after step stamp[i] - 1
+    p = [1]  # p[k]: the denominator of step k, the pivot of step k - 1
     sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k, k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if a[i, k] != 0), None)
-            if pivot_row is None:
-                return 0
-            a[[k, pivot_row]] = a[[pivot_row, k]]
+
+    def current(i: int, k: int) -> dict[int, int]:
+        s = stamp[i]
+        if s != k:
+            f, d = p[k], p[s]
+            rows[i] = {j: x * f // d for j, x in rows[i].items()}
+            stamp[i] = k
+        return rows[i]
+
+    for k in range(n):
+        if not col_rows[k]:
+            return 0
+        r = min(col_rows[k], key=pos.__getitem__)
+        if pos[r] != k:
+            other = at[k]
+            at[k], at[pos[r]] = r, other
+            pos[other], pos[r] = pos[r], k
             sign = -sign
-        piv = a[k, k]
-        a[k + 1 :, k + 1 :] = (
-            a[k + 1 :, k + 1 :] * piv - np.outer(a[k + 1 :, k], a[k, k + 1 :])
-        ) // prev
-        prev = piv
-    return int(sign * a[n - 1, n - 1])
+        pivot = current(r, k)
+        for j in pivot:
+            col_rows[j].discard(r)
+        piv, prev = pivot[k], p[k]
+        for i in col_rows[k]:
+            row = current(i, k)
+            c = row[k]
+            new = {j: x * piv for j, x in row.items()}
+            for j, y in pivot.items():
+                new[j] = new.get(j, 0) - c * y
+            del new[k]
+            rows[i] = {j: x // prev for j, x in new.items() if x}
+            for j in new:
+                if j in rows[i]:
+                    col_rows[j].add(i)
+                else:
+                    col_rows[j].discard(i)
+            stamp[i] = k + 1
+        p.append(piv)
+    return sign * p[n]
 
 
 @dataclass(frozen=True)

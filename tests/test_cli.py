@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -331,6 +332,13 @@ class TestArgumentErrors:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [["--help"], ["table", "--help"]])
+    def test_help_goes_to_the_given_stdout(self, argv, capsys):
+        code, out, err = invoke(argv)
+        assert code == 0 and err == ""
+        assert out.startswith("usage: lpainv")
+        assert capsys.readouterr() == ("", "")
+
 
 class TestParserReuse:
     """One parser serves every `run` call of the process."""
@@ -362,19 +370,44 @@ class TestParserReuse:
 
 
 def test_import_leaves_heavy_dependencies_unloaded(c_files):
-    """The package needs numpy alone, and sympy and networkx serve
-    tests only.  Neither they nor scipy may load with the CLI, nor when
-    it runs the monoid box."""
+    """The package needs numpy alone, and only the monoid box uses it:
+    the CLI's other commands run without importing it, and `monoid`
+    imports it.  The package serves the monoid names from `.monoid` on
+    first access.  sympy, networkx and scipy serve tests only and never
+    load, not even when the CLI runs the monoid box."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(root / "src"), env.get("PYTHONPATH")])
     )
-    argv = ["monoid", c_files[3], "--bound", "8", "--json"]
-    probe = (
-        "import io, sys, lpa_invariants.cli as cli; "
-        f"assert cli.run({argv!r}, stdout=io.StringIO()) == 0; "
-        "print(sorted(m for m in ('scipy', 'sympy', 'networkx') if m in sys.modules))"
+    numpy_free = [
+        ["validate", c_files[3]],
+        ["invariants", c_files[6], "--json"],
+        ["classify", c_files[3], c_files[7]],
+        ["table", "--max", "12"],
+    ]
+    monoid = ["monoid", c_files[3], "--bound", "8", "--json"]
+    probe = textwrap.dedent(
+        f"""
+        import io, sys, lpa_invariants, lpa_invariants.cli as cli
+        for argv in {numpy_free!r}:
+            code = cli.run(argv, stdout=io.StringIO())
+            assert code == (3 if argv[0] == "classify" else 0), argv
+        assert "numpy" not in sys.modules
+        assert "lpa_invariants.monoid" not in sys.modules
+        assert set(lpa_invariants.__all__) <= set(dir(lpa_invariants))
+        assert "numpy" not in sys.modules
+        assert cli.run({monoid!r}, stdout=io.StringIO()) == 0
+        assert "numpy" in sys.modules
+        assert lpa_invariants.saturate is lpa_invariants.monoid.saturate
+        try:
+            lpa_invariants.no_such_name
+        except AttributeError:
+            pass
+        else:
+            raise AssertionError("unknown attribute resolved")
+        print(sorted(m for m in ("scipy", "sympy", "networkx") if m in sys.modules))
+        """
     )
     result = subprocess.run(
         [sys.executable, "-c", probe],

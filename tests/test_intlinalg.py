@@ -18,7 +18,7 @@ from lpa_invariants.intlinalg import (
     sparse_smith,
 )
 from lpa_invariants.graphs import cayley_graph
-from lpa_invariants.ktheory import _b_rows, analyse
+from lpa_invariants.ktheory import _b_rows, analyse, b_matrix
 
 
 def mat(rows):
@@ -85,6 +85,60 @@ class TestDetExact:
         big = 10**30
         m = mat([[big, 1], [1, big]])
         assert det_exact(m) == big * big - 1
+
+    def test_zero_pivot_needs_late_swap(self):
+        # Steps 0 and 1 leave column 2 zero in every row but the last,
+        # which no earlier step touched: a swap at step 2, then a
+        # rescale of the swapped-in row by p_2 / p_0.
+        m = mat(
+            [
+                [2, 1, 0, 1, 3],
+                [4, 5, 0, 2, 1],
+                [6, 3, 0, 4, 9],
+                [1, 1, 0, 7, 2],
+                [0, 0, 5, 1, 1],
+            ]
+        )
+        assert det_exact(m) == 40
+        # column 0 is nonzero in the last row only: a swap at step 0
+        m = mat(
+            [
+                [0, 0, 3, 1, 2],
+                [0, 0, 0, 5, 1],
+                [0, 0, 0, 0, 4],
+                [0, 2, 1, 1, 1],
+                [3, 1, 0, 2, 7],
+            ]
+        )
+        assert det_exact(m) == -360
+
+    def test_row_untouched_for_many_steps(self):
+        # Rows 5 and 6 meet no pivot column before step 5, while row 4
+        # is updated at every step, so at step 5 both are scaled once by
+        # p_5 / p_0, with the leading minors 2, 6, 30, 210 and 2205 as
+        # pivots on the way.
+        m = mat(
+            [
+                [2, 1, 0, 0, 0, 0, 0],
+                [0, 3, 1, 0, 0, 0, 0],
+                [0, 0, 5, 1, 0, 0, 0],
+                [0, 0, 0, 7, 1, 0, 0],
+                [1, 2, 3, 4, 11, 1, 0],
+                [0, 0, 0, 0, 0, 13, 1],
+                [0, 0, 0, 0, 0, 4, 9],
+            ]
+        )
+        assert det_exact(m) == 249165
+
+    def test_singular_found_late(self):
+        rows = [[2, 1, 3, 0, 1], [1, 4, 0, 2, 2], [0, 3, 1, 1, 5], [7, 0, 2, 3, 1]]
+        rows.append([a + b - c for a, b, c in zip(rows[0], rows[1], rows[2])])
+        assert det_exact(mat(rows)) == 0
+
+    def test_cayley_b_matrices_match_the_one_pass_det(self):
+        for n in range(1, 61):
+            g = cayley_graph(n)
+            assert det_exact(b_matrix(g)) == analyse(g).det, n
 
 
 def assert_valid_snf(m, dec):
@@ -178,6 +232,27 @@ def test_snf_diagonal_product_matches_det(m):
 @given(int_matrices(square=True))
 def test_det_transpose_invariant(m):
     assert det_exact(m.transpose()) == det_exact(m)
+
+
+@st.composite
+def zero_heavy_square_matrices(draw, max_dim=9):
+    n = draw(st.integers(0, max_dim))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    return mat(
+        draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@given(zero_heavy_square_matrices())
+def test_det_matches_sympy(m):
+    """The signed determinant against sympy's, on matrices where about
+    half the entries are 0, so pivots vanish, rows swap and rows go
+    untouched for several steps."""
+    reference = DomainMatrix(
+        [[ZZ(x) for x in row] for row in m.entries], (m.rows, m.cols), ZZ
+    )
+    assert det_exact(m) == int(reference.det())
 
 
 @settings(deadline=None)
