@@ -7,8 +7,10 @@ verdict); `table` tabulates the cyclic-Cayley-graph invariants;
 `monoid` runs the box-monoid oracle; `validate` checks graph JSON.
 
 Exit codes: 0 success/Isomorphic, 2 malformed input or flags,
-3 NotIsomorphic, 4 Unknown, 5 NotApplicable.  All errors go to the
-error stream as one line prefixed `error:`.
+3 NotIsomorphic, 4 Unknown, 5 NotApplicable, 6 a `table` row whose
+computed K0 factors or canonical form contradict the closed form of
+`cayley_class`.  All errors go to the error stream as one line prefixed
+`error:`.
 """
 
 from __future__ import annotations
@@ -38,7 +40,20 @@ _MAX_PRINTED_CLASSES = 100
 
 
 class _CliError(Exception):
-    pass
+    exit_code = 2
+
+
+class _ClosedFormMismatch(_CliError):
+    exit_code = 6
+
+
+# The K0 factors of each class of `cayley_class`.
+_CLASS_FACTORS = {
+    "TRIVIAL_K0": (),
+    "Z3": (3,),
+    "KLEIN4": (2, 2),
+    "ZxZ": (0, 0),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -198,14 +213,29 @@ def _table_rows(max_n: int) -> list[dict]:
         canonical = _canonical(
             pis_report(g).purely_infinite_simple, analysis.k0, det
         )
+        factors = analysis.k0.group.factors
+        label = canonical.label if canonical else None
+        expected = cayley_class(n)
+        expected_label = expected.canonical.label if expected.canonical else None
+        if factors != _CLASS_FACTORS[expected.class_id]:
+            raise _ClosedFormMismatch(
+                f"table: n={n}: closed form class {expected.class_id} has k0_factors "
+                f"{_factors_str(_CLASS_FACTORS[expected.class_id])}, "
+                f"computed {_factors_str(factors)}"
+            )
+        if label != expected_label:
+            raise _ClosedFormMismatch(
+                f"table: n={n}: closed form class {expected.class_id} has canonical "
+                f"{expected_label or '-'}, computed {label or '-'}"
+            )
         rows.append(
             {
                 "n": n,
-                "k0_factors": list(analysis.k0.group.factors),
+                "k0_factors": list(factors),
                 "det": det,
                 "det_sign": sign_of(det),
-                "class_id": cayley_class(n).class_id,
-                "canonical": canonical.label if canonical else None,
+                "class_id": expected.class_id,
+                "canonical": label,
             }
         )
     return rows
@@ -373,7 +403,7 @@ def run(argv, stdout: IO[str] | None = None, stderr: IO[str] | None = None) -> i
         return args.func(args, out, err)
     except _CliError as exc:
         err.write(f"error: {exc}\n")
-        return 2
+        return exc.exit_code
     except ValueError as exc:
         err.write(f"error: {exc}\n")
         return 2

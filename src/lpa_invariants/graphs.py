@@ -9,6 +9,7 @@ which the associated Leavitt path algebra is purely infinite simple.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, NamedTuple
@@ -41,6 +42,8 @@ class Graph:
 
     Vertex order is significant: it fixes the row/column order of every
     matrix derived from the graph.  Parallel edges and loops are allowed.
+    Edge endpoints are vertex indices: integers (anything `operator.index`
+    takes, so not floats or strings), stored as int.
     """
 
     vertices: tuple[str, ...]
@@ -48,20 +51,13 @@ class Graph:
 
     def __post_init__(self) -> None:
         vertices = tuple(self.vertices)
-        edges = tuple(Edge(*e) for e in self.edges)
         if not all(isinstance(v, str) for v in vertices):
             raise ValueError("vertex identifiers must be strings")
         if len(set(vertices)) != len(vertices):
             raise ValueError("vertex identifiers must be pairwise distinct")
-        ids = [e.id for e in edges]
-        if not all(isinstance(i, str) for i in ids):
-            raise ValueError("edge ids must be strings")
-        if len(set(ids)) != len(ids):
-            raise ValueError("edge ids must be pairwise distinct")
-        n = len(vertices)
-        for e in edges:
-            if not (0 <= e.source < n and 0 <= e.range < n):
-                raise ValueError(f"edge {e.id!r} references an invalid vertex index")
+        edges = tuple(self.edges)
+        if not _plain_edges(edges, len(vertices)):
+            edges = _checked_edges(edges, len(vertices))
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
 
@@ -95,6 +91,52 @@ class Graph:
         for e in self.edges:
             deg[e.range] += 1
         return tuple(deg)
+
+
+def _plain_edges(edges: tuple, n: int) -> bool:
+    """True when every edge is an `Edge` with a string id and int endpoints
+    in range(n), and the ids are pairwise distinct: one pass that accepts
+    the usual input as it stands."""
+    ids = set()
+    for e in edges:
+        if type(e) is not Edge:
+            return False
+        eid, s, r = e
+        if not (
+            type(eid) is str
+            and type(s) is int
+            and type(r) is int
+            and 0 <= s < n
+            and 0 <= r < n
+        ):
+            return False
+        ids.add(eid)
+    return len(ids) == len(edges)
+
+
+def _checked_edges(edges: tuple, n: int) -> tuple[Edge, ...]:
+    """`edges` as `Edge`s with int endpoints, or ValueError for the first
+    fault: an id that is not a string, a repeated id, then, edge by edge,
+    an endpoint that is not an integer or not in range(n)."""
+    edges = tuple(Edge(*e) for e in edges)
+    ids = [e.id for e in edges]
+    if not all(isinstance(i, str) for i in ids):
+        raise ValueError("edge ids must be strings")
+    if len(set(ids)) != len(ids):
+        raise ValueError("edge ids must be pairwise distinct")
+    checked = []
+    for e in edges:
+        try:
+            s, r = operator.index(e.source), operator.index(e.range)
+        except TypeError:
+            raise ValueError(
+                f"edge {e.id!r} has a non-integer vertex index: "
+                f"source {e.source!r}, range {e.range!r}"
+            ) from None
+        if not (0 <= s < n and 0 <= r < n):
+            raise ValueError(f"edge {e.id!r} references an invalid vertex index")
+        checked.append(Edge(e.id, s, r))
+    return tuple(checked)
 
 
 def cayley_graph(n: int) -> Graph:
@@ -381,6 +423,26 @@ def graph_to_dict(g: Graph) -> dict:
     }
 
 
+def _edge_from_dict(k: int, item, index: dict[str, int]) -> Edge:
+    """Edge #k of the wire format, or ValueError naming its first fault."""
+    if not isinstance(item, dict):
+        raise ValueError(f"edge #{k} must be an object")
+    unknown = set(item) - {"id", "source", "range"}
+    if unknown:
+        raise ValueError(f"edge #{k} has unknown fields: {sorted(unknown)}")
+    try:
+        eid, src, rng = item["id"], item["source"], item["range"]
+    except KeyError as exc:
+        raise ValueError(f"edge #{k} is missing field {exc}") from None
+    if not all(isinstance(x, str) for x in (eid, src, rng)):
+        raise ValueError(f"edge #{k} fields must be strings")
+    if src not in index:
+        raise ValueError(f"edge {eid!r} references unknown vertex {src!r}")
+    if rng not in index:
+        raise ValueError(f"edge {eid!r} references unknown vertex {rng!r}")
+    return Edge(eid, index[src], index[rng])
+
+
 def graph_from_dict(data) -> Graph:
     if not isinstance(data, dict):
         raise ValueError("graph JSON must be an object")
@@ -398,22 +460,18 @@ def graph_from_dict(data) -> Graph:
     raw_edges = data["edges"]
     if not isinstance(raw_edges, list):
         raise ValueError("'edges' must be a list")
+    # Every edge takes one exact test: an object with exactly the three
+    # fields, all strings, naming known vertices.  Only an edge that fails
+    # it goes through `_edge_from_dict`, which words the fault.
     edges = []
-    for k, item in enumerate(raw_edges):
-        if not isinstance(item, dict):
-            raise ValueError(f"edge #{k} must be an object")
-        unknown = set(item) - {"id", "source", "range"}
-        if unknown:
-            raise ValueError(f"edge #{k} has unknown fields: {sorted(unknown)}")
-        try:
-            eid, src, rng = item["id"], item["source"], item["range"]
-        except KeyError as exc:
-            raise ValueError(f"edge #{k} is missing field {exc}") from None
-        if not all(isinstance(x, str) for x in (eid, src, rng)):
-            raise ValueError(f"edge #{k} fields must be strings")
-        if src not in index:
-            raise ValueError(f"edge {eid!r} references unknown vertex {src!r}")
-        if rng not in index:
-            raise ValueError(f"edge {eid!r} references unknown vertex {rng!r}")
-        edges.append(Edge(eid, index[src], index[rng]))
+    make = tuple.__new__  # builds the Edge without its Python-level __new__
+    for item in raw_edges:
+        if type(item) is dict and len(item) == 3:
+            eid, src, rng = item.get("id"), item.get("source"), item.get("range")
+            if type(eid) is str and type(src) is str and type(rng) is str:
+                s, r = index.get(src), index.get(rng)
+                if s is not None and r is not None:
+                    edges.append(make(Edge, (eid, s, r)))
+                    continue
+        edges.append(_edge_from_dict(len(edges), item, index))
     return Graph(tuple(vertices), tuple(edges))

@@ -427,13 +427,19 @@ def sparse_smith(rows: Sequence[Mapping[int, int]], cols: int) -> SparseSmith:
         if not row:
             key_of.pop(i, None)
             return
-        width = len(row)
-        best = None
+        # The least |x|, then among its ties the least column count, the
+        # first entry winning a full tie; the row's width scales every
+        # count alike, so the key is built once, from the winner.
+        least = None
         for j, x in row.items():
-            k = (abs(x), width * len(col_rows[j]))
-            if best is None or k < best:
-                best, c = k, j
-        key = best + (i, c)
+            x = abs(x)
+            if least is None or x < least:
+                least, count, c = x, len(col_rows[j]), j
+            elif x == least:
+                m = len(col_rows[j])
+                if m < count:
+                    count, c = m, j
+        key = (least, len(row) * count, i, c)
         if key_of.get(i) != key:
             key_of[i] = key
             heapq.heappush(heap, key)

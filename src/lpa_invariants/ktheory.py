@@ -193,11 +193,19 @@ def analyse(g: Graph) -> GraphAnalysis:
     keep = [i for i, di in enumerate(result.d) if di != 1]
     group = AbelianGroup(tuple(result.d[i] for i in keep))
     rows = [result.u_rows[i] for i in keep]
-    images = tuple(
-        group.element(tuple(row.get(j, 0) for row in rows)) for j in range(n)
+    # Row i of u gives coordinate i of every vertex image and, summed, of
+    # the distinguished element: each is reduced mod d_i once here and
+    # coerced once by GroupElement.
+    coords = []
+    for row, d in zip(rows, group.factors):
+        values = [row.get(j, 0) for j in range(n)]
+        values.append(sum(row.values()))
+        coords.append([x % d for x in values] if d else values)
+    columns = list(zip(*coords)) if coords else [()] * (n + 1)
+    images = tuple(map(GroupElement, columns[:n]))
+    k0 = PointedK0(
+        group=group, vertex_images=images, distinguished=GroupElement(columns[n])
     )
-    distinguished = group.element(tuple(sum(row.values()) for row in rows))
-    k0 = PointedK0(group=group, vertex_images=images, distinguished=distinguished)
     return GraphAnalysis(snf_diagonal=result.d, k0=k0, det=result.det)
 
 

@@ -469,11 +469,14 @@ class FiniteGroupTable:
         return len(self.element_class_ids)
 
     def order_of(self, class_id: int) -> int:
-        idx = self.element_class_ids.index(class_id)
+        position = {c: i for i, c in enumerate(self.element_class_ids)}
+        if class_id not in position:
+            raise ValueError(f"class {class_id} is not an element of the group")
+        idx = position[class_id]
         acc = class_id
         k = 1
         while acc != self.identity_class:
-            acc = self.table[self.element_class_ids.index(acc)][idx]
+            acc = self.table[position[acc]][idx]
             k += 1
             if k > self.order + 1:
                 raise RuntimeError("addition table is not a group")

@@ -13,6 +13,7 @@ import pytest
 from graph_strategies import graph_from_pairs, permute
 
 from lpa_invariants import cli
+from lpa_invariants.classify import CanonicalAlgebra, CayleyClass
 from lpa_invariants.cli import invariant_report, run
 from lpa_invariants.graphs import cayley_graph, graph_to_dict, stemmed_rose_graph
 from lpa_invariants.monoid import crosscheck_cokernel, mstar_group, presentation, saturate
@@ -221,6 +222,49 @@ class TestTable:
         code, _, err = invoke(["table", "--max", "0"])
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("fmt", ["md", "json"])
+    def test_class_column_checked_against_k0_factors(self, monkeypatch, fmt):
+        # The closed form of n + 1 is wrong for every n; n = 1 has trivial K0.
+        real = cli.cayley_class
+        monkeypatch.setattr(cli, "cayley_class", lambda n: real(n + 1))
+        code, out, err = invoke(["table", "--max", "6", "--format", fmt])
+        assert (code, out) == (6, "")
+        assert err == (
+            "error: table: n=1: closed form class Z3 has k0_factors (3), computed ()\n"
+        )
+
+    def test_class_column_checked_against_canonical_form(self, monkeypatch):
+        real = cli.cayley_class
+
+        def wrong_at_5(n):
+            if n == 5:
+                return CayleyClass("TRIVIAL_K0", (1, 5), CanonicalAlgebra(3, 1))
+            return real(n)
+
+        monkeypatch.setattr(cli, "cayley_class", wrong_at_5)
+        code, out, err = invoke(["table", "--max", "12"])
+        assert (code, out) == (6, "")
+        assert err == (
+            "error: table: n=5: closed form class TRIVIAL_K0 has canonical L(1,3), "
+            "computed L(1,2)\n"
+        )
+
+    def test_klein_class_has_no_canonical_form(self, monkeypatch):
+        real = cli.cayley_class
+
+        def canonical_at_3(n):
+            if n == 3:
+                return CayleyClass("KLEIN4", (3,), CanonicalAlgebra(2, 1))
+            return real(n)
+
+        monkeypatch.setattr(cli, "cayley_class", canonical_at_3)
+        code, _, err = invoke(["table", "--max", "3"])
+        assert code == 6
+        assert err == (
+            "error: table: n=3: closed form class KLEIN4 has canonical L(1,2), "
+            "computed -\n"
+        )
 
 
 class TestMonoid:

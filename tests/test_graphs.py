@@ -1,4 +1,5 @@
 import networkx as nx
+import numpy as np
 import pytest
 from graph_strategies import NAMED_GRAPHS, multigraphs
 from hypothesis import example, given, settings
@@ -67,6 +68,39 @@ class TestGraphValidation:
     def test_non_string_vertex(self):
         with pytest.raises(ValueError):
             Graph((1,), ())
+
+    @pytest.mark.parametrize("index", [0.5, 1.0, "0", None], ids=repr)
+    @pytest.mark.parametrize("end", ["source", "range"])
+    def test_non_integer_vertex_index(self, index, end):
+        e = Edge("e", 0, 1)._replace(**{end: index})
+        with pytest.raises(ValueError, match="edge 'e' has a non-integer vertex index"):
+            Graph(("a", "b"), [e, ("f", 1, 0)])
+
+    def test_integer_like_indices_are_stored_as_int(self):
+        g = Graph(("a", "b"), [("e", np.int64(0), True), Edge("f", np.int32(1), 0)])
+        assert g.edges == (Edge("e", 0, 1), Edge("f", 1, 0))
+        assert all(type(x) is int for e in g.edges for x in e[1:])
+        assert all(type(e) is Edge for e in g.edges)
+
+    def test_edges_are_kept_as_given(self):
+        edges = (Edge("e", 0, 1), Edge("f", 1, 0))
+        g = Graph(("a", "b"), edges)
+        assert all(kept is given for kept, given in zip(g.edges, edges))
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([Edge("e", 0, 5), Edge(1, 0, 0)], "edge ids must be strings"),
+            ([Edge("e", 0, 5), Edge("e", 0, 0)], "edge ids must be pairwise distinct"),
+            ([Edge("e", 0, 5), Edge("f", 0.5, 0)], "edge 'e' references an invalid vertex index"),
+            ([Edge("e", -1, 0)], "edge 'e' references an invalid vertex index"),
+        ],
+        ids=["id-type-first", "repeated-id-next", "then-edge-order", "negative"],
+    )
+    def test_fault_order(self, edges, message):
+        with pytest.raises(ValueError) as excinfo:
+            Graph(("a",), edges)
+        assert str(excinfo.value) == message
 
 
 class TestCayleyGraph:
@@ -309,24 +343,87 @@ class TestGraphJSON:
         assert {"id": "e1", "source": "v1", "range": "v2"} in d["edges"]
 
     @pytest.mark.parametrize(
-        "data",
+        "data, message",
         [
-            [],
-            {"vertices": ["v1"]},
-            {"vertices": ["v1"], "edges": [], "extra": 1},
-            {"vertices": "v1", "edges": []},
-            {"vertices": ["v1", "v1"], "edges": []},
-            {"vertices": [1], "edges": []},
-            {"vertices": ["v1"], "edges": [{"id": "e"}]},
-            {"vertices": ["v1"], "edges": [{"id": "e", "source": "v1", "range": "vX"}]},
-            {"vertices": ["v1"], "edges": [{"id": "e", "source": "v1", "range": "v1", "x": 0}]},
-            {
-                "vertices": ["v1"],
-                "edges": [
-                    {"id": "e", "source": "v1", "range": "v1"},
-                    {"id": "e", "source": "v1", "range": "v1"},
-                ],
-            },
+            ([], "graph JSON must be an object"),
+            ({"vertices": ["v1"]}, "graph JSON requires 'vertices' and 'edges'"),
+            (
+                {"vertices": ["v1"], "edges": [], "extra": 1},
+                "unknown graph fields: ['extra']",
+            ),
+            ({"vertices": "v1", "edges": []}, "'vertices' must be a list of strings"),
+            (
+                {"vertices": ["v1", "v1"], "edges": []},
+                "vertex identifiers must be pairwise distinct",
+            ),
+            ({"vertices": [1], "edges": []}, "'vertices' must be a list of strings"),
+            (
+                {"vertices": ["v1"], "edges": [{"id": "e"}]},
+                "edge #0 is missing field 'source'",
+            ),
+            (
+                {"vertices": ["v1"], "edges": [{"id": "e", "source": "v1", "range": "vX"}]},
+                "edge 'e' references unknown vertex 'vX'",
+            ),
+            (
+                {"vertices": ["v1"], "edges": [{"id": "e", "source": "v1", "range": "v1", "x": 0}]},
+                "edge #0 has unknown fields: ['x']",
+            ),
+            (
+                {
+                    "vertices": ["v1"],
+                    "edges": [
+                        {"id": "e", "source": "v1", "range": "v1"},
+                        {"id": "e", "source": "v1", "range": "v1"},
+                    ],
+                },
+                "edge ids must be pairwise distinct",
+            ),
+            (
+                {
+                    "vertices": ["v1", "v1"],
+                    "edges": [{"id": "e", "source": "v1", "range": "vX"}],
+                },
+                "vertex identifiers must be pairwise distinct",
+            ),
+            (
+                {
+                    "vertices": ["v1"],
+                    "edges": [
+                        {"id": "e", "source": "v1", "range": "v1"},
+                        {"id": "f", "source": "v1", "range": "vX", "x": 0},
+                    ],
+                },
+                "edge #1 has unknown fields: ['x']",
+            ),
+            (
+                {
+                    "vertices": ["v1"],
+                    "edges": [
+                        {"id": "e", "source": "v1", "range": "v1"},
+                        {"id": "e", "source": "v1", "range": "v1"},
+                        {"id": "f", "source": "vX", "range": "v1"},
+                    ],
+                },
+                "edge 'f' references unknown vertex 'vX'",
+            ),
+            ({"vertices": ["v1"], "edges": {}}, "'edges' must be a list"),
+            (
+                {"vertices": ["v1"], "edges": [{"id": "e", "source": "v1", "range": "v1"}, "e"]},
+                "edge #1 must be an object",
+            ),
+            (
+                {"vertices": ["v1"], "edges": [{"id": "e", "source": ["v1"], "range": "v1"}]},
+                "edge #0 fields must be strings",
+            ),
+            (
+                {"vertices": ["v1"], "edges": [{"id": 0, "source": "v1", "range": "v1"}]},
+                "edge #0 fields must be strings",
+            ),
+            (
+                {"vertices": ["v1"], "edges": [{"id": "e", "source": "v1", "x": "v1"}]},
+                "edge #0 has unknown fields: ['x']",
+            ),
         ],
         ids=[
             "not-object",
@@ -339,8 +436,17 @@ class TestGraphJSON:
             "dangling-ref",
             "unknown-edge-field",
             "dup-edge-ids",
+            "dup-vertices-before-dangling-ref",
+            "edge-1-unknown-field-before-dangling-ref",
+            "dangling-ref-before-dup-edge-ids",
+            "edges-not-list",
+            "edge-1-not-object",
+            "unhashable-source",
+            "non-string-id",
+            "three-fields-one-unknown",
         ],
     )
-    def test_rejections(self, data):
-        with pytest.raises(ValueError):
+    def test_rejections(self, data, message):
+        with pytest.raises(ValueError) as excinfo:
             graph_from_dict(data)
+        assert str(excinfo.value) == message

@@ -1,3 +1,4 @@
+import math
 import random
 
 import networkx as nx
@@ -11,6 +12,7 @@ from lpa_invariants import monoid
 from lpa_invariants.graphs import Graph, adjacency_matrix, cayley_graph, rose_graph
 from lpa_invariants.monoid import (
     NOT_CLOSED,
+    FiniteGroupTable,
     MonoidPresentation,
     crosscheck_cokernel,
     default_bound,
@@ -411,6 +413,23 @@ class TestMstarGroup:
         table = mstar_group(c)
         assert not isinstance(table, str)
         assert table.invariant_factors() == (3,)
+
+    def test_z60_table_built_directly(self):
+        # Class ids are the residues mod 60, listed in a shuffled order,
+        # so that positions and ids differ.
+        ids = list(range(60))
+        random.Random(60).shuffle(ids)
+        table = FiniteGroupTable(
+            element_class_ids=tuple(ids),
+            table=tuple(tuple((a + b) % 60 for b in ids) for a in ids),
+            identity_class=0,
+            inverses=tuple(-a % 60 for a in ids),
+        )
+        for c in ids:
+            assert table.order_of(c) == 60 // math.gcd(c, 60)
+        assert table.invariant_factors() == (60,)
+        with pytest.raises(ValueError):
+            table.order_of(60)
 
     def test_identity_is_vertex_sum(self):
         for n in (1, 2, 3, 4, 5, 7):
