@@ -105,18 +105,8 @@ __all__ = [
     "stemmed_rose_graph",
 ]
 
-_MONOID_NAMES = frozenset(
-    {
-        "NOT_CLOSED",
-        "CongruenceClasses",
-        "FiniteGroupTable",
-        "MonoidPresentation",
-        "crosscheck_cokernel",
-        "mstar_group",
-        "presentation",
-        "saturate",
-    }
-)
+# The names of `__all__` not imported above come from `.monoid`.
+_MONOID_NAMES = frozenset(__all__).difference(globals())
 
 
 def __getattr__(name: str):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Literal, Optional
 
 from .graphs import Graph, pis_report
-from .ktheory import PointedK0, analyse, pointed_iso_exists
+from .ktheory import PointedK0, _as_index, analyse, pointed_iso_exists
 
 __all__ = [
     "KPVerdict",
@@ -64,6 +64,8 @@ class CanonicalAlgebra:
     d: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _as_index(self.n, "Leavitt index n"))
+        object.__setattr__(self, "d", _as_index(self.d, "matrix size d"))
         if self.n < 2:
             raise ValueError("Leavitt index n must be at least 2")
         if not 1 <= self.d <= self.n - 1:
@@ -76,6 +78,17 @@ class CanonicalAlgebra:
         return f"M_{self.d}(L(1,{self.n}))"
 
 
+# The closed form of the Cayley graphs of Z/nZ, one row per class: the
+# residues of n mod 6, the K0 factors, det(I - A^t) and the canonical form.
+# |det| = |K0| when K0 is finite, and det < 0 unless 6 divides n.
+_CLOSED_FORM = {
+    "TRIVIAL_K0": ((1, 5), (), -1, CanonicalAlgebra(2, 1)),
+    "Z3": ((2, 4), (3,), -3, CanonicalAlgebra(4, 3)),
+    "KLEIN4": ((3,), (2, 2), -4, None),
+    "ZxZ": ((0,), (0, 0), 0, None),
+}
+
+
 @dataclass(frozen=True)
 class CayleyClass:
     """Isomorphism class of the cyclic-Cayley-graph algebras for one
@@ -84,6 +97,16 @@ class CayleyClass:
     class_id: Literal["TRIVIAL_K0", "Z3", "KLEIN4", "ZxZ"]
     residues: tuple[int, ...]
     canonical: Optional[CanonicalAlgebra]
+
+    @property
+    def k0_factors(self) -> tuple[int, ...]:
+        """Invariant factors of the class's K0 group (0 for a copy of Z)."""
+        return _CLOSED_FORM[self.class_id][1]
+
+    @property
+    def det(self) -> int:
+        """det(I - A^t) of every Cayley graph in the class."""
+        return _CLOSED_FORM[self.class_id][2]
 
 
 def sign_of(value: int) -> Sign:
@@ -192,13 +215,8 @@ def cayley_class(n: int) -> CayleyClass:
     {1,5}: trivial K0, the algebra is L(1,2).  {2,4}: K0 = Z/3, the
     algebra is M_3(L(1,4)).  {3}: K0 = Z/2 x Z/2.  {0}: K0 = Z x Z.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    residue = n % 6
-    if residue in (1, 5):
-        return CayleyClass("TRIVIAL_K0", (1, 5), CanonicalAlgebra(2, 1))
-    if residue in (2, 4):
-        return CayleyClass("Z3", (2, 4), CanonicalAlgebra(4, 3))
-    if residue == 3:
-        return CayleyClass("KLEIN4", (3,), None)
-    return CayleyClass("ZxZ", (0,), None)
+    if isinstance(n, bool) or (n := _as_index(n, "n")) < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    class_id = next(c for c, row in _CLOSED_FORM.items() if n % 6 in row[0])
+    residues, _, _, canonical = _CLOSED_FORM[class_id]
+    return CayleyClass(class_id, residues, canonical)

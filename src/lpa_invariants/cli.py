@@ -8,9 +8,9 @@ verdict); `table` tabulates the cyclic-Cayley-graph invariants;
 
 Exit codes: 0 success/Isomorphic, 2 malformed input or flags,
 3 NotIsomorphic, 4 Unknown, 5 NotApplicable, 6 a `table` row whose
-computed K0 factors or canonical form contradict the closed form of
-`cayley_class`.  All errors go to the error stream as one line prefixed
-`error:`.
+computed K0 factors, det, det sign or canonical form contradict the
+closed form of `cayley_class`.  All errors go to the error stream as one
+line prefixed `error:`.
 """
 
 from __future__ import annotations
@@ -45,15 +45,6 @@ class _CliError(Exception):
 
 class _ClosedFormMismatch(_CliError):
     exit_code = 6
-
-
-# The K0 factors of each class of `cayley_class`.
-_CLASS_FACTORS = {
-    "TRIVIAL_K0": (),
-    "Z3": (3,),
-    "KLEIN4": (2, 2),
-    "ZxZ": (0, 0),
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -204,6 +195,15 @@ def _cmd_classify(args, out, err) -> int:
     return EXIT_CODES[verdict.outcome]
 
 
+_CHECKED_COLUMNS = ("k0_factors", "det", "det_sign", "canonical")
+
+
+def _checked_row(factors, det: int, canonical) -> tuple[str, ...]:
+    """The `_CHECKED_COLUMNS` of a table row, as printed."""
+    label = canonical.label if canonical else "-"
+    return (_factors_str(factors), str(det), sign_of(det), label)
+
+
 def _table_rows(max_n: int) -> list[dict]:
     rows = []
     for n in range(1, max_n + 1):
@@ -214,19 +214,14 @@ def _table_rows(max_n: int) -> list[dict]:
             pis_report(g).purely_infinite_simple, analysis.k0, det
         )
         factors = analysis.k0.group.factors
-        label = canonical.label if canonical else None
         expected = cayley_class(n)
-        expected_label = expected.canonical.label if expected.canonical else None
-        if factors != _CLASS_FACTORS[expected.class_id]:
+        want = _checked_row(expected.k0_factors, expected.det, expected.canonical)
+        got = _checked_row(factors, det, canonical)
+        if got != want:
+            i = next(i for i, (w, c) in enumerate(zip(want, got)) if w != c)
             raise _ClosedFormMismatch(
-                f"table: n={n}: closed form class {expected.class_id} has k0_factors "
-                f"{_factors_str(_CLASS_FACTORS[expected.class_id])}, "
-                f"computed {_factors_str(factors)}"
-            )
-        if label != expected_label:
-            raise _ClosedFormMismatch(
-                f"table: n={n}: closed form class {expected.class_id} has canonical "
-                f"{expected_label or '-'}, computed {label or '-'}"
+                f"table: n={n}: closed form class {expected.class_id} has "
+                f"{_CHECKED_COLUMNS[i]} {want[i]}, computed {got[i]}"
             )
         rows.append(
             {
@@ -235,7 +230,7 @@ def _table_rows(max_n: int) -> list[dict]:
                 "det": det,
                 "det_sign": sign_of(det),
                 "class_id": expected.class_id,
-                "canonical": label,
+                "canonical": canonical and canonical.label,
             }
         )
     return rows

@@ -379,6 +379,11 @@ def sparse_smith(rows: Sequence[Mapping[int, int]], cols: int) -> SparseSmith:
     for i, row in enumerate(rows):
         entries = {}
         for j, x in row.items():
+            if type(j) is not int:
+                try:
+                    j = operator.index(j)
+                except TypeError:
+                    raise ValueError(f"column index {j!r} is not an integer") from None
             if not 0 <= j < cols:
                 raise ValueError(f"column index {j} out of range for {cols} columns")
             x = operator.index(x)

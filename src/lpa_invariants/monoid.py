@@ -30,7 +30,7 @@ from typing import Literal, Union
 import numpy as np
 
 from .graphs import Graph
-from .ktheory import _as_index, cokernel_pointed, element_order
+from .ktheory import _as_index, _coprime_base, _valuation, cokernel_pointed, element_order
 
 __all__ = [
     "NOT_CLOSED",
@@ -491,16 +491,17 @@ class FiniteGroupTable:
         groups up to isomorphism, so this is exact.
         """
         orders = [self.order_of(c) for c in self.element_class_ids]
-        size = self.order
         partitions: dict[int, list[int]] = {}
-        for p in _prime_factors(size):
+        # By Cauchy's theorem each prime dividing the group order is the order
+        # of an element, so the coprime base of the orders is those primes.
+        for p in _coprime_base(orders):
             s_prev = 0
             mults: list[int] = []
             j = 1
             while True:
                 pj = p**j
                 count = sum(1 for o in orders if pj % o == 0)
-                s_j = round(math.log(count, p))
+                s_j = _valuation(count, p)
                 if p**s_j != count:
                     raise RuntimeError("order profile is not that of an abelian group")
                 if s_j == s_prev:
@@ -522,20 +523,6 @@ class FiniteGroupTable:
                     d *= p ** lam[i]
             descending.append(d)
         return tuple(reversed(descending))
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def mstar_group(

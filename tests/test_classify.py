@@ -202,6 +202,20 @@ class TestCayleyClass:
         with pytest.raises(ValueError):
             cayley_class(0)
 
+    def test_rejects_non_integer(self):
+        with pytest.raises(ValueError, match="n must be an integer, got 2.5"):
+            cayley_class(2.5)
+
+    def test_rejects_bool(self):
+        with pytest.raises(ValueError, match="n must be a positive integer, got True"):
+            cayley_class(True)
+
+    def test_canonical_algebra_rejects_non_integer(self):
+        with pytest.raises(ValueError, match="Leavitt index n must be an integer"):
+            CanonicalAlgebra(3.5, 1)
+        with pytest.raises(ValueError, match="matrix size d must be an integer"):
+            CanonicalAlgebra(4, "3")
+
     @pytest.mark.parametrize("n", list(range(1, 31)))
     def test_residues(self, n):
         cls = cayley_class(n)

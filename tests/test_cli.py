@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import io
 import itertools
 import json
@@ -13,9 +14,10 @@ import pytest
 from graph_strategies import graph_from_pairs, permute
 
 from lpa_invariants import cli
-from lpa_invariants.classify import CanonicalAlgebra, CayleyClass
+from lpa_invariants.classify import CanonicalAlgebra, CayleyClass, cayley_class
 from lpa_invariants.cli import invariant_report, run
 from lpa_invariants.graphs import cayley_graph, graph_to_dict, stemmed_rose_graph
+from lpa_invariants.ktheory import analyse
 from lpa_invariants.monoid import crosscheck_cokernel, mstar_group, presentation, saturate
 
 
@@ -265,6 +267,39 @@ class TestTable:
             "error: table: n=3: closed form class KLEIN4 has canonical L(1,2), "
             "computed -\n"
         )
+
+    @pytest.mark.parametrize("fmt", ["md", "json"])
+    @pytest.mark.parametrize(
+        "wrong_det, message",
+        [
+            ({3: 5, 6: 1}, "n=3: closed form class KLEIN4 has det -4, computed 5"),
+            ({6: 1}, "n=6: closed form class ZxZ has det 0, computed 1"),
+        ],
+        ids=["klein4", "zxz"],
+    )
+    def test_det_column_checked_against_class(
+        self, monkeypatch, fmt, wrong_det, message
+    ):
+        # Neither wrong det changes the canonical column: KLEIN4 and ZxZ
+        # have non-cyclic K0, so only the det check can see it.
+        real = cli.analyse
+
+        def patched(g):
+            analysis = real(g)
+            if g.n_vertices in wrong_det:
+                return dataclasses.replace(analysis, det=wrong_det[g.n_vertices])
+            return analysis
+
+        monkeypatch.setattr(cli, "analyse", patched)
+        code, out, err = invoke(["table", "--max", "6", "--format", fmt])
+        assert (code, out, err) == (6, "", f"error: table: {message}\n")
+
+    def test_closed_form_matches_analyse(self):
+        for n in range(1, 61):
+            analysis = analyse(cayley_graph(n))
+            cls = cayley_class(n)
+            computed = (analysis.k0.group.factors, analysis.det)
+            assert (cls.k0_factors, cls.det) == computed, n
 
 
 class TestMonoid:

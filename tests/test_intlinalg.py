@@ -336,6 +336,14 @@ class TestSparseSmith:
         with pytest.raises(ValueError):
             sparse_smith([{2: 1}], 2)
 
+    @pytest.mark.parametrize("key", [0.0, "a", None])
+    def test_rejects_non_integer_column(self, key):
+        with pytest.raises(ValueError, match="is not an integer"):
+            sparse_smith([{key: 1}], 1)
+
+    def test_integer_like_column_is_coerced(self):
+        assert sparse_smith([{True: 2}, {False: 3}], 2).det == -6
+
     def test_dense_coefficient_growth_stays_cheap(self):
         # On dense input the pivot order decides how large u and v grow.
         rng = random.Random(40)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -430,6 +431,36 @@ class TestMstarGroup:
         assert table.invariant_factors() == (60,)
         with pytest.raises(ValueError):
             table.order_of(60)
+
+    @pytest.mark.parametrize(
+        "moduli, factors", [((3, 3, 3, 3), (3, 3, 3, 3)), ((2, 4, 8), (2, 4, 8))]
+    )
+    def test_product_table_built_directly(self, moduli, factors):
+        # Class ids number the elements of Z/m1 + ... + Z/mk in a shuffled
+        # order; the table adds coordinatewise.
+        elements = list(itertools.product(*(range(m) for m in moduli)))
+        ids = list(range(len(elements)))
+        random.Random(len(elements)).shuffle(ids)
+        class_of = dict(zip(elements, ids))
+
+        def add(x, y):
+            return tuple((a + b) % m for a, b, m in zip(x, y, moduli))
+
+        table = FiniteGroupTable(
+            element_class_ids=tuple(ids),
+            table=tuple(
+                tuple(class_of[add(x, y)] for y in elements) for x in elements
+            ),
+            identity_class=class_of[(0,) * len(moduli)],
+            inverses=tuple(
+                class_of[tuple(-a % m for a, m in zip(x, moduli))] for x in elements
+            ),
+        )
+        for x, c in class_of.items():
+            assert table.order_of(c) == math.lcm(
+                *(m // math.gcd(a, m) for a, m in zip(x, moduli))
+            )
+        assert table.invariant_factors() == factors
 
     def test_identity_is_vertex_sum(self):
         for n in (1, 2, 3, 4, 5, 7):
