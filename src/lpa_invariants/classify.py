@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import Literal, Optional
 
 from .graphs import Graph, pis_report
-from .ktheory import PointedK0, _as_index, analyse, pointed_iso_exists
+from .intlinalg import _as_index
+from .ktheory import PointedK0, analyse, pointed_iso_exists
 
 __all__ = [
     "KPVerdict",

@@ -68,8 +68,49 @@ def _load_graph(path: str) -> Graph:
         raise _CliError(f"{path}: {exc}") from None
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """`json.dumps(value, indent=2)`, byte for byte.
+
+    With an indent the json module leaves its C encoder for a pure-Python
+    one, which costs about a fifth of an `invariants --json` op.  Here only
+    the nesting is walked in Python: dicts, and lists and tuples, each item
+    on its own line.  Every leaf is written by what json itself uses: a
+    string by its C `encode_basestring_ascii`, a plain int by `int.__repr__`
+    (a list of plain ints in one `join`), anything else by `json.dumps`.
+    Bools are not plain ints, so they never take the int step.  Dict keys
+    must be str (schema 1 has no others); any other key raises TypeError.
+    """
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        if set(map(type, value)) == {int}:
+            body = ("," + inner).join(map(repr, value))
+        else:
+            body = ("," + inner).join([_json_text(item, inner) for item in value])
+        return "[" + inner + body + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+            items.append(_encode_str(key) + ": " + _json_text(item, inner))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, str):
+        return _encode_str(value)
+    if type(value) is int:
+        return repr(value)
+    return json.dumps(value)
+
+
 def _write_graph(g: Graph, path: str | None, out: IO[str]) -> None:
-    text = json.dumps(graph_to_dict(g), indent=2) + "\n"
+    text = _json_text(graph_to_dict(g)) + "\n"
     if path is None:
         out.write(text)
     else:
@@ -173,7 +214,7 @@ def _cmd_stemmed_rose(args, out, err) -> int:
 def _cmd_invariants(args, out, err) -> int:
     report = invariant_report(_load_graph(args.file))
     if args.json:
-        out.write(json.dumps(report, indent=2) + "\n")
+        out.write(_json_text(report) + "\n")
     else:
         _print_invariants_text(report, out)
     return 0
@@ -187,7 +228,7 @@ def _cmd_classify(args, out, err) -> int:
             "outcome": verdict.outcome,
             "trace": [list(item) for item in verdict.trace],
         }
-        out.write(json.dumps(payload, indent=2) + "\n")
+        out.write(_json_text(payload) + "\n")
     else:
         out.write(f"outcome: {verdict.outcome}\n")
         for check, result in verdict.trace:
@@ -246,7 +287,7 @@ def _cmd_table(args, out, err) -> int:
     rows = _table_rows(args.max)
     if args.format == "json":
         payload = {"schema": SCHEMA_VERSION, "rows": rows}
-        out.write(json.dumps(payload, indent=2) + "\n")
+        out.write(_json_text(payload) + "\n")
     else:
         out.write("| n | k0_factors | det | det_sign | class | canonical |\n")
         out.write("|---:|---|---:|---|---|---|\n")
@@ -296,7 +337,7 @@ def _cmd_monoid(args, out, err) -> int:
             ),
             "crosscheck": crosscheck,
         }
-        out.write(json.dumps(payload, indent=2) + "\n")
+        out.write(_json_text(payload) + "\n")
     else:
         out.write(f"bound: {classes.bound}\n")
         out.write(f"stabilized: {classes.stabilized}\n")

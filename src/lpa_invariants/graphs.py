@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, NamedTuple
 
-from .intlinalg import IntMatrix
+from .intlinalg import IntMatrix, _as_index
 
 __all__ = [
     "Edge",
@@ -147,7 +147,7 @@ def cayley_graph(n: int) -> Graph:
     n=1 gives a single vertex with two loops, n=2 two vertices with two
     parallel edges in each direction.
     """
-    if n < 1:
+    if isinstance(n, bool) or (n := _as_index(n, "n")) < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     vertices = tuple(f"v{i}" for i in range(1, n + 1))
     edges = [Edge(f"e{i}", i - 1, i % n) for i in range(1, n + 1)]
@@ -157,16 +157,16 @@ def cayley_graph(n: int) -> Graph:
 
 def rose_graph(n: int) -> Graph:
     """Rose with n petals: one vertex and n loops."""
-    if n < 1:
+    if isinstance(n, bool) or (n := _as_index(n, "n")) < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     return Graph(("v1",), tuple(Edge(f"g{i}", 0, 0) for i in range(1, n + 1)))
 
 
 def stemmed_rose_graph(n: int, d: int) -> Graph:
     """Two vertices, d-1 stem edges v1 -> v2, and n loops at v2."""
-    if n < 2:
+    if isinstance(n, bool) or (n := _as_index(n, "n")) < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-    if d < 2:
+    if isinstance(d, bool) or (d := _as_index(d, "d")) < 2:
         raise ValueError(f"d must be at least 2, got {d}")
     stem = tuple(Edge(f"h{i}", 0, 1) for i in range(1, d))
     loops = tuple(Edge(f"g{i}", 1, 1) for i in range(1, n + 1))

@@ -41,6 +41,14 @@ __all__ = [
 ]
 
 
+def _as_index(x, what: str) -> int:
+    """`x` as an int; floats, strings and other non-integers are rejected."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {x!r}") from None
+
+
 def _coerce_rows(entries) -> tuple[tuple[int, ...], ...]:
     rows = tuple(tuple(operator.index(x) for x in row) for row in entries)
     if rows:

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
 from .graphs import Graph
-from .intlinalg import IntMatrix, sparse_smith
+from .intlinalg import IntMatrix, _as_index, sparse_smith
 
 __all__ = [
     "INFINITE",
@@ -35,14 +34,6 @@ __all__ = [
 INFINITE: float = math.inf
 
 IsoVerdict = Literal["YES", "NO"]
-
-
-def _as_index(x, what: str) -> int:
-    """`x` as an int; floats, strings and other non-integers are rejected."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {x!r}") from None
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,8 @@ from typing import Literal, Union
 import numpy as np
 
 from .graphs import Graph
-from .ktheory import _as_index, _coprime_base, _valuation, cokernel_pointed, element_order
+from .intlinalg import _as_index
+from .ktheory import _coprime_base, _valuation, cokernel_pointed, element_order
 
 __all__ = [
     "NOT_CLOSED",

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import pytest
 from graph_strategies import graph_from_pairs, permute
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lpa_invariants import cli
 from lpa_invariants.classify import CanonicalAlgebra, CayleyClass, cayley_class
@@ -516,3 +519,94 @@ def test_runtime_imports_match_declared_dependencies():
         specs = tomllib.load(handle)["project"]["dependencies"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower() for spec in specs}
     assert third_party == declared == {"numpy"}
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.sampled_from([2**64, -(2**64), 2**64 + 1, -(2**100) - 7]),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1e300, -1e-300, math.nan, math.inf, -math.inf]),
+    st.text(),
+    st.text(alphabet='"\\/\x00\x01\x1f\x7f\n\t\u00e9\u2028\U0001f600 a'),
+    st.lists(st.integers()),
+    st.lists(st.one_of(st.booleans(), st.integers())),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestJsonText:
+    """`cli._json_text` writes the bytes of `json.dumps(value, indent=2)`."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_JSON_VALUES)
+    @example([True, 1])
+    @example([1, True, 2**64, -(2**70)])
+    @example((1,))
+    @example([(), [], {}, [[]], {"a": {}}, [[{}], ()]])
+    @example({"s": "\"\\\x00\u00e9\U0001f600", "f": [-0.0, 1e300, math.nan, -math.inf]})
+    def test_matches_json_dumps(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value", [{1: 2}, {None: 1}, {("a",): 1}, [{"a": {2.5: "x"}}], {"a": 1, True: 2}]
+    )
+    def test_rejects_non_str_keys(self, value):
+        with pytest.raises(TypeError, match="JSON keys must be str"):
+            cli._json_text(value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cayley", "--n", "5"],
+        ["rose", "--n", "3"],
+        ["stemmed-rose", "--n", "4", "--d", "3"],
+        ["invariants", "C6", "--json"],
+        ["invariants", "C7", "--json"],
+        ["classify", "C3", "C7", "--json"],
+        ["classify", "C6", "C6", "--json"],
+        ["table", "--max", "13", "--format", "json"],
+        ["monoid", "C3", "--bound", "8", "--json"],
+        ["monoid", "C6", "--bound", "8", "--json"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_json_outputs_have_the_indent_2_layout(c_files, tmp_path, argv):
+    argv = [c_files[int(a[1:])] if re.fullmatch(r"C\d+", a) else a for a in argv]
+    code, out, err = invoke(argv)
+    assert code == 0 or argv[0] == "classify", err
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    if argv[0] == "monoid" and argv[1] == c_files[6]:
+        assert json.loads(out)["group"] == "NOT_CLOSED"
+    if argv[0] in ("cayley", "rose", "stemmed-rose"):
+        path = tmp_path / "graph.json"
+        assert invoke(argv + ["--out", str(path)]) == (0, "", "")
+        assert path.read_text(encoding="utf-8") == out
+
+
+def test_no_json_call_passes_an_indent():
+    """An indent sends json to its pure-Python encoder; JSON output goes
+    through `cli._json_text` instead."""
+    root = Path(__file__).resolve().parent.parent
+    offenders = []
+    for path in sorted((root / "src" / "lpa_invariants").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("dump", "dumps")
+                and any(k.arg == "indent" for k in node.keywords)
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

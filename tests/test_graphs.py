@@ -165,6 +165,32 @@ class TestRoseAndStemmedRose:
             stemmed_rose_graph(4, 1)
 
 
+class TestBuilderArguments:
+    @pytest.mark.parametrize(
+        "builder, args, message",
+        [
+            (cayley_graph, (True,), "n must be a positive integer, got True"),
+            (cayley_graph, (2.5,), "n must be an integer, got 2.5"),
+            (cayley_graph, ("3",), "n must be an integer, got '3'"),
+            (rose_graph, (True,), "n must be a positive integer, got True"),
+            (rose_graph, (2.5,), "n must be an integer, got 2.5"),
+            (stemmed_rose_graph, (2.5, 3), "n must be an integer, got 2.5"),
+            (stemmed_rose_graph, (3, 2.5), "d must be an integer, got 2.5"),
+            (stemmed_rose_graph, (3, True), "d must be at least 2, got True"),
+            (stemmed_rose_graph, (3, None), "d must be an integer, got None"),
+        ],
+    )
+    def test_rejects(self, builder, args, message):
+        with pytest.raises(ValueError) as excinfo:
+            builder(*args)
+        assert str(excinfo.value) == message
+
+    def test_integer_like_arguments(self):
+        assert cayley_graph(np.int64(4)) == cayley_graph(4)
+        assert rose_graph(np.int8(3)) == rose_graph(3)
+        assert stemmed_rose_graph(np.int64(4), np.int32(3)) == stemmed_rose_graph(4, 3)
+
+
 class TestAdjacency:
     def test_c3(self):
         assert adjacency_matrix(cayley_graph(3)).entries == (
