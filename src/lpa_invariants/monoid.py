@@ -6,8 +6,10 @@ decided inside a box: all vectors of N^n with coordinate sum <= bound,
 in lexicographic order, are partitioned by the congruence generated by
 single-relation rewrites (both directions) plus translation closure.
 The rewrites are contracted into class labels by a hook-and-compress
-union-find, and each translation round contracts its violating pairs
-into those labels.  Conclusions therefore carry the bound, and a
+union-find.  The translation closure makes one sorted pass over the box
+per level, after which it works on the classes alone: rounds of
+congruence closure on the quotient, each contracting its violating
+pairs into the same labels.  Conclusions therefore carry the bound, and a
 stabilisation flag (nonzero class counts unchanged over the last two
 bound increments) gates everything downstream.  The three levels are
 swept in order of coordinate sum: each starts from the closure of the
@@ -49,8 +51,24 @@ NOT_CLOSED: str = "NOT_CLOSED"
 
 CrosscheckVerdict = Literal["MATCH", "MISMATCH", "INCONCLUSIVE"]
 
-# Hard cap on the number of box vectors a single saturation may enumerate.
-_MAX_BOX_VECTORS = 20_000_000
+# Hard cap on the memory one saturation may take, checked against
+# `_box_bytes_per_vector` before anything is allocated.
+_MAX_BOX_BYTES = 2 << 30
+
+# Box coordinates are int16.
+_MAX_COORDINATE = 32767
+
+
+def _box_bytes_per_vector(n: int) -> int:
+    """Upper estimate of a saturation's peak bytes per box vector, for n
+    generators: 2n bytes of coordinates and at most 256 for the rest.
+
+    The peak comes while rewrite edges are merged.  Measured with
+    tracemalloc, it was 143-158 bytes per vector for C_9..C_12 at bound
+    12, and at most 250 and 264 for cycles of 16 and 24 vertices, where
+    each relation has one term and so applies to the most vectors.
+    """
+    return 256 + 2 * n
 
 
 @dataclass(frozen=True)
@@ -124,27 +142,33 @@ def default_bound(p: MonoidPresentation) -> int:
 
 
 def _box_vectors(n: int, bound: int) -> np.ndarray:
-    cache: dict[tuple[int, int], np.ndarray] = {}
+    """The box in lex order, as an F-ordered (N, n) int16 array.
 
-    def build(k: int, r: int) -> np.ndarray:
+    The box of k coordinates and sum <= r is, for c = 0..r in turn, c
+    followed by the box of k - 1 coordinates and sum <= r - c.  Each
+    block is written in place, column by column; a (k, r) block already
+    written is copied rather than rebuilt.
+    """
+    out = np.empty((math.comb(n + bound, n), n), dtype=np.int16, order="F")
+    written: dict[tuple[int, int], np.ndarray] = {}
+
+    def fill(block: np.ndarray, k: int, r: int) -> None:
         if k == 0:
-            return np.zeros((1, 0), dtype=np.int16)
-        key = (k, r)
-        got = cache.get(key)
+            return
+        got = written.get((k, r))
         if got is not None:
-            return got
-        blocks = []
+            block[...] = got
+            return
+        start = 0
         for c in range(r + 1):
-            sub = build(k - 1, r - c)
-            block = np.empty((sub.shape[0], k), dtype=np.int16)
-            block[:, 0] = c
-            block[:, 1:] = sub
-            blocks.append(block)
-        out = np.concatenate(blocks, axis=0)
-        cache[key] = out
-        return out
+            size = math.comb(r - c + k - 1, k - 1)
+            block[start : start + size, 0] = c
+            fill(block[start : start + size, 1:], k - 1, r - c)
+            start += size
+        written[(k, r)] = block
 
-    return build(n, bound)
+    fill(out, n, bound)
+    return out
 
 
 def _elementary_edges(p, bound, vectors, sums):
@@ -199,16 +223,20 @@ def _merge(labels, left, right):
     root onto the smallest root it is paired with, and pointer-jumps
     until nothing changes.  A root only ever hooks onto a smaller root,
     so the pointers form a forest, and each round ends with every label
-    on a root.  The ids that come out are not contiguous; the
-    translation closure pairs consecutive members of each class after a
-    stable sort, so it joins the same pairs whatever the ids are, and the
-    final relabel by first member makes them canonical.
+    on a root.  The result has the dtype of `labels`.
+
+    The saturation starts from labels[r] = r, so each class id is the
+    least rank in its class, and labels[r] == r for every class id r:
+    class ids can be passed as `left` and `right`, and `labels[ids]` maps
+    the ids of an older labelling onto the current ones.
     """
     if left.size == 0:
         return labels
-    a = labels[left].astype(np.int32)  # ids stay below _MAX_BOX_VECTORS
-    b = labels[right].astype(np.int32)
-    parent = np.arange(int(labels.max()) + 1, dtype=np.int32)
+    # int32 ids: the byte cap keeps the box far below 2**31 vectors
+    a = labels[left].astype(np.int32, copy=False)
+    b = labels[right].astype(np.int32, copy=False)
+    ids = np.arange(int(labels.max()) + 1, dtype=np.int32)
+    parent = ids.copy()
     while True:
         a, b = parent[a], parent[b]
         apart = a != b
@@ -216,12 +244,15 @@ def _merge(labels, left, right):
             break
         a, b = a[apart], b[apart]
         np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        # only hooked ids have parent[i] != i, so only they can jump
+        hooked = np.flatnonzero(parent != ids)
         while True:
-            jumped = parent[parent]
-            if np.array_equal(jumped, parent):
+            up = parent[hooked]
+            jumped = parent[up]
+            if np.array_equal(jumped, up):
                 break
-            parent = jumped
-    return parent[labels].astype(np.int64)
+            parent[hooked] = jumped
+    return parent[labels].astype(labels.dtype, copy=False)
 
 
 def _close_under_translation(labels, sub, subpos, images):
@@ -230,31 +261,63 @@ def _close_under_translation(labels, sub, subpos, images):
     Closure under adding one generator at a time implies closure under
     adding any vector, since partial translates stay inside the box.
     `images[k][i]` is the rank of sub[i] + e_k; `subpos` selects the part
-    of `sub` whose translates stay within the effective bound.  Each round
-    contracts the violating pairs into the current labels.
+    of `sub` whose translates stay within the effective bound.
+
+    One sorted pass joins the images of consecutive members of each
+    class under each +e_k, so afterwards each class C of the old labels
+    has all its images under +e_k in one class, that of rows[k][C] (the
+    image of one member).  The rest is congruence closure on the
+    quotient, one round at a time: old classes that now share a class
+    must have equal image classes, so each is joined, generator by
+    generator, to the one old class that stands for its class, and is
+    then dropped, since it can never differ from that one again.  A
+    round costs old classes x n, not box size x n.  Returns the labels
+    and the number of pairs joined.
     """
-    sub_b = sub[subpos]
+    lab = labels[sub[subpos]]
+    order = np.argsort(lab, kind="stable")
+    lab = lab[order]
+    pos = subpos[order]
+    same = lab[1:] == lab[:-1]
+    if not same.any():
+        return labels, 0
     joins = 0
-    while sub_b.size >= 2:
-        lab = labels[sub_b]
-        order = np.argsort(lab, kind="stable")
-        lab_sorted = lab[order]
-        adjacent = lab_sorted[1:] == lab_sorted[:-1]
-        if not adjacent.any():
+    out_a, out_b = [], []
+    for img in images:
+        ranked = img[pos]
+        left = ranked[:-1][same]
+        right = ranked[1:][same]
+        bad = labels[left] != labels[right]
+        out_a.append(left[bad])
+        out_b.append(right[bad])
+    firsts = np.flatnonzero(np.concatenate(([True], ~same)))
+    owners = lab[firsts]  # old class ids
+    rows = [img[pos[firsts]] for img in images]
+    stand_in = np.empty(len(labels), dtype=np.int32)
+    while True:
+        left = np.concatenate(out_a)
+        if left.size == 0:
             break
+        joins += int(left.size)
+        labels = _merge(labels, left, np.concatenate(out_b))
+        cls = labels[owners]
+        own = np.arange(cls.size, dtype=np.int32)
+        stand_in[cls] = own  # one of the old classes in each class
+        head = stand_in[cls]
+        dup = head != own
+        if not dup.any():
+            break
+        others, heads = own[dup], head[dup]
         out_a, out_b = [], []
-        for img in images:
-            ranked = img[subpos][order]
-            left = ranked[:-1][adjacent]
-            right = ranked[1:][adjacent]
-            bad = labels[left] != labels[right]
-            if bad.any():
-                out_a.append(left[bad])
-                out_b.append(right[bad])
-        if not out_a:
-            break
-        joins += int(sum(a.size for a in out_a))
-        labels = _merge(labels, np.concatenate(out_a), np.concatenate(out_b))
+        for row in rows:
+            a = labels[row[others]]
+            b = labels[row[heads]]
+            bad = a != b
+            out_a.append(a[bad])
+            out_b.append(b[bad])
+        keep = ~dup
+        owners = owners[keep]
+        rows = [row[keep] for row in rows]
     return labels, joins
 
 
@@ -264,17 +327,28 @@ def _saturate_box(p: MonoidPresentation, bound: int) -> CongruenceClasses:
 
     The closure at bound b-1 holds at bound b too, so each level starts
     from the previous level's labels and adds only the elementary edges
-    whose larger endpoint sum is b.  No vector is ranked by formula: the
-    shift w -> w + e_k maps `sub` (sum <= bound - 1, in rank order) in
-    order onto the box vectors with v_k >= 1, so the ranks of the shifts
-    are the list of those (`_shift_images`), and the rewrite edges come
-    off the lex order the same way (`_elementary_edges`).
+    whose larger endpoint sum is b, then closes under translation with
+    one sorted pass and class-level rounds (`_close_under_translation`).
+    No vector is ranked by formula: the shift w -> w + e_k maps `sub`
+    (sum <= bound - 1, in rank order) in order onto the box vectors with
+    v_k >= 1, so the ranks of the shifts are the list of those
+    (`_shift_images`), and the rewrite edges come off the lex order the
+    same way (`_elementary_edges`).  The box is column-major, so each of
+    those reads one contiguous column.  Every class id is the least rank
+    in its class (`_merge`), so the classes are listed, in order of
+    their least members, by the ranks r with labels[r] == r.
     """
     n = p.generator_count
-    total = math.comb(n + bound, n)
-    if total > _MAX_BOX_VECTORS:
+    if n and bound > _MAX_COORDINATE:
         raise ValueError(
-            f"saturation box has {total} vectors (limit {_MAX_BOX_VECTORS}); "
+            f"bound {bound} exceeds the largest box coordinate {_MAX_COORDINATE}"
+        )
+    total = math.comb(n + bound, n)
+    need = total * _box_bytes_per_vector(n)
+    if need > _MAX_BOX_BYTES:
+        raise ValueError(
+            f"saturation box has {total} vectors, needing about "
+            f"{need >> 20} MiB (limit {_MAX_BOX_BYTES >> 20} MiB); "
             "pass a smaller bound"
         )
     vectors = _box_vectors(n, bound)
@@ -286,7 +360,8 @@ def _saturate_box(p: MonoidPresentation, bound: int) -> CongruenceClasses:
     sub_sums = sums[sub]
     images = _shift_images(vectors)
 
-    labels = np.arange(total, dtype=np.int64)
+    ranks = np.arange(total, dtype=np.int32)
+    labels = ranks
     joins = 0
     counts: dict[int, int] = {}  # nonzero classes at bound-2 and bound-1
     done = -1  # edges with elem_esum <= done are already in `labels`
@@ -296,20 +371,21 @@ def _saturate_box(p: MonoidPresentation, bound: int) -> CongruenceClasses:
         new = (elem_esum > done) & (elem_esum <= b)
         done = b
         labels = _merge(labels, elem_src[new], elem_dst[new])
+        if b == bound:  # the edges are done with: lower the peak
+            del new, elem_src, elem_dst, elem_esum
         subpos = np.flatnonzero(sub_sums <= b - 1)
         labels, joins = _close_under_translation(labels, sub, subpos, images)
         if b < bound:
-            counts[b] = int(np.unique(labels[sums <= b]).size) - 1
+            # classes at level b hold only vectors of sum <= b
+            counts[b] = int(np.count_nonzero((labels == ranks) & (sums <= b))) - 1
 
     # Canonical class ids: order classes by their lexicographically least
     # member, so the zero vector always lands in class 0.
-    uniq, first = np.unique(labels, return_index=True)
-    ncomp = int(uniq.size)
-    order = np.argsort(first, kind="stable")
-    relabel = np.empty(uniq.max() + 1, dtype=np.int64)
-    relabel[uniq[order]] = np.arange(ncomp)
+    first_member = np.flatnonzero(labels == ranks)
+    ncomp = int(first_member.size)
+    relabel = np.empty(total, dtype=np.int64)
+    relabel[first_member] = np.arange(ncomp)
     labels = relabel[labels]
-    first_member = first[order]
     sizes = np.bincount(labels, minlength=ncomp)
 
     for arr in (vectors, labels, first_member, sizes):
@@ -338,8 +414,10 @@ class CongruenceClasses:
     `stabilized` records whether the nonzero class count was unchanged at
     bounds bound-2, bound-1 and bound.  `translation_joins` counts the
     pairs the translation closure joined at the final bound, starting from
-    the bound-1 closure plus the rewrites that reach sum `bound`; joins
-    made at the lower levels are not counted again.  The rewrite edges are
+    the bound-1 closure plus the rewrites that reach sum `bound`: the
+    pairs of image vectors its sorted pass joined plus the pairs of image
+    classes its class-level rounds joined.  Joins made at the lower
+    levels are not counted again.  The rewrite edges are
     not kept: `rewrite_path` rebuilds them from the presentation.
     """
 
@@ -375,14 +453,30 @@ class CongruenceClasses:
     def class_of(self, vec) -> int:
         return int(self.labels[self.rank_of(vec)])
 
+    def _class_index(self, class_id) -> int:
+        class_id = _as_index(class_id, "class id")
+        if not 0 <= class_id < self.class_count:
+            raise ValueError(
+                f"class id {class_id} out of range 0..{self.class_count - 1}"
+            )
+        return class_id
+
     def representative(self, class_id: int) -> tuple[int, ...]:
         """Lexicographically least member of the class."""
+        class_id = self._class_index(class_id)
         return tuple(int(x) for x in self.vectors[self._first_member[class_id]])
 
     def representatives(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.representative(c) for c in range(self.class_count))
 
     def members(self, class_id: int, limit: int | None = None) -> list[tuple[int, ...]]:
+        """Members of the class in lexicographic order, the first `limit`
+        of them when `limit` is given."""
+        class_id = self._class_index(class_id)
+        if limit is not None:
+            limit = _as_index(limit, "limit")
+            if limit < 0:
+                raise ValueError(f"limit must be nonnegative, got {limit}")
         idx = np.flatnonzero(self.labels == class_id)
         if limit is not None:
             idx = idx[:limit]
@@ -431,11 +525,14 @@ def saturate(p: MonoidPresentation, bound: int) -> CongruenceClasses:
     Every vector is rewritten through every relation in both directions
     (endpoints staying in the box), the resulting pairs are closed into
     equivalence classes, and the partition is then closed under
-    translation, each round merging class labels.  The stabilisation flag
+    translation: one sorted pass over the box, then rounds on the classes
+    alone, each merging class labels.  The stabilisation flag
     compares nonzero class counts at bound-2, bound-1 and bound; the
     levels are computed in that order, each one from the closure of the
     one before plus the rewrites whose larger endpoint sum is the new
-    level.  `bound` must be an integer.
+    level.  `bound` must be an integer; a box whose estimated memory
+    exceeds `_MAX_BOX_BYTES` is refused with ValueError before anything
+    is allocated.
     """
     bound = _as_index(bound, "bound")
     needed = max([1] + [sum(rhs) for _, rhs in p.relations])

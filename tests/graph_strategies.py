@@ -1,7 +1,7 @@
 """Hypothesis strategies for small directed multigraphs.
 
-Shared by the differential and metamorphic tests.  Drawn graphs have 0 to
-`max_vertices` vertices and each ordered pair (loops included) carries
+Shared by the differential and metamorphic tests.  Drawn graphs have
+`min_vertices` (default 0) to `max_vertices` vertices and each ordered pair (loops included) carries
 0 to `max_mult` parallel edges, so sinks, sources, isolated vertices,
 parallel edges and singular B = I - A^t (a vertex whose only edge is one
 loop gives a zero row) all turn up.  `NAMED_GRAPHS` pins each of those
@@ -19,8 +19,10 @@ def graph_from_pairs(n: int, pairs) -> Graph:
 
 
 @st.composite
-def multigraphs(draw, max_vertices: int = 7, max_mult: int = 3) -> Graph:
-    n = draw(st.integers(0, max_vertices))
+def multigraphs(
+    draw, max_vertices: int = 7, max_mult: int = 3, min_vertices: int = 0
+) -> Graph:
+    n = draw(st.integers(min_vertices, max_vertices))
     pairs = []
     for s in range(n):
         for r in range(n):

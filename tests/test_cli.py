@@ -332,6 +332,58 @@ class TestMonoid:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "n, bound",
+        [
+            (11, 40),  # C(51, 11) vectors
+            (1, 40_000),  # past the int16 coordinates
+        ],
+    )
+    def test_oversized_box_is_an_error(self, tmp_path, n, bound):
+        path = tmp_path / f"c{n}.json"
+        assert invoke(["cayley", "--n", str(n), "--out", str(path)])[0] == 0
+        code, out, err = invoke(["monoid", str(path), "--bound", str(bound)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "n, bound, reps, group",
+        [
+            (7, 11, [[0] * 7, [0] * 6 + [1]], ([1], 1, [], [[1]])),
+            (
+                9,
+                9,
+                [[0] * 9, [0] * 8 + [1], [0] * 8 + [2], [0] * 7 + [1, 0], [0] * 7 + [1, 1]],
+                ([1, 2, 3, 4], 2, [2, 2], [[2, 1, 4, 3], [1, 2, 3, 4], [4, 3, 2, 1], [3, 4, 1, 2]]),
+            ),
+            (11, 8, [[0] * 11, [0] * 10 + [1]], ([1], 1, [], [[1]])),
+        ],
+    )
+    def test_benchmark_cayley_shapes_pinned(self, tmp_path, n, bound, reps, group):
+        """`monoid --json` on the largest Cayley boxes of the `monoid-box`
+        benchmark, as the whole-box translation rounds computed them."""
+        path = tmp_path / f"c{n}.json"
+        assert invoke(["cayley", "--n", str(n), "--out", str(path)])[0] == 0
+        code, out, err = invoke(["monoid", str(path), "--bound", str(bound), "--json"])
+        assert (code, err) == (0, "")
+        ids, identity, factors, table = group
+        assert json.loads(out) == {
+            "schema": 1,
+            "bound": bound,
+            "stabilized": True,
+            "classes": len(reps),
+            "nonzero_classes": len(reps) - 1,
+            "representatives": reps,
+            "group": {
+                "order": len(ids),
+                "element_class_ids": ids,
+                "identity_class": identity,
+                "invariant_factors": factors,
+                "table": table,
+            },
+            "crosscheck": "MATCH",
+        }
+
     @pytest.mark.parametrize("n, bound", [(3, 8), (6, 10), (7, 11)])
     def test_json_agrees_with_public_api(self, c_files, n, bound):
         """The command's own crosscheck gives what the public calls give."""

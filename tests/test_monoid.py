@@ -191,6 +191,82 @@ class TestSaturate:
         assert c.class_of(v1) == c.class_of((1, 0, 0)) != 0
 
 
+class TestClassQueries:
+    """`representative` and `members` take class ids 0..class_count-1 and
+    a nonnegative integer `limit`, as `_as_index` reads integers."""
+
+    C = saturate(presentation(C3), 8)
+
+    @pytest.mark.parametrize("class_id", [-1, 5, 99])
+    def test_representative_rejects_ids_outside_the_classes(self, class_id):
+        with pytest.raises(ValueError, match="out of range 0..4"):
+            self.C.representative(class_id)
+
+    @pytest.mark.parametrize("class_id", [-1, 5, 99])
+    def test_members_rejects_ids_outside_the_classes(self, class_id):
+        with pytest.raises(ValueError, match="out of range 0..4"):
+            self.C.members(class_id)
+
+    @pytest.mark.parametrize("class_id", [1.0, 2.5, "1", None])
+    def test_rejects_non_integer_ids(self, class_id):
+        with pytest.raises(ValueError, match="class id must be an integer"):
+            self.C.representative(class_id)
+        with pytest.raises(ValueError, match="class id must be an integer"):
+            self.C.members(class_id)
+
+    def test_rejects_negative_limit(self):
+        with pytest.raises(ValueError, match="limit must be nonnegative"):
+            self.C.members(1, limit=-1)
+
+    @pytest.mark.parametrize("limit", [2.5, "2"])
+    def test_rejects_non_integer_limit(self, limit):
+        with pytest.raises(ValueError, match="limit must be an integer"):
+            self.C.members(1, limit=limit)
+
+    def test_integer_like_ids_and_limits(self):
+        c = self.C
+        everything = c.members(1)
+        assert len(everything) == int(c.class_sizes[1]) > 2
+        assert c.members(np.int64(1), limit=np.int8(2)) == everything[:2]
+        assert c.members(1, limit=0) == []
+        assert c.members(1, limit=len(everything) + 5) == everything
+        assert c.representative(np.int64(4)) == c.representatives()[4]
+        assert c.representative(1) == everything[0]
+
+
+class TestBoxCap:
+    def test_over_cap_box_is_refused_before_enumerating(self, monkeypatch):
+        def enumerated(*args):
+            raise AssertionError("the box was enumerated")
+
+        monkeypatch.setattr(monoid, "_box_vectors", enumerated)
+        monkeypatch.setattr(monoid, "_elementary_edges", enumerated)
+        p = presentation(cayley_graph(20))
+        with pytest.raises(ValueError, match="pass a smaller bound"):
+            saturate(p, 12)  # C(32, 12) = 225,792,840 vectors
+
+    @pytest.mark.parametrize("n", [9, 10, 11, 12])
+    def test_cap_admits_cayley_boxes_at_bound_12(self, n):
+        need = math.comb(n + 12, n) * monoid._box_bytes_per_vector(n)
+        assert need <= monoid._MAX_BOX_BYTES
+
+    def test_bound_beyond_int16_coordinates_is_refused(self, monkeypatch):
+        monkeypatch.setattr(monoid, "_box_vectors", None)
+        with pytest.raises(ValueError, match="largest box coordinate 32767"):
+            saturate(presentation(cayley_graph(1)), 32768)
+
+    def test_no_generators_take_any_bound(self):
+        c = saturate(presentation(NAMED_GRAPHS["empty"]), 40_000)
+        assert (c.class_count, c.stabilized, len(c.vectors)) == (1, True, 1)
+
+    def test_box_is_column_major_and_read_only(self):
+        c = saturate(presentation(cayley_graph(4)), 6)
+        assert c.vectors.shape == (math.comb(10, 4), 4)
+        assert c.vectors.dtype == np.int16
+        assert c.vectors.flags.f_contiguous
+        assert not c.vectors.flags.writeable
+
+
 @settings(deadline=None, max_examples=50)
 @given(multigraphs(max_vertices=5, max_mult=2), st.integers(0, 4))
 @example(NAMED_GRAPHS["empty"], 0)
@@ -559,6 +635,96 @@ class TestAgainstNaiveReference:
             frozenset(c.members(class_id)) for class_id in range(c.class_count)
         }
         assert fast == naive_partition(p, bound)
+
+
+def _closure_reference(labels, sub, subpos, images):
+    """The translation closure with whole-box rounds: each round sorts the
+    labels of the sub-box stably and joins, under every +e_k, the images
+    of consecutive members of each class, until a round finds no
+    violating pair."""
+    sub_b = sub[subpos]
+    joins = 0
+    while sub_b.size >= 2:
+        lab = labels[sub_b]
+        order = np.argsort(lab, kind="stable")
+        lab_sorted = lab[order]
+        adjacent = lab_sorted[1:] == lab_sorted[:-1]
+        if not adjacent.any():
+            break
+        out_a, out_b = [], []
+        for img in images:
+            ranked = img[subpos][order]
+            left = ranked[:-1][adjacent]
+            right = ranked[1:][adjacent]
+            bad = labels[left] != labels[right]
+            if bad.any():
+                out_a.append(left[bad])
+                out_b.append(right[bad])
+        if not out_a:
+            break
+        joins += int(sum(a.size for a in out_a))
+        labels = monoid._merge(labels, np.concatenate(out_a), np.concatenate(out_b))
+    return labels, joins
+
+
+def _canonical(labels):
+    """Class ids renumbered in order of each class's first position."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
+
+
+def assert_closures_agree(p, bound):
+    """Run one `saturate` sweep in which every level's closure runs both
+    `_closure_reference` and `_close_under_translation` on the same
+    labels, and require the same canonical labels from both; then the
+    whole saturation with the reference alone against the new closure.
+    Returns the number of levels compared."""
+    closure = monoid._close_under_translation
+    levels = []
+
+    def both(labels, sub, subpos, images):
+        want, _ = _closure_reference(labels, sub, subpos, images)
+        got, joins = closure(labels, sub, subpos, images)
+        assert np.array_equal(_canonical(got), _canonical(want))
+        levels.append(joins)
+        return got, joins
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monoid, "_close_under_translation", both)
+        fast = saturate(p, bound)
+        mp.setattr(monoid, "_close_under_translation", _closure_reference)
+        slow = saturate(p, bound)
+    assert np.array_equal(fast.labels, slow.labels)
+    assert np.array_equal(fast.class_sizes, slow.class_sizes)
+    assert fast.class_count == slow.class_count
+    assert fast.stabilized == slow.stabilized
+    assert fast.representatives() == slow.representatives()
+    return len(levels)
+
+
+def _largest_bound(n, vectors):
+    """Largest bound whose box in N^n has at most `vectors` vectors."""
+    b = 0
+    while math.comb(n + b + 1, n) <= vectors:
+        b += 1
+    return b
+
+
+class TestClosureAgainstReference:
+    @settings(deadline=None, max_examples=25)
+    @given(multigraphs(max_vertices=6, max_mult=2, min_vertices=4), st.integers(0, 20))
+    @example(cayley_graph(4), 20)
+    @example(rose_graph(5), 3)
+    @example(NAMED_GRAPHS["rank_one"], 20)
+    def test_hypothesis_multigraphs(self, g, extra):
+        """4-6 vertices, boxes of at most 50,000 vectors."""
+        p = presentation(g)
+        bound = min(needed_bound(p) + extra, _largest_bound(g.n_vertices, 50_000))
+        assert assert_closures_agree(p, bound) == min(3, bound + 1)
+
+    @pytest.mark.parametrize("n, bound", [(7, 11), (8, 10), (9, 9), (10, 8), (11, 8)])
+    def test_monoid_box_cayley_shapes(self, n, bound):
+        assert assert_closures_agree(presentation(cayley_graph(n)), bound) == 3
 
 
 @settings(deadline=None, max_examples=150)
