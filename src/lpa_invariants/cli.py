@@ -58,7 +58,7 @@ def _load_graph(path: str) -> Graph:
             data = json.load(handle)
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise _CliError(f"{path} is not valid JSON: {exc}") from None
     except RecursionError:
         raise _CliError(f"{path} is not valid JSON: nesting too deep") from None
@@ -440,10 +440,7 @@ def run(argv, stdout: IO[str] | None = None, stderr: IO[str] | None = None) -> i
     except _CliError as exc:
         err.write(f"error: {exc}\n")
         return exc.exit_code
-    except ValueError as exc:
-        err.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return 2
 

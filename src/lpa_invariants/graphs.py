@@ -5,6 +5,8 @@ each of its two neighbours), roses (one vertex, n loops) and stemmed
 roses (a stem vertex feeding a rose), along with adjacency matrices, a
 strict JSON (de)serialisation, and the graph-theoretic conditions under
 which the associated Leavitt path algebra is purely infinite simple.
+`Graph` checks its edges in one pass, and `graph_from_dict` each wire
+edge in one loop; both raise ValueError for the first fault.
 """
 
 from __future__ import annotations
@@ -42,24 +44,31 @@ class Graph:
 
     Vertex order is significant: it fixes the row/column order of every
     matrix derived from the graph.  Parallel edges and loops are allowed.
-    Edge endpoints are vertex indices: integers (anything `operator.index`
-    takes, so not floats or strings), stored as int.
+    Each edge is an `Edge` or any (id, source, range) triple; its
+    endpoints are vertex indices: integers (anything `operator.index`
+    takes, so not floats or strings), stored as int.  An `Edge` whose
+    endpoints are already plain ints is kept as the same object.
+
+    Invalid input raises ValueError for its first fault, in this order:
+    `vertices` given as one string; a vertex id that is not a string; a
+    repeated vertex id; an edge that is not a triple (the first such);
+    an edge id that is not a string; a repeated edge id; then, edge by
+    edge, an endpoint that is not an integer or not in range.
     """
 
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
+        if isinstance(self.vertices, str):
+            raise ValueError("vertices must be a sequence of strings, not one string")
         vertices = tuple(self.vertices)
         if not all(isinstance(v, str) for v in vertices):
             raise ValueError("vertex identifiers must be strings")
         if len(set(vertices)) != len(vertices):
             raise ValueError("vertex identifiers must be pairwise distinct")
-        edges = tuple(self.edges)
-        if not _plain_edges(edges, len(vertices)):
-            edges = _checked_edges(edges, len(vertices))
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", _checked_edges(self.edges, len(vertices)))
 
     @property
     def n_vertices(self) -> int:
@@ -93,50 +102,46 @@ class Graph:
         return tuple(deg)
 
 
-def _plain_edges(edges: tuple, n: int) -> bool:
-    """True when every edge is an `Edge` with a string id and int endpoints
-    in range(n), and the ids are pairwise distinct: one pass that accepts
-    the usual input as it stands."""
-    ids = set()
+def _checked_edges(edges, n: int) -> tuple[Edge, ...]:
+    """`edges` as `Edge`s with int endpoints in range(n), in one pass that
+    notes each fault and raises the first in the order `Graph` gives.  An
+    `Edge` with int endpoints is kept; any other triple is rebuilt."""
+    edges = tuple(edges)
+    ids = []
+    rebuilt = {}  # position -> the rebuilt Edge
+    id_fault = False
+    fault = None
     for e in edges:
-        if type(e) is not Edge:
-            return False
-        eid, s, r = e
-        if not (
-            type(eid) is str
-            and type(s) is int
-            and type(r) is int
-            and 0 <= s < n
-            and 0 <= r < n
-        ):
-            return False
-        ids.add(eid)
-    return len(ids) == len(edges)
-
-
-def _checked_edges(edges: tuple, n: int) -> tuple[Edge, ...]:
-    """`edges` as `Edge`s with int endpoints, or ValueError for the first
-    fault: an id that is not a string, a repeated id, then, edge by edge,
-    an endpoint that is not an integer or not in range(n)."""
-    edges = tuple(Edge(*e) for e in edges)
-    ids = [e.id for e in edges]
-    if not all(isinstance(i, str) for i in ids):
+        try:
+            eid, s, r = e
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"edge #{len(ids)} must be an (id, source, range) triple"
+            ) from None
+        ids.append(eid)
+        if not isinstance(eid, str):
+            id_fault = True
+        if type(e) is not Edge or type(s) is not int or type(r) is not int:
+            if fault is None:
+                try:
+                    s, r = operator.index(s), operator.index(r)
+                except TypeError:
+                    fault = (
+                        f"edge {eid!r} has a non-integer vertex index: "
+                        f"source {s!r}, range {r!r}"
+                    )
+            rebuilt[len(ids) - 1] = Edge(eid, s, r)
+        if fault is None and not (0 <= s < n and 0 <= r < n):
+            fault = f"edge {eid!r} references an invalid vertex index"
+    if id_fault:
         raise ValueError("edge ids must be strings")
     if len(set(ids)) != len(ids):
         raise ValueError("edge ids must be pairwise distinct")
-    checked = []
-    for e in edges:
-        try:
-            s, r = operator.index(e.source), operator.index(e.range)
-        except TypeError:
-            raise ValueError(
-                f"edge {e.id!r} has a non-integer vertex index: "
-                f"source {e.source!r}, range {e.range!r}"
-            ) from None
-        if not (0 <= s < n and 0 <= r < n):
-            raise ValueError(f"edge {e.id!r} references an invalid vertex index")
-        checked.append(Edge(e.id, s, r))
-    return tuple(checked)
+    if fault is not None:
+        raise ValueError(fault)
+    if rebuilt:
+        edges = tuple(rebuilt.get(k, e) for k, e in enumerate(edges))
+    return edges
 
 
 def cayley_graph(n: int) -> Graph:
@@ -423,26 +428,6 @@ def graph_to_dict(g: Graph) -> dict:
     }
 
 
-def _edge_from_dict(k: int, item, index: dict[str, int]) -> Edge:
-    """Edge #k of the wire format, or ValueError naming its first fault."""
-    if not isinstance(item, dict):
-        raise ValueError(f"edge #{k} must be an object")
-    unknown = set(item) - {"id", "source", "range"}
-    if unknown:
-        raise ValueError(f"edge #{k} has unknown fields: {sorted(unknown)}")
-    try:
-        eid, src, rng = item["id"], item["source"], item["range"]
-    except KeyError as exc:
-        raise ValueError(f"edge #{k} is missing field {exc}") from None
-    if not all(isinstance(x, str) for x in (eid, src, rng)):
-        raise ValueError(f"edge #{k} fields must be strings")
-    if src not in index:
-        raise ValueError(f"edge {eid!r} references unknown vertex {src!r}")
-    if rng not in index:
-        raise ValueError(f"edge {eid!r} references unknown vertex {rng!r}")
-    return Edge(eid, index[src], index[rng])
-
-
 def graph_from_dict(data) -> Graph:
     if not isinstance(data, dict):
         raise ValueError("graph JSON must be an object")
@@ -460,18 +445,34 @@ def graph_from_dict(data) -> Graph:
     raw_edges = data["edges"]
     if not isinstance(raw_edges, list):
         raise ValueError("'edges' must be a list")
-    # Every edge takes one exact test: an object with exactly the three
-    # fields, all strings, naming known vertices.  Only an edge that fails
-    # it goes through `_edge_from_dict`, which words the fault.
+    # Each edge raises its first fault, in this order: not an object, an unknown
+    # field, a missing field, a non-string field, an unknown vertex.
     edges = []
     make = tuple.__new__  # builds the Edge without its Python-level __new__
     for item in raw_edges:
-        if type(item) is dict and len(item) == 3:
-            eid, src, rng = item.get("id"), item.get("source"), item.get("range")
-            if type(eid) is str and type(src) is str and type(rng) is str:
-                s, r = index.get(src), index.get(rng)
-                if s is not None and r is not None:
-                    edges.append(make(Edge, (eid, s, r)))
-                    continue
-        edges.append(_edge_from_dict(len(edges), item, index))
+        if type(item) is not dict and not isinstance(item, dict):
+            raise ValueError(f"edge #{len(edges)} must be an object")
+        try:
+            eid, src, rng = item["id"], item["source"], item["range"]
+        except KeyError as exc:
+            missing = exc
+        else:
+            missing = None
+        # An exact dict with the three fields and three items has no other
+        # field; a `defaultdict` adds only the fields read.
+        if missing is not None or len(item) != 3 or type(item) is not dict:
+            if unknown := set(item) - {"id", "source", "range"}:
+                raise ValueError(
+                    f"edge #{len(edges)} has unknown fields: {sorted(unknown)}"
+                )
+            if missing is not None:
+                raise ValueError(f"edge #{len(edges)} is missing field {missing}")
+        if not (isinstance(eid, str) and isinstance(src, str) and isinstance(rng, str)):
+            raise ValueError(f"edge #{len(edges)} fields must be strings")
+        s, r = index.get(src), index.get(rng)
+        if s is None:
+            raise ValueError(f"edge {eid!r} references unknown vertex {src!r}")
+        if r is None:
+            raise ValueError(f"edge {eid!r} references unknown vertex {rng!r}")
+        edges.append(make(Edge, (eid, s, r)))
     return Graph(tuple(vertices), tuple(edges))

@@ -83,15 +83,8 @@ class IntMatrix:
     def identity(cls, n: int) -> IntMatrix:
         return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> IntMatrix:
-        return cls(tuple((0,) * cols for _ in range(rows)))
-
     def transpose(self) -> IntMatrix:
         return IntMatrix(tuple(zip(*self.entries))) if self.entries else self
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
 
     def __sub__(self, other: IntMatrix) -> IntMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -215,9 +208,6 @@ class SmithDecomposition:
     d: tuple[int, ...]
     u: IntMatrix
     v: IntMatrix
-
-    def diagonal(self, rows: int, cols: int) -> IntMatrix:
-        return diagonal_matrix(self.d, rows, cols)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

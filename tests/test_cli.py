@@ -106,6 +106,22 @@ def test_deeply_nested_json_is_one_error_line(tmp_path, command):
     assert "nesting too deep" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "invariants", "classify", "monoid"])
+def test_non_utf8_file_is_named_in_the_error(tmp_path, command):
+    """A file that is not UTF-8 is reported like any other JSON fault:
+    exit 2, nothing on stdout, one `error:` line naming the file."""
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"vertices": ["\xff"], "edges": []}')
+    files = [str(bad)] * (2 if command == "classify" else 1)
+    code, out, err = invoke([command, *files])
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: {bad} is not valid JSON: 'utf-8' codec can't decode byte 0xff "
+        "in position 15: invalid start byte\n"
+    )
+
+
 class TestInvariants:
     def test_json_c3(self, c_files):
         code, out, _ = invoke(["invariants", c_files[3], "--json"])

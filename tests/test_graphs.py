@@ -1,8 +1,13 @@
+import copy
+import operator
+from collections import Counter, OrderedDict, defaultdict
+
 import networkx as nx
 import numpy as np
 import pytest
 from graph_strategies import NAMED_GRAPHS, multigraphs
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lpa_invariants.graphs import (
     Edge,
@@ -101,6 +106,27 @@ class TestGraphValidation:
         with pytest.raises(ValueError) as excinfo:
             Graph(("a",), edges)
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "item",
+        [5, None, ("e", 0, 0, 9), ("e", 0), {"id": "e"}, "e0"],
+        ids=["int", "none", "four-items", "two-items", "one-key-dict", "two-chars"],
+    )
+    def test_edge_that_is_not_a_triple(self, item):
+        with pytest.raises(ValueError) as excinfo:
+            Graph(("a",), [Edge("e", 0, 0), item])
+        assert str(excinfo.value) == "edge #1 must be an (id, source, range) triple"
+
+    def test_edge_that_is_not_a_triple_is_reported_first(self):
+        edges = [Edge(1, 0, 0), Edge("e", 0, 5), Edge("e", 0.5, 0), ("f", 0), 5]
+        with pytest.raises(ValueError) as excinfo:
+            Graph(("a",), edges)
+        assert str(excinfo.value) == "edge #3 must be an (id, source, range) triple"
+
+    def test_vertices_given_as_one_string(self):
+        with pytest.raises(ValueError) as excinfo:
+            Graph("abc", ())
+        assert str(excinfo.value) == "vertices must be a sequence of strings, not one string"
 
 
 class TestCayleyGraph:
@@ -476,3 +502,320 @@ class TestGraphJSON:
         with pytest.raises(ValueError) as excinfo:
             graph_from_dict(data)
         assert str(excinfo.value) == message
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the one-pass checks against the validators they
+# replaced.  `Graph` used to take a fast test (`_plain_edges`) and, when it
+# failed, a second validator (`_checked_edges`); `graph_from_dict` had an
+# inline test per edge and `_edge_from_dict` to word a fault.  Both are kept
+# here, as they were, as the reference.  The one-pass checks must give the
+# same vertices and edges (the same `Edge` objects where the reference kept
+# them) or the same exception with the same message.  Two answers differ on
+# purpose: an edge that is not an (id, source, range) triple, where the
+# reference raised TypeError, and `vertices` given as one string, which the
+# reference split into one-character vertices.
+# ---------------------------------------------------------------------------
+
+
+def _reference_plain_edges(edges: tuple, n: int) -> bool:
+    ids = set()
+    for e in edges:
+        if type(e) is not Edge:
+            return False
+        eid, s, r = e
+        if not (
+            type(eid) is str
+            and type(s) is int
+            and type(r) is int
+            and 0 <= s < n
+            and 0 <= r < n
+        ):
+            return False
+        ids.add(eid)
+    return len(ids) == len(edges)
+
+
+def _reference_checked_edges(edges: tuple, n: int) -> tuple:
+    edges = tuple(Edge(*e) for e in edges)
+    ids = [e.id for e in edges]
+    if not all(isinstance(i, str) for i in ids):
+        raise ValueError("edge ids must be strings")
+    if len(set(ids)) != len(ids):
+        raise ValueError("edge ids must be pairwise distinct")
+    checked = []
+    for e in edges:
+        try:
+            s, r = operator.index(e.source), operator.index(e.range)
+        except TypeError:
+            raise ValueError(
+                f"edge {e.id!r} has a non-integer vertex index: "
+                f"source {e.source!r}, range {e.range!r}"
+            ) from None
+        if not (0 <= s < n and 0 <= r < n):
+            raise ValueError(f"edge {e.id!r} references an invalid vertex index")
+        checked.append(Edge(e.id, s, r))
+    return tuple(checked)
+
+
+def _reference_graph(vertices, edges) -> tuple:
+    """(vertices, edges) as the reference `Graph.__post_init__` stored them."""
+    vertices = tuple(vertices)
+    if not all(isinstance(v, str) for v in vertices):
+        raise ValueError("vertex identifiers must be strings")
+    if len(set(vertices)) != len(vertices):
+        raise ValueError("vertex identifiers must be pairwise distinct")
+    edges = tuple(edges)
+    if not _reference_plain_edges(edges, len(vertices)):
+        edges = _reference_checked_edges(edges, len(vertices))
+    return vertices, edges
+
+
+def _reference_edge_from_dict(k: int, item, index: dict) -> Edge:
+    if not isinstance(item, dict):
+        raise ValueError(f"edge #{k} must be an object")
+    unknown = set(item) - {"id", "source", "range"}
+    if unknown:
+        raise ValueError(f"edge #{k} has unknown fields: {sorted(unknown)}")
+    try:
+        eid, src, rng = item["id"], item["source"], item["range"]
+    except KeyError as exc:
+        raise ValueError(f"edge #{k} is missing field {exc}") from None
+    if not all(isinstance(x, str) for x in (eid, src, rng)):
+        raise ValueError(f"edge #{k} fields must be strings")
+    if src not in index:
+        raise ValueError(f"edge {eid!r} references unknown vertex {src!r}")
+    if rng not in index:
+        raise ValueError(f"edge {eid!r} references unknown vertex {rng!r}")
+    return Edge(eid, index[src], index[rng])
+
+
+def _reference_graph_from_dict(data) -> tuple:
+    if not isinstance(data, dict):
+        raise ValueError("graph JSON must be an object")
+    unknown = set(data) - {"vertices", "edges"}
+    if unknown:
+        raise ValueError(f"unknown graph fields: {sorted(unknown)}")
+    if "vertices" not in data or "edges" not in data:
+        raise ValueError("graph JSON requires 'vertices' and 'edges'")
+    vertices = data["vertices"]
+    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+        raise ValueError("'vertices' must be a list of strings")
+    index = {name: i for i, name in enumerate(vertices)}
+    if len(index) != len(vertices):
+        raise ValueError("vertex identifiers must be pairwise distinct")
+    raw_edges = data["edges"]
+    if not isinstance(raw_edges, list):
+        raise ValueError("'edges' must be a list")
+    edges = []
+    make = tuple.__new__
+    for item in raw_edges:
+        if type(item) is dict and len(item) == 3:
+            eid, src, rng = item.get("id"), item.get("source"), item.get("range")
+            if type(eid) is str and type(src) is str and type(rng) is str:
+                s, r = index.get(src), index.get(rng)
+                if s is not None and r is not None:
+                    edges.append(make(Edge, (eid, s, r)))
+                    continue
+        edges.append(_reference_edge_from_dict(len(edges), item, index))
+    return _reference_graph(tuple(vertices), tuple(edges))
+
+
+class Name(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+class SubEdge(Edge):
+    __slots__ = ()
+
+
+class SubDict(dict):
+    pass
+
+
+def _outcome(build, *args):
+    """("ok", (vertices, edges)) or (exception type, message)."""
+    try:
+        return "ok", build(*args)
+    except Exception as exc:  # the type is part of what is compared
+        return type(exc), str(exc)
+
+
+def _graph_parts(vertices, edges):
+    g = Graph(vertices, edges)
+    return g.vertices, g.edges
+
+
+def _dict_parts(data):
+    g = graph_from_dict(data)
+    return g.vertices, g.edges
+
+
+def _is_triple(item) -> bool:
+    try:
+        return len(tuple(item)) == 3
+    except TypeError:
+        return False
+
+
+def _assert_same_graph(got, want, given_edges=()):
+    """Equal graphs, checked edges of the exact types, and each given edge
+    the reference kept kept too."""
+    assert got == want
+    vertices, edges = got[1]
+    assert type(vertices) is tuple and type(edges) is tuple
+    assert all(type(e) is Edge for e in edges)
+    assert all(type(e.source) is int and type(e.range) is int for e in edges)
+    for new, ref, given in zip(edges, want[1][1], given_edges):
+        if ref is given:
+            assert new is given
+
+
+# "e0" repeats the first edge's id
+ODD_IDS = st.sampled_from([0, None, True, b"e0", ["e0"], Name("e0"), Name("x"), "e0", ""])
+ODD_ENDS = st.sampled_from(
+    [None, 0.0, 0.5, "0", True, False, -1, 10**30, ["0"], Count(1)]
+    + [np.int64(0), np.int32(1), np.int64(-1), np.int64(9), np.uint8(1)]
+)
+RESHAPES = (
+    lambda e: e,
+    tuple,
+    list,
+    lambda e: SubEdge(*e),
+    lambda e: tuple(e)[:2],
+    lambda e: tuple(e) + (0,),
+    lambda e: 5,
+    lambda e: None,
+    lambda e: {"id": e[0]},
+    lambda e: {"id": e[0], "source": e[1], "range": e[2]},
+    lambda e: "e01",
+)
+
+
+@st.composite
+def mutated_edge_lists(draw):
+    """(vertices, edges) of a valid multigraph after 0-3 changes, most of
+    them faults."""
+    g = draw(multigraphs(max_vertices=4, max_mult=2))
+    vertices, edges = list(g.vertices), list(g.edges)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["id", "source", "range", "shape", "vertex"]))
+        if kind == "vertex":
+            if vertices:
+                i = draw(st.integers(0, len(vertices) - 1))
+                vertices[i] = draw(st.sampled_from([None, 0, Name("w"), vertices[0]]))
+            continue
+        if not edges:
+            continue
+        k = draw(st.integers(0, len(edges) - 1))
+        e = edges[k]
+        if not _is_triple(e):
+            continue
+        eid, s, r = e
+        if kind == "id":
+            edges[k] = Edge(draw(ODD_IDS), s, r)
+        elif kind == "shape":
+            edges[k] = draw(st.sampled_from(RESHAPES))(Edge(eid, s, r))
+        else:
+            value = draw(ODD_ENDS | st.integers(-2, 6))
+            edges[k] = Edge(eid, value, r) if kind == "source" else Edge(eid, s, value)
+    return tuple(vertices), edges
+
+
+# JSON null, other JSON values, an unhashable value, a str subclass naming
+# a known vertex, an unknown vertex, and "v0"/"e0" (a repeated edge id)
+ODD_WIRE_VALUES = st.sampled_from(
+    [None, 0, 1.5, True, ["v0"], {"v0": 1}, Name("v0"), "vX", "", "v0", "e0"]
+)
+WIRE_RESHAPES = (
+    list,
+    lambda item: "e",
+    lambda item: None,
+    lambda item: 7,
+    lambda item: list(item.values()),
+    SubDict,
+    OrderedDict,
+    lambda item: defaultdict(str, item),
+    lambda item: defaultdict(None, item),
+    Counter,
+)
+
+
+@st.composite
+def mutated_wire_dicts(draw):
+    """The wire-format dict of a valid multigraph after 0-3 changes, most
+    of them faults."""
+    data = graph_to_dict(draw(multigraphs(max_vertices=4, max_mult=2)))
+    vertices, edges = data["vertices"], data["edges"]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["set", "drop", "add", "rename", "shape", "vertex"]))
+        if kind == "vertex":
+            if vertices:
+                i = draw(st.integers(0, len(vertices) - 1))
+                vertices[i] = draw(st.sampled_from([None, Name("w"), vertices[0]]))
+            continue
+        if not edges:
+            continue
+        k = draw(st.integers(0, len(edges) - 1))
+        item = edges[k]
+        if not isinstance(item, dict):
+            continue
+        field = draw(st.sampled_from(["id", "source", "range"]))
+        if kind == "set":
+            item[field] = draw(ODD_WIRE_VALUES)
+        elif kind == "drop":
+            item.pop(field, None)
+        elif kind == "add":
+            item[draw(st.sampled_from(["x", "Id", "ranges"]))] = "v0"
+        elif kind == "rename":
+            if field in item:
+                item["x"] = item.pop(field)
+        else:
+            edges[k] = draw(st.sampled_from(WIRE_RESHAPES))(item)
+    return data
+
+
+class TestAgainstReferenceValidators:
+    @settings(deadline=None, max_examples=400)
+    @given(mutated_edge_lists())
+    @example((("a", "b"), [Edge("e", 0, 1), Edge("f", 1, 0)]))
+    @example((("a",), [Edge("e", np.int64(0), True), ("f", 0, 0)]))
+    @example((("a",), [Edge(None, 0, 0), Edge("e", 0, 0), Edge("e", 0, 9)]))
+    @example((("a",), [Edge("e", 0, 5), Edge("e", np.int64(0), 0)]))
+    @example((("a",), [Edge("e", 0.5, 0), [1, 2], ("f", 0, 0, 0)]))
+    @example((("a",), [{"id": "e", "source": 0, "range": 0}]))
+    @example(("ab", [Edge("e", 0, 1)]))
+    def test_graph(self, case):
+        vertices, edges = case
+        got = _outcome(_graph_parts, vertices, list(edges))
+        want = _outcome(_reference_graph, vertices, list(edges))
+        if isinstance(vertices, str):
+            assert got == (ValueError, "vertices must be a sequence of strings, not one string")
+        elif want[0] is TypeError:
+            first = next(k for k, item in enumerate(edges) if not _is_triple(item))
+            assert got == (ValueError, f"edge #{first} must be an (id, source, range) triple")
+        elif want[0] == "ok":
+            _assert_same_graph(got, want, edges)
+        else:
+            assert got == want
+
+    @settings(deadline=None, max_examples=400)
+    @given(mutated_wire_dicts())
+    @example({"vertices": ["v0"], "edges": [{"id": None, "source": "v0", "range": "v0"}]})
+    @example({"vertices": ["v0"], "edges": [{"id": "e", "source": "v0", "x": "v0"}]})
+    @example({"vertices": ["v0"], "edges": [SubDict(id="e", source="v0", range="v0")]})
+    @example({"vertices": ["v0"], "edges": [defaultdict(str, id="e", source="v0")]})
+    @example({"vertices": ["v0"], "edges": [Counter(id="e", source="v0", x="v0")]})
+    @example({"vertices": ["v0"], "edges": [{"id": Name("e"), "source": "v0", "range": "v0"}]})
+    def test_graph_from_dict(self, data):
+        # a defaultdict edge gains the fields it is asked for: one copy each
+        got = _outcome(_dict_parts, copy.deepcopy(data))
+        want = _outcome(_reference_graph_from_dict, copy.deepcopy(data))
+        if want[0] == "ok":
+            _assert_same_graph(got, want)
+        else:
+            assert got == want
