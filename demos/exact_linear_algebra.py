@@ -1,8 +1,9 @@
 """Exact integer linear algebra underneath the K-theory computations.
 
 Shows a Smith normal form with its unimodular transforms, the
-fraction-free determinant, and the circulant determinant formula
-cross-checking the exact value.
+fraction-free determinant, the determinant of a Cayley graph from its
+module Z[x]/(x^n - 1, x^2 - x + 1) on a 2 x 2 companion power, and the
+circulant determinant formula cross-checking the exact value.
 """
 
 from lpa_invariants import (
@@ -10,8 +11,10 @@ from lpa_invariants import (
     IntMatrix,
     analyse,
     b_matrix,
+    cayley_class,
     cayley_graph,
     circulant_det_product,
+    circulant_k0,
     det_exact,
     smith_normal_form,
 )
@@ -38,17 +41,31 @@ print("\nu @ T @ v really is diag(d); |det u| =", abs(det_exact(dec.u)),
 print("The cokernel Z^3 / Im(T) is Z/%d + Z/%d + Z/%d." % dec.d)
 
 print("\nDeterminants of B = I - A^t for Cayley graphs: read off the Smith")
-print("elimination's pivots, checked against Bareiss and the circulant product:")
+print("elimination's pivots, checked against Bareiss; from the module")
+print("Z[x]/(x^n - 1, x^2 - x + 1) on the 2 x 2 companion power C^n - I")
+print("(`circulant_k0`, no graph built); and the floating circulant product:")
 for n in range(1, 13):
     g = cayley_graph(n)
     b = b_matrix(g)
     det = analyse(g).det
     assert det == det_exact(b)
+    module_det = circulant_k0(n).det
+    assert module_det == det
     product = circulant_det_product(CirculantRow(b.entries[0])).product
     print(
-        f"  n={n:>2}  det = {det:>2}  circulant product = {product.real:+.9f}"
+        f"  n={n:>7}  det = {det:>2}  module det = {module_det:>2}"
+        f"  circulant product = {product.real:+.9f}"
         f"  (agree to {abs(product - det):.2e})"
     )
+
+n = 10**6
+k0 = circulant_k0(n)
+assert (k0.group.factors, k0.det) == (cayley_class(n).k0_factors, cayley_class(n).det)
+print(
+    f"  n={n:>7}  det = --  module det = {k0.det:>2}"
+    f"  K0 = {k0.group.factors}, as cayley_class says (no graph of {n:,}"
+    " vertices built, so no elimination or product)"
+)
 
 print("\nThe determinant is never positive, and vanishes exactly when n is")
 print("a multiple of 6: the factor 1 - 2cos(2*pi*j/n) vanishes at j = n/6.")

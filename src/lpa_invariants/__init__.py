@@ -47,11 +47,13 @@ from .intlinalg import (
 from .ktheory import (
     INFINITE,
     AbelianGroup,
+    CirculantK0,
     GraphAnalysis,
     GroupElement,
     PointedK0,
     analyse,
     b_matrix,
+    circulant_k0,
     cokernel_pointed,
     element_order,
     pointed_iso_exists,
@@ -63,6 +65,7 @@ __all__ = [
     "AbelianGroup",
     "CanonicalAlgebra",
     "CayleyClass",
+    "CirculantK0",
     "CirculantRow",
     "CongruenceClasses",
     "Edge",
@@ -86,6 +89,7 @@ __all__ = [
     "cayley_class",
     "cayley_graph",
     "circulant_det_product",
+    "circulant_k0",
     "cokernel_pointed",
     "crosscheck_cokernel",
     "det_exact",

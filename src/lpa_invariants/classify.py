@@ -20,7 +20,7 @@ from typing import Literal, Optional
 
 from .graphs import Graph, pis_report
 from .intlinalg import _as_index
-from .ktheory import PointedK0, analyse, pointed_iso_exists
+from .ktheory import CirculantK0, PointedK0, analyse, pointed_iso_exists
 
 __all__ = [
     "KPVerdict",
@@ -191,7 +191,9 @@ def canonical_form(g: Graph) -> Optional[CanonicalAlgebra]:
     return _canonical(True, analysis.k0, analysis.det)
 
 
-def _canonical(pis: bool, k0: PointedK0, det: int) -> Optional[CanonicalAlgebra]:
+def _canonical(
+    pis: bool, k0: PointedK0 | CirculantK0, det: int
+) -> Optional[CanonicalAlgebra]:
     """The rule of `canonical_form`, on invariants already computed."""
     if not pis:
         return None

@@ -50,10 +50,11 @@ class Graph:
     endpoints are already plain ints is kept as the same object.
 
     Invalid input raises ValueError for its first fault, in this order:
-    `vertices` given as one string; a vertex id that is not a string; a
-    repeated vertex id; an edge that is not a triple (the first such);
-    an edge id that is not a string; a repeated edge id; then, edge by
-    edge, an endpoint that is not an integer or not in range.
+    `vertices` not iterable or given as one string; a vertex id that is
+    not a string; a repeated vertex id; `edges` not iterable; an edge
+    that is not a triple (the first such); an edge id that is not a
+    string; a repeated edge id; then, edge by edge, an endpoint that is
+    not an integer or not in range.
     """
 
     vertices: tuple[str, ...]
@@ -62,7 +63,7 @@ class Graph:
     def __post_init__(self) -> None:
         if isinstance(self.vertices, str):
             raise ValueError("vertices must be a sequence of strings, not one string")
-        vertices = tuple(self.vertices)
+        vertices = tuple(_iterable(self.vertices, "vertices"))
         if not all(isinstance(v, str) for v in vertices):
             raise ValueError("vertex identifiers must be strings")
         if len(set(vertices)) != len(vertices):
@@ -102,11 +103,21 @@ class Graph:
         return tuple(deg)
 
 
+def _iterable(value, name: str):
+    """An iterator over `value`; ValueError naming `name` if it has none."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise ValueError(
+            f"{name} must be iterable, not {type(value).__name__}"
+        ) from None
+
+
 def _checked_edges(edges, n: int) -> tuple[Edge, ...]:
     """`edges` as `Edge`s with int endpoints in range(n), in one pass that
     notes each fault and raises the first in the order `Graph` gives.  An
     `Edge` with int endpoints is kept; any other triple is rebuilt."""
-    edges = tuple(edges)
+    edges = tuple(_iterable(edges, "edges"))
     ids = []
     rebuilt = {}  # position -> the rebuilt Edge
     id_fault = False

@@ -6,6 +6,9 @@ form of B.  The left transform u of the decomposition carries the class
 of the i-th standard basis vector (the class [v_i] of vertex i) to its
 coordinates in the factor presentation; the distinguished element is the
 sum of all vertex classes, i.e. the class of the unit module.
+
+For the Cayley graph C_n, `circulant_k0` reads the same data off the
+module Z[x]/(x^n - 1, x^2 - x + 1), on a 2 x 2 matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Iterator, Literal, NamedTuple
 
 from .graphs import Graph
 from .intlinalg import IntMatrix, _as_index, sparse_smith
@@ -21,11 +24,13 @@ from .intlinalg import IntMatrix, _as_index, sparse_smith
 __all__ = [
     "INFINITE",
     "AbelianGroup",
+    "CirculantK0",
     "GroupElement",
     "GraphAnalysis",
     "PointedK0",
     "analyse",
     "b_matrix",
+    "circulant_k0",
     "cokernel_pointed",
     "element_order",
     "pointed_iso_exists",
@@ -203,6 +208,76 @@ def analyse(g: Graph) -> GraphAnalysis:
 def cokernel_pointed(g: Graph) -> PointedK0:
     """Pointed cokernel of B = I - A^t in invariant-factor form."""
     return analyse(g).k0
+
+
+class CirculantK0(NamedTuple):
+    """K0 group, unit class, det(I - A^t) and PIS flag of C_n.
+
+    The unit class is in the factor presentation of `group`, which need
+    not be the one `analyse` picks for the same graph; some isomorphism
+    of the groups carries the one unit class to the other.
+    """
+
+    group: AbelianGroup
+    distinguished: GroupElement
+    det: int
+    purely_infinite_simple: bool
+
+
+def _times(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """a * b in Z[x]/(x^2 - x + 1), on the coefficients of 1 and x."""
+    (a0, a1), (b0, b1) = a, b
+    return (a0 * b0 - a1 * b1, a0 * b1 + a1 * b0 + a1 * b1)  # x^2 = x - 1
+
+
+def circulant_k0(n: int) -> CirculantK0:
+    """`analyse` and `pis_report` of `cayley_graph(n)`, without building it.
+
+    With e_i = x^i, Z^n is Z[x]/(x^n - 1) and I - A^t multiplies by
+    1 - x - x^-1 = -x^-1 (x^2 - x + 1).  As x is a unit there, K0 =
+    Z[x]/(x^n - 1, x^2 - x + 1): Z^2 on 1 and x, where x acts as the
+    companion matrix C of x^2 - x + 1, modulo the image of C^n - I.
+    One binary recursion in Z[x]/(x^2 - x + 1) gives x^n and the unit
+    class sum_{i<n} x^i (the sum of the vertex classes): k -> 2k takes
+    x^k to (x^k)^2 and the sum to sum * (1 + x^k), and k -> k + 1 adds
+    x^k to the sum and multiplies x^k by x.  One `sparse_smith` of the
+    2 x 2 matrix C^n - I then gives the group, the unit's coordinates
+    and det(C^n - I).
+
+    Over C, multiplication by -x^-1 is -1 times a cyclic permutation,
+    with det (-1)^n (-1)^(n-1) = -1, and multiplication by x^2 - x + 1
+    has det prod_{w^n = 1} (w - a)(w - b) = (a^n - 1)(b^n - 1) =
+    det(C^n - I) over its roots a and b, so det(I - A^t) =
+    -det(C^n - I).  Every vertex emits two edges and the shift 1
+    reaches every vertex, so every cycle has an exit and the graph is
+    cofinal: the algebra is purely infinite simple for every n.
+
+    x is a sixth root of unity, so the coefficients stay small and the
+    work is O(log n).  Raises ValueError when n is not a positive
+    integer.
+    """
+    if isinstance(n, bool) or (n := _as_index(n, "n")) < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    power, total = (1, 0), (0, 0)  # x^k and sum_{i<k} x^i, at k = 0
+    for bit in bin(n)[2:]:
+        total = _times(total, (1 + power[0], power[1]))
+        power = _times(power, power)
+        if bit == "1":
+            total = (total[0] + power[0], total[1] + power[1])
+            power = _times(power, (0, 1))
+
+    column = (power[0] - 1, power[1])  # x^n - 1; C^n - I has it and x times it
+    columns = (column, _times(column, (0, 1)))
+    result = sparse_smith(
+        [{j: col[i] for j, col in enumerate(columns) if col[i]} for i in range(2)], 2
+    )
+    keep = [i for i, di in enumerate(result.d) if di != 1]
+    group = AbelianGroup(tuple(result.d[i] for i in keep))
+    coords = []
+    for i, di in zip(keep, group.factors):
+        c = sum(x * total[j] for j, x in result.u_rows[i].items())
+        coords.append(c % di if di else c)
+    return CirculantK0(group, GroupElement(tuple(coords)), -result.det, True)
 
 
 def element_order(group: AbelianGroup, x: GroupElement) -> int | float:

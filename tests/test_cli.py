@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import io
 import itertools
 import json
@@ -20,7 +19,7 @@ from lpa_invariants import cli
 from lpa_invariants.classify import CanonicalAlgebra, CayleyClass, cayley_class
 from lpa_invariants.cli import invariant_report, run
 from lpa_invariants.graphs import cayley_graph, graph_to_dict, stemmed_rose_graph
-from lpa_invariants.ktheory import analyse
+from lpa_invariants.ktheory import AbelianGroup, GroupElement, analyse
 from lpa_invariants.monoid import crosscheck_cokernel, mstar_group, presentation, saturate
 
 
@@ -301,15 +300,55 @@ class TestTable:
     ):
         # Neither wrong det changes the canonical column: KLEIN4 and ZxZ
         # have non-cyclic K0, so only the det check can see it.
-        real = cli.analyse
+        real = cli.circulant_k0
 
-        def patched(g):
-            analysis = real(g)
-            if g.n_vertices in wrong_det:
-                return dataclasses.replace(analysis, det=wrong_det[g.n_vertices])
-            return analysis
+        def patched(n):
+            k0 = real(n)
+            if n in wrong_det:
+                return k0._replace(det=wrong_det[n])
+            return k0
 
-        monkeypatch.setattr(cli, "analyse", patched)
+        monkeypatch.setattr(cli, "circulant_k0", patched)
+        code, out, err = invoke(["table", "--max", "6", "--format", fmt])
+        assert (code, out, err) == (6, "", f"error: table: {message}\n")
+
+    @pytest.mark.parametrize("fmt", ["md", "json"])
+    @pytest.mark.parametrize(
+        "n, change, message",
+        [
+            (
+                3,
+                {"group": AbelianGroup((4,)), "distinguished": GroupElement((0,))},
+                "n=3: closed form class KLEIN4 has k0_factors (2,2), computed (4)",
+            ),
+            (
+                4,
+                {"group": AbelianGroup((0,)), "distinguished": GroupElement((0,))},
+                "n=4: closed form class Z3 has k0_factors (3), computed (0)",
+            ),
+            (
+                2,
+                {"distinguished": GroupElement((1,))},
+                "n=2: closed form class Z3 has canonical M_3(L(1,4)), computed L(1,4)",
+            ),
+            (
+                5,
+                {"purely_infinite_simple": False},
+                "n=5: closed form class TRIVIAL_K0 has canonical L(1,2), computed -",
+            ),
+        ],
+        ids=["klein4-factor", "z3-factor", "unit-class", "pis-flag"],
+    )
+    def test_k0_and_canonical_columns_checked_against_class(
+        self, monkeypatch, fmt, n, change, message
+    ):
+        real = cli.circulant_k0
+
+        def patched(m):
+            k0 = real(m)
+            return k0._replace(**change) if m == n else k0
+
+        monkeypatch.setattr(cli, "circulant_k0", patched)
         code, out, err = invoke(["table", "--max", "6", "--format", fmt])
         assert (code, out, err) == (6, "", f"error: table: {message}\n")
 

@@ -128,6 +128,24 @@ class TestGraphValidation:
             Graph("abc", ())
         assert str(excinfo.value) == "vertices must be a sequence of strings, not one string"
 
+    @pytest.mark.parametrize(
+        "vertices, edges, message",
+        [
+            (("a",), 5, "edges must be iterable, not int"),
+            (("a",), None, "edges must be iterable, not NoneType"),
+            (5, (), "vertices must be iterable, not int"),
+            (None, None, "vertices must be iterable, not NoneType"),
+            ((1,), None, "vertex identifiers must be strings"),
+            (("a", "a"), 5, "vertex identifiers must be pairwise distinct"),
+        ],
+        ids=["int-edges", "none-edges", "int-vertices", "vertices-first",
+             "vertex-id-before-edges", "repeated-id-before-edges"],
+    )
+    def test_arguments_that_are_not_iterable(self, vertices, edges, message):
+        with pytest.raises(ValueError) as excinfo:
+            Graph(vertices, edges)
+        assert str(excinfo.value) == message
+
 
 class TestCayleyGraph:
     def test_c3(self):

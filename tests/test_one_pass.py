@@ -1,9 +1,11 @@
 """Each graph is eliminated once: K0, vertex images and det come from one
 `sparse_smith` call, and Bareiss stays off the command paths.  The work
 of that call on C_n grows linearly in n, and K0 builds only the rows of
-u it reads.  Each `lpainv monoid` call and each crosscheck saturates its
-box once, and the saturation ranks its translates off the box's lex
-order, never by the ranking formula."""
+u it reads.  A `table` row builds no graph: it is one `sparse_smith` of
+the 2 x 2 companion power of `circulant_k0`, with no `analyse` or PIS
+test.  Each `lpainv monoid` call and each crosscheck saturates its box
+once, and the saturation ranks its translates off the box's lex order,
+never by the ranking formula."""
 
 import io
 import json
@@ -11,26 +13,24 @@ import sys
 
 import pytest
 
-import lpa_invariants
 from lpa_invariants.classify import kp_decide
-from lpa_invariants import intlinalg, monoid
+from lpa_invariants import graphs, intlinalg, ktheory, monoid
 from lpa_invariants.cli import _table_rows, invariant_report, run
 from lpa_invariants.graphs import cayley_graph, graph_to_dict, stemmed_rose_graph
 from lpa_invariants.ktheory import analyse
 
 
-@pytest.fixture
-def calls(monkeypatch):
-    """Counts calls of the elimination and of Bareiss wherever the
-    package binds them."""
-    counts = {"sparse_smith": 0, "det_exact": 0}
+def counting_everywhere(monkeypatch, *functions):
+    """Counts calls of each function, by name, wherever the package binds
+    it."""
+    counts = {fn.__name__: 0 for fn in functions}
     modules = [
         module
         for name, module in list(sys.modules.items())
         if name == "lpa_invariants" or name.startswith("lpa_invariants.")
     ]
-    for name in counts:
-        original = getattr(lpa_invariants.intlinalg, name)
+    for original in functions:
+        name = original.__name__
 
         def counted(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
@@ -42,6 +42,12 @@ def calls(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts calls of the elimination and of Bareiss."""
+    return counting_everywhere(monkeypatch, intlinalg.sparse_smith, intlinalg.det_exact)
+
+
 def test_invariant_report_eliminates_once(calls):
     invariant_report(stemmed_rose_graph(4, 3))
     assert calls == {"sparse_smith": 1, "det_exact": 0}
@@ -50,6 +56,15 @@ def test_invariant_report_eliminates_once(calls):
 def test_table_rows_eliminate_once_per_row(calls):
     _table_rows(12)
     assert calls == {"sparse_smith": 12, "det_exact": 0}
+
+
+def test_table_rows_build_no_graph(monkeypatch):
+    counts = counting_everywhere(monkeypatch, ktheory.analyse, graphs.pis_report)
+    built = counting(monkeypatch, graphs.Graph, "__post_init__")
+    rows = _table_rows(500)
+    assert len(rows) == 500
+    assert counts == {"analyse": 0, "pis_report": 0}
+    assert built == {"__post_init__": 0}
 
 
 def test_kp_decide_eliminates_each_graph_once(calls):
