@@ -15,9 +15,9 @@ classical Leavitt algebra L(1, n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Literal, Optional
 
+from ._record import record
 from .graphs import Graph, pis_report
 from .intlinalg import _as_index
 from .ktheory import CirculantK0, PointedK0, analyse, pointed_iso_exists
@@ -45,7 +45,7 @@ EXIT_CODES: dict[str, int] = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class KPVerdict:
     """Outcome plus the ordered trace of checks that produced it."""
 
@@ -53,7 +53,7 @@ class KPVerdict:
     trace: tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
+@record
 class CanonicalAlgebra:
     """M_d(L(1, n)): d x d matrices over the Leavitt algebra L(1, n).
 
@@ -90,7 +90,7 @@ _CLOSED_FORM = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class CayleyClass:
     """Isomorphism class of the cyclic-Cayley-graph algebras for one
     residue pattern mod 6."""

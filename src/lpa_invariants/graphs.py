@@ -12,10 +12,10 @@ edge in one loop; both raise ValueError for the first fault.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, NamedTuple
 
+from ._record import record
 from .intlinalg import IntMatrix, _as_index
 
 __all__ = [
@@ -38,7 +38,7 @@ class Edge(NamedTuple):
     range: int
 
 
-@dataclass(frozen=True)
+@record
 class Graph:
     """Immutable directed multigraph with named vertices.
 
@@ -203,7 +203,7 @@ def adjacency_matrix(g: Graph) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class PISReport:
     """Outcome of the purely-infinite-simple test, with witnesses.
 

@@ -24,8 +24,9 @@ import functools
 import heapq
 import operator
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from typing import NamedTuple
+
+from ._record import record
 
 __all__ = [
     "IntMatrix",
@@ -49,8 +50,19 @@ def _as_index(x, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {x!r}") from None
 
 
+def _as_ints(values, what: str) -> tuple[int, ...]:
+    """`values` as a tuple of ints; non-integers are rejected."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise ValueError(f"{what} must be integers: {exc}") from None
+
+
 def _coerce_rows(entries) -> tuple[tuple[int, ...], ...]:
-    rows = tuple(tuple(operator.index(x) for x in row) for row in entries)
+    try:
+        rows = tuple(tuple(map(operator.index, row)) for row in entries)
+    except TypeError as exc:
+        raise ValueError(f"matrix entries must be rows of integers: {exc}") from None
     if rows:
         width = len(rows[0])
         if any(len(row) != width for row in rows):
@@ -58,7 +70,7 @@ def _coerce_rows(entries) -> tuple[tuple[int, ...], ...]:
     return rows
 
 
-@dataclass(frozen=True)
+@record
 class IntMatrix:
     """Dense matrix of Python ints; arithmetic never overflows."""
 
@@ -116,7 +128,7 @@ class IntMatrix:
 
 def diagonal_matrix(d, rows: int, cols: int) -> IntMatrix:
     """Matrix of the given shape with `d` down the main diagonal."""
-    d = tuple(operator.index(x) for x in d)
+    d = _as_ints(d, "diagonal entries")
     if len(d) != min(rows, cols):
         raise ValueError("diagonal length must be min(rows, cols)")
     return IntMatrix(
@@ -201,7 +213,7 @@ def det_exact(m: IntMatrix) -> int:
     return sign * p[n]
 
 
-@dataclass(frozen=True)
+@record
 class SmithDecomposition:
     """u @ t @ v == diag(d) with u, v unimodular and d divisibility-ordered."""
 
@@ -384,7 +396,11 @@ def sparse_smith(rows: Sequence[Mapping[int, int]], cols: int) -> SparseSmith:
                     raise ValueError(f"column index {j!r} is not an integer") from None
             if not 0 <= j < cols:
                 raise ValueError(f"column index {j} out of range for {cols} columns")
-            x = operator.index(x)
+            if type(x) is not int:
+                try:
+                    x = operator.index(x)
+                except TypeError:
+                    raise ValueError(f"entry {x!r} is not an integer") from None
             if x:
                 entries[j] = x
                 col_rows[j].add(i)
@@ -567,14 +583,14 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     return SmithDecomposition(d=result.d, u=u, v=v)
 
 
-@dataclass(frozen=True)
+@record
 class CirculantRow:
     """First row (b1..bn) of an n x n circulant matrix."""
 
     b: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        b = tuple(operator.index(x) for x in self.b)
+        b = _as_ints(self.b, "circulant entries")
         if not b:
             raise ValueError("a circulant row needs at least one entry")
         object.__setattr__(self, "b", b)

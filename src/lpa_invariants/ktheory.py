@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator, Literal, NamedTuple
 
+from ._record import record
 from .graphs import Graph
 from .intlinalg import IntMatrix, _as_index, sparse_smith
 
@@ -41,7 +41,7 @@ INFINITE: float = math.inf
 IsoVerdict = Literal["YES", "NO"]
 
 
-@dataclass(frozen=True)
+@record
 class GroupElement:
     """Coordinates with respect to the factor list of an AbelianGroup."""
 
@@ -56,7 +56,7 @@ class GroupElement:
         return all(c == 0 for c in self.coords)
 
 
-@dataclass(frozen=True)
+@record
 class AbelianGroup:
     """Z/d1 + Z/d2 + ... in invariant-factor form; a factor 0 means Z.
 
@@ -135,7 +135,7 @@ class AbelianGroup:
                 raise ValueError(f"coordinate {c} out of range for factor {d}")
 
 
-@dataclass(frozen=True)
+@record
 class PointedK0:
     """K0 group, the images of the vertex classes, and the unit class."""
 
@@ -144,7 +144,7 @@ class PointedK0:
     distinguished: GroupElement
 
 
-@dataclass(frozen=True)
+@record
 class GraphAnalysis:
     """Everything one elimination of B = I - A^t yields for a graph."""
 

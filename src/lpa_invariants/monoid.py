@@ -26,11 +26,11 @@ computation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Literal, Union
 
 import numpy as np
 
+from ._record import record
 from .graphs import Graph
 from .intlinalg import _as_index
 from .ktheory import _coprime_base, _valuation, cokernel_pointed, element_order
@@ -71,7 +71,7 @@ def _box_bytes_per_vector(n: int) -> int:
     return 256 + 2 * n
 
 
-@dataclass(frozen=True)
+@record
 class MonoidPresentation:
     """One relation (i, rhs) per non-sink vertex: v_i ~ sum rhs[j] v_j."""
 
@@ -405,7 +405,7 @@ def _saturate_box(p: MonoidPresentation, bound: int) -> CongruenceClasses:
     )
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class CongruenceClasses:
     """Partition of the box {w in N^n : sum w <= bound} by the congruence.
 
@@ -548,7 +548,7 @@ def saturate(p: MonoidPresentation, bound: int) -> CongruenceClasses:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class FiniteGroupTable:
     """Addition table of the nonzero classes, verified to be a group.
 

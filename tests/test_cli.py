@@ -609,6 +609,48 @@ def test_import_leaves_heavy_dependencies_unloaded(c_files):
     assert result.stdout.strip() == "[]"
 
 
+def test_commands_leave_dataclasses_and_inspect_unloaded(c_files):
+    """The package's value classes are `record`s, so neither importing the
+    CLI nor running a command loads `dataclasses`, or `inspect`, which it
+    pulls in and which costs more than the rest of the import.  numpy
+    imports `inspect` itself, so after `monoid` only `dataclasses` is
+    checked."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    commands = [
+        ["validate", c_files[3]],
+        ["invariants", c_files[6], "--json"],
+        ["classify", c_files[3], c_files[7]],
+        ["table", "--max", "12"],
+    ]
+    monoid = ["monoid", c_files[3], "--bound", "8", "--json"]
+    probe = textwrap.dedent(
+        f"""
+        import io, sys
+        import lpa_invariants.cli as cli
+        heavy = ("dataclasses", "inspect")
+        print(sorted(m for m in heavy if m in sys.modules))
+        for argv in {commands!r}:
+            cli.run(argv, stdout=io.StringIO())
+            print(sorted(m for m in heavy if m in sys.modules))
+        assert cli.run({monoid!r}, stdout=io.StringIO()) == 0
+        print("dataclasses" in sys.modules)
+        """
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]"] * 5 + ["False"]
+
+
 def test_runtime_imports_match_declared_dependencies():
     """The third-party modules the package imports are exactly the
     distributions `pyproject.toml` declares."""

@@ -40,8 +40,42 @@ class TestIntMatrix:
             mat([[1, 2], [3]])
 
     def test_non_integer_entries_rejected(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="integers"):
             mat([[1.5]])
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: IntMatrix(((1.5,),)),
+            lambda: IntMatrix(5),
+            lambda: IntMatrix(((1, "2"),)),
+            lambda: CirculantRow((1.5,)),
+            lambda: CirculantRow(5),
+            lambda: diagonal_matrix((1.5,), 1, 1),
+            lambda: sparse_smith([{0: 1.5}], 1),
+            lambda: sparse_smith([{0: 1}, {1: "1"}], 2),
+        ],
+        ids=[
+            "matrix-float",
+            "matrix-not-rows",
+            "matrix-str",
+            "circulant-float",
+            "circulant-not-iterable",
+            "diagonal-float",
+            "sparse-float",
+            "sparse-str",
+        ],
+    )
+    def test_every_matrix_input_rejects_non_integers(self, make):
+        with pytest.raises(ValueError, match="integer"):
+            make()
+
+    def test_integer_like_entries_are_coerced(self):
+        assert IntMatrix(((True, 2),)).entries == ((1, 2),)
+        assert type(IntMatrix(((True,),)).entries[0][0]) is int
+        assert CirculantRow((False, 1)).b == (0, 1)
+        assert diagonal_matrix((True,), 1, 2).entries == ((1, 0),)
+        assert sparse_smith([{0: True}, {1: 2}], 2).det == 2
 
     def test_identity_transpose_sub_matmul(self):
         i2 = IntMatrix.identity(2)
