@@ -10,6 +10,10 @@ NotIsomorphic, or Unknown on strictly opposite signs (plus NotApplicable
 when either algebra fails purely infinite simplicity).  Cyclic K0 with
 negative determinant pins the algebra down to a matrix algebra over a
 classical Leavitt algebra L(1, n).
+
+A copy of the Cayley graph C_n, in any vertex order, is read off its
+module (`circulant_k0`); every other graph gets the PIS test and, when
+needed, one elimination of I - A^t.
 """
 
 from __future__ import annotations
@@ -18,9 +22,15 @@ import math
 from typing import Literal, Optional
 
 from ._record import record
-from .graphs import Graph, pis_report
+from .graphs import Graph, _cayley_order, pis_report
 from .intlinalg import _as_index
-from .ktheory import CirculantK0, PointedK0, analyse, pointed_iso_exists
+from .ktheory import (
+    CirculantK0,
+    PointedK0,
+    analyse,
+    circulant_k0,
+    pointed_iso_exists,
+)
 
 __all__ = [
     "KPVerdict",
@@ -118,9 +128,38 @@ def sign_of(value: int) -> Sign:
     return "ZERO"
 
 
+def _module(g: Graph) -> CirculantK0 | None:
+    """`circulant_k0(n)` when g is a copy of C_n in any vertex order, else
+    None.  `kp_decide`, `canonical_form` and `det_sign` pass it to `_pis`
+    and `_k0_and_det`, which fall back to `pis_report` and `analyse`.
+
+    K0, the unit class (the sum of all vertex classes) and det(I - A^t)
+    do not change when the vertices are relabelled, and every use of them
+    here is independent of the group's presentation, so a copy of C_n
+    gets the same answers as from `pis_report` and `analyse`, in O(log n).
+    """
+    n = _cayley_order(g)
+    return None if n is None else circulant_k0(n)
+
+
+def _pis(g: Graph, module: CirculantK0 | None) -> bool:
+    if module is not None:
+        return module.purely_infinite_simple
+    return pis_report(g).purely_infinite_simple
+
+
+def _k0_and_det(
+    g: Graph, module: CirculantK0 | None
+) -> tuple[PointedK0 | CirculantK0, int]:
+    if module is not None:
+        return module, module.det
+    analysis = analyse(g)
+    return analysis.k0, analysis.det
+
+
 def det_sign(g: Graph) -> Sign:
     """Sign of det(I - A^t)."""
-    return sign_of(analyse(g).det)
+    return sign_of(_k0_and_det(g, _module(g))[1])
 
 
 def _signs_compatible(a: Sign, b: Sign) -> bool:
@@ -138,17 +177,16 @@ def kp_decide(e: Graph, f: Graph) -> KPVerdict:
     give Unknown.
     """
     trace: list[tuple[str, str]] = []
-    pis_e = pis_report(e).purely_infinite_simple
-    pis_f = pis_report(f).purely_infinite_simple
+    module_e, module_f = _module(e), _module(f)
+    pis_e = _pis(e, module_e)
+    pis_f = _pis(f, module_f)
     trace.append(("pis_first", str(pis_e)))
     trace.append(("pis_second", str(pis_f)))
     if not (pis_e and pis_f):
         return KPVerdict("NotApplicable", tuple(trace))
 
-    analysis_e = analyse(e)
-    analysis_f = analyse(f)
-    k0_e = analysis_e.k0
-    k0_f = analysis_f.k0
+    k0_e, det_e = _k0_and_det(e, module_e)
+    k0_f, det_f = _k0_and_det(f, module_f)
     trace.append(("k0_factors_first", str(list(k0_e.group.factors))))
     trace.append(("k0_factors_second", str(list(k0_f.group.factors))))
     if k0_e.group.factors != k0_f.group.factors:
@@ -163,8 +201,8 @@ def kp_decide(e: Graph, f: Graph) -> KPVerdict:
     if pointed == "NO":
         return KPVerdict("NotIsomorphic", tuple(trace))
 
-    sign_e = sign_of(analysis_e.det)
-    sign_f = sign_of(analysis_f.det)
+    sign_e = sign_of(det_e)
+    sign_f = sign_of(det_f)
     trace.append(("det_sign_first", sign_e))
     trace.append(("det_sign_second", sign_f))
     compatible = _signs_compatible(sign_e, sign_f)
@@ -185,10 +223,10 @@ def canonical_form(g: Graph) -> Optional[CanonicalAlgebra]:
     gcd(d, n-1), making the label independent of the generator the
     Smith normal form happened to pick.
     """
-    if not pis_report(g).purely_infinite_simple:
+    module = _module(g)
+    if not _pis(g, module):
         return None
-    analysis = analyse(g)
-    return _canonical(True, analysis.k0, analysis.det)
+    return _canonical(True, *_k0_and_det(g, module))
 
 
 def _canonical(

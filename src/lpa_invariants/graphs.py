@@ -171,6 +171,38 @@ def cayley_graph(n: int) -> Graph:
     return Graph(vertices, tuple(edges))
 
 
+def _cayley_order(g: Graph) -> int | None:
+    """n when g is a copy of `cayley_graph(n)` in some vertex order (edge
+    ids and vertex names aside), else None.
+
+    C_1 is one vertex with two loops, and C_2 two vertices with two edges
+    each way.  For n >= 3 every vertex has two out-edges, to two distinct
+    other vertices.  Take the walk from vertex 0 that leaves each vertex
+    by the edge it did not come in by: it must find each step's reverse
+    edge and meet every vertex once before it returns to 0, and 0's other
+    edge must be the reverse of that closing step.  A loop or a doubled
+    edge would send the walk back to a vertex it has met.  O(V), and it
+    stops at the first vertex that fails.
+    """
+    n = g.n_vertices
+    if n == 0 or len(g.edges) != 2 * n:
+        return None
+    succ = g.successors
+    if n <= 2:
+        return n if succ == ((0, 0),) or succ == ((1, 1), (0, 0)) else None
+    if len(succ[0]) != 2:
+        return None
+    seen = bytearray(n)
+    prev, cur = 0, succ[0][0]
+    for _ in range(n - 1):
+        if cur == 0 or seen[cur] or len(succ[cur]) != 2 or prev not in succ[cur]:
+            return None
+        seen[cur] = 1
+        a, b = succ[cur]
+        prev, cur = cur, (b if a == prev else a)
+    return n if cur == 0 and succ[0] == (succ[0][0], prev) else None
+
+
 def rose_graph(n: int) -> Graph:
     """Rose with n petals: one vertex and n loops."""
     if isinstance(n, bool) or (n := _as_index(n, "n")) < 1:

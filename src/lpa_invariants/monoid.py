@@ -147,7 +147,9 @@ def _box_vectors(n: int, bound: int) -> np.ndarray:
     The box of k coordinates and sum <= r is, for c = 0..r in turn, c
     followed by the box of k - 1 coordinates and sum <= r - c.  Each
     block is written in place, column by column; a (k, r) block already
-    written is copied rather than rebuilt.
+    written is copied rather than rebuilt.  The last two columns are
+    written whole: with k = 1 the block is 0..r, and with k = 2 it is
+    (c, j) for j = 0..r - c, run by run.
     """
     out = np.empty((math.comb(n + bound, n), n), dtype=np.int16, order="F")
     written: dict[tuple[int, int], np.ndarray] = {}
@@ -159,12 +161,19 @@ def _box_vectors(n: int, bound: int) -> np.ndarray:
         if got is not None:
             block[...] = got
             return
-        start = 0
-        for c in range(r + 1):
-            size = math.comb(r - c + k - 1, k - 1)
-            block[start : start + size, 0] = c
-            fill(block[start : start + size, 1:], k - 1, r - c)
-            start += size
+        if k == 1:
+            block[:, 0] = np.arange(r + 1)
+        elif k == 2:
+            runs = np.arange(r + 1, 0, -1)  # r - c + 1 rows start with c
+            block[:, 0] = np.repeat(np.arange(r + 1), runs)
+            block[:, 1] = np.arange(len(block)) - np.repeat(np.cumsum(runs) - runs, runs)
+        else:
+            start = 0
+            for c in range(r + 1):
+                size = math.comb(r - c + k - 1, k - 1)
+                block[start : start + size, 0] = c
+                fill(block[start : start + size, 1:], k - 1, r - c)
+                start += size
         written[(k, r)] = block
 
     fill(out, n, bound)

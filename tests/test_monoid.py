@@ -792,3 +792,44 @@ def test_lex_order_ranks_match_formula(g, extra):
     rows = [tuple(int(x) for x in v) for v in vectors]
     for a, b in zip(src.tolist(), dst.tolist()):
         assert is_single_rewrite(p, rows[a], rows[b])
+
+
+def _box_vectors_by_blocks(n, bound):
+    """The box as `_box_vectors` lists it, with every block of every width
+    written by its own recursive call: the reference for the whole-column
+    writes of the last two columns."""
+    out = np.empty((math.comb(n + bound, n), n), dtype=np.int16, order="F")
+    written = {}
+
+    def fill(block, k, r):
+        if k == 0:
+            return
+        got = written.get((k, r))
+        if got is not None:
+            block[...] = got
+            return
+        start = 0
+        for c in range(r + 1):
+            size = math.comb(r - c + k - 1, k - 1)
+            block[start : start + size, 0] = c
+            fill(block[start : start + size, 1:], k - 1, r - c)
+            start += size
+        written[(k, r)] = block
+
+    fill(out, n, bound)
+    return out
+
+
+# Every (vertices, bound) of the benchmark's monoid-box ops lies in
+# 2..12 x 8..12; 0, 1 and small bounds are the edge cases.
+BOX_SHAPES = [(n, b) for n in range(2, 13) for b in range(8, 13)]
+BOX_SHAPES += [(n, b) for n in range(0, 5) for b in range(0, 4)]
+
+
+@pytest.mark.parametrize("n, bound", BOX_SHAPES)
+def test_box_vectors_match_blockwise_reference(n, bound):
+    got = monoid._box_vectors(n, bound)
+    want = _box_vectors_by_blocks(n, bound)
+    assert got.dtype == want.dtype == np.int16
+    assert got.flags.f_contiguous and got.shape == want.shape
+    assert np.array_equal(got, want)

@@ -3,7 +3,10 @@
 of that call on C_n grows linearly in n, and K0 builds only the rows of
 u it reads.  A `table` row builds no graph: it is one `sparse_smith` of
 the 2 x 2 companion power of `circulant_k0`, with no `analyse` or PIS
-test.  Each `lpainv monoid` call and each crosscheck saturates its box
+test.  Nor is a copy of C_n eliminated or searched in `classify`
+(`kp_decide`, `canonical_form`, `det_sign`): it is read off the same
+module; other graphs get one PIS test and, when both are purely
+infinite simple, one elimination each.  Each `lpainv monoid` call and each crosscheck saturates its box
 once, and the saturation ranks its translates off the box's lex order,
 never by the ranking formula."""
 
@@ -13,10 +16,17 @@ import sys
 
 import pytest
 
-from lpa_invariants.classify import kp_decide
+from graph_strategies import permute
+
+from lpa_invariants.classify import canonical_form, det_sign, kp_decide
 from lpa_invariants import graphs, intlinalg, ktheory, monoid
 from lpa_invariants.cli import _table_rows, invariant_report, run
-from lpa_invariants.graphs import cayley_graph, graph_to_dict, stemmed_rose_graph
+from lpa_invariants.graphs import (
+    cayley_graph,
+    graph_to_dict,
+    rose_graph,
+    stemmed_rose_graph,
+)
 from lpa_invariants.ktheory import analyse
 
 
@@ -70,6 +80,32 @@ def test_table_rows_build_no_graph(monkeypatch):
 def test_kp_decide_eliminates_each_graph_once(calls):
     assert kp_decide(cayley_graph(2), cayley_graph(8)).outcome == "Isomorphic"
     assert calls == {"sparse_smith": 2, "det_exact": 0}
+
+
+@pytest.fixture
+def graph_path(monkeypatch):
+    """Counts calls of the elimination of a graph and of its PIS test."""
+    return counting_everywhere(monkeypatch, ktheory.analyse, graphs.pis_report)
+
+
+def test_classify_reads_cayley_graphs_off_their_module(graph_path):
+    relabelled = permute(cayley_graph(12), [5, 0, 11, 3, 8, 1, 10, 2, 7, 4, 9, 6])
+    assert kp_decide(cayley_graph(30), relabelled).outcome == "Isomorphic"
+    assert canonical_form(relabelled) is None
+    assert det_sign(cayley_graph(7)) == "NEGATIVE"
+    assert graph_path == {"analyse": 0, "pis_report": 0}
+
+
+def test_classify_eliminates_other_pis_graphs_once_each(graph_path):
+    verdict = kp_decide(stemmed_rose_graph(4, 3), rose_graph(4))
+    assert dict(verdict.trace)["pointed_iso"] == "NO"
+    assert graph_path == {"analyse": 2, "pis_report": 2}
+
+
+def test_classify_eliminates_no_graph_when_one_is_not_pis(graph_path):
+    assert kp_decide(rose_graph(1), cayley_graph(5)).outcome == "NotApplicable"
+    assert kp_decide(rose_graph(1), rose_graph(1)).outcome == "NotApplicable"
+    assert graph_path == {"analyse": 0, "pis_report": 3}
 
 
 def counting(monkeypatch, module, name):
