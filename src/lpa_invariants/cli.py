@@ -35,7 +35,7 @@ from .graphs import (
 from .ktheory import analyse, circulant_k0
 
 SCHEMA_VERSION = 1
-_TABLE_CAP = 500
+_TABLE_CAP = 10_000
 _MAX_PRINTED_CLASSES = 100
 
 
@@ -278,10 +278,8 @@ def _table_rows(max_n: int) -> list[dict]:
 def _cmd_table(args, out, err) -> int:
     if args.max < 1:
         raise _CliError("--max must be at least 1")
-    if args.max > _TABLE_CAP and not args.force:
-        raise _CliError(
-            f"--max {args.max} exceeds the cap of {_TABLE_CAP}; pass --force to override"
-        )
+    if args.max > _TABLE_CAP:
+        raise _CliError(f"--max {args.max} exceeds the cap of {_TABLE_CAP}")
     rows = _table_rows(args.max)
     if args.format == "json":
         payload = {"schema": SCHEMA_VERSION, "rows": rows}
@@ -404,7 +402,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("table", help="tabulate cyclic Cayley graph invariants")
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--format", choices=("md", "json"), default="md")
-    p.add_argument("--force", action="store_true", help="allow --max beyond the cap")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("monoid", help="box saturation of the graph monoid")

@@ -63,10 +63,11 @@ def _box_bytes_per_vector(n: int) -> int:
     """Upper estimate of a saturation's peak bytes per box vector, for n
     generators: 2n bytes of coordinates and at most 256 for the rest.
 
-    The peak comes while rewrite edges are merged.  Measured with
-    tracemalloc, it was 143-158 bytes per vector for C_9..C_12 at bound
-    12, and at most 250 and 264 for cycles of 16 and 24 vertices, where
-    each relation has one term and so applies to the most vectors.
+    The peak comes while the top level's rewrite edges are merged.
+    Measured with tracemalloc, it was 106-121 bytes per vector for
+    C_9..C_12 at bound 12 (95-102 in the closure), and 180 and 201 for
+    cycles of 16 and 24 vertices at bounds 8 and 6, where each relation
+    has one term and so applies to the most vectors.
     """
     return 256 + 2 * n
 
@@ -136,8 +137,8 @@ def default_bound(p: MonoidPresentation) -> int:
 # (by rank) goes to the i-th member of T.  Both sets are read off the box
 # by a mask, and `np.flatnonzero` lists each in rank order:
 #   - w -> w + e_k maps {sum w <= b - 1} onto {v : v_k >= 1};
-#   - w -> w - e_i + rhs maps {w_i >= 1, sum w + sum rhs - 1 <= b} onto
-#     {v : v >= rhs componentwise}.
+#   - w -> w - e_i + rhs maps {w_i >= 1, lo < sum w + sum rhs - 1 <= hi}
+#     onto {v : v >= rhs componentwise, lo < sum v <= hi}.
 # ---------------------------------------------------------------------------
 
 
@@ -180,34 +181,34 @@ def _box_vectors(n: int, bound: int) -> np.ndarray:
     return out
 
 
-def _elementary_edges(p, bound, vectors, sums):
-    """Rank pairs (w, w - e_i + rhs_i) for every in-box rewrite.
+def _elementary_edges(p, vectors, sums, lo, hi):
+    """Rank pairs (w, w - e_i + rhs_i) for the in-box rewrites whose
+    larger endpoint sum s has lo < s <= hi.
 
-    The rewrite is the translation by rhs_i - e_i, so it maps its sources
-    (w_i >= 1 and the target's sum within the bound) in rank order onto
-    its targets, the box vectors v >= rhs_i; sources and targets pair up
-    by position.  Also returns, per edge, the larger endpoint sum, so the
-    edge set of any smaller bound b is just the edges with endpoint sums
-    <= b.
+    The rewrite is the translation by rhs_i - e_i, and it raises the sum
+    by sum(rhs_i) - 1 >= 0, so s is the target's sum.  It maps its sources
+    (w_i >= 1 and sum w + sum(rhs_i) - 1 in (lo, hi]) in rank order onto
+    its targets, the box vectors v >= rhs_i with sum v in (lo, hi];
+    sources and targets pair up by position.
     """
-    srcs, dsts, esums = [], [], []
+    window = (sums > lo) & (sums <= hi)
+    srcs, dsts = [], []
     for gi, rhs in p.relations:
-        shift = sum(rhs) - 1  # >= 0: relations rewrite upward in sum
-        ok = (vectors[:, gi] >= 1) & (sums + shift <= bound)
+        shift = sum(rhs) - 1
+        ok = (vectors[:, gi] >= 1) & (sums > lo - shift) & (sums <= hi - shift)
         idx = np.flatnonzero(ok)
         if idx.size == 0:
             continue
-        covers = np.ones(len(vectors), dtype=bool)
+        covers = window.copy()
         for j, r in enumerate(rhs):
             if r:
                 covers &= vectors[:, j] >= r
         srcs.append(idx.astype(np.int32))
         dsts.append(np.flatnonzero(covers).astype(np.int32))
-        esums.append(sums[idx] + shift)
     if not srcs:
         empty = np.zeros(0, dtype=np.int32)
-        return empty, empty, empty
-    return np.concatenate(srcs), np.concatenate(dsts), np.concatenate(esums)
+        return empty, empty
+    return np.concatenate(srcs), np.concatenate(dsts)
 
 
 def _shift_images(vectors):
@@ -336,8 +337,10 @@ def _saturate_box(p: MonoidPresentation, bound: int) -> CongruenceClasses:
 
     The closure at bound b-1 holds at bound b too, so each level starts
     from the previous level's labels and adds only the elementary edges
-    whose larger endpoint sum is b, then closes under translation with
-    one sorted pass and class-level rounds (`_close_under_translation`).
+    whose larger endpoint sum is b (the first level all those up to b),
+    built for that level alone and dropped once merged, then closes
+    under translation with one sorted pass and class-level rounds
+    (`_close_under_translation`).
     No vector is ranked by formula: the shift w -> w + e_k maps `sub`
     (sum <= bound - 1, in rank order) in order onto the box vectors with
     v_k >= 1, so the ranks of the shifts are the list of those
@@ -363,8 +366,6 @@ def _saturate_box(p: MonoidPresentation, bound: int) -> CongruenceClasses:
     vectors = _box_vectors(n, bound)
     sums = vectors.sum(axis=1, dtype=np.int32)
 
-    elem_src, elem_dst, elem_esum = _elementary_edges(p, bound, vectors, sums)
-
     sub = np.flatnonzero(sums <= bound - 1).astype(np.int32)
     sub_sums = sums[sub]
     images = _shift_images(vectors)
@@ -373,15 +374,10 @@ def _saturate_box(p: MonoidPresentation, bound: int) -> CongruenceClasses:
     labels = ranks
     joins = 0
     counts: dict[int, int] = {}  # nonzero classes at bound-2 and bound-1
-    done = -1  # edges with elem_esum <= done are already in `labels`
-    for b in (bound - 2, bound - 1, bound):
+    for lo, b in ((-1, bound - 2), (bound - 2, bound - 1), (bound - 1, bound)):
         if b < 0:
             continue
-        new = (elem_esum > done) & (elem_esum <= b)
-        done = b
-        labels = _merge(labels, elem_src[new], elem_dst[new])
-        if b == bound:  # the edges are done with: lower the peak
-            del new, elem_src, elem_dst, elem_esum
+        labels = _merge(labels, *_elementary_edges(p, vectors, sums, lo, b))
         subpos = np.flatnonzero(sub_sums <= b - 1)
         labels, joins = _close_under_translation(labels, sub, subpos, images)
         if b < bound:
@@ -496,16 +492,17 @@ class CongruenceClasses:
 
         Returns None when the two vectors are not connected by elementary
         rewrites (translation-closure joins carry no in-box chain).  Each
-        call rebuilds the rewrite edges with `_elementary_edges`, as the
-        saturation does, and searches those inside x's class breadth
-        first, both ways, one frontier array of ranks per level.
+        call rebuilds the whole box's rewrite edges with
+        `_elementary_edges`, which the saturation calls once per level,
+        and searches those inside x's class breadth first, both ways, one
+        frontier array of ranks per level.
         """
         i, j = self.rank_of(x), self.rank_of(y)
         if self.labels[i] != self.labels[j]:
             return None  # every rewrite edge lies inside one class
         sums = self.vectors.sum(axis=1, dtype=np.int32)
-        src, dst, _ = _elementary_edges(
-            self._presentation, self.bound, self.vectors, sums
+        src, dst = _elementary_edges(
+            self._presentation, self.vectors, sums, -1, self.bound
         )
         inside = self.labels[src] == self.labels[i]
         tails = np.concatenate([src[inside], dst[inside]])

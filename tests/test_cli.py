@@ -233,10 +233,24 @@ class TestTable:
         ]
         assert [row["det"] for row in data["rows"]] == [-1, -3, -4, -3, -1, 0]
 
-    def test_cap_requires_force(self):
-        code, _, err = invoke(["table", "--max", "501"])
-        assert code == 2
-        assert "force" in err
+    def test_cap_has_no_override(self):
+        code, out, err = invoke(["table", "--max", "10001"])
+        assert (code, out) == (2, "")
+        assert err == "error: --max 10001 exceeds the cap of 10000\n"
+        for argv in (
+            ["table", "--max", "3", "--force"],
+            ["table", "--max", "10001", "--force"],
+        ):
+            code, out, err = invoke(argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: unrecognized arguments: --force")
+            assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_cap_admits_ten_thousand_rows(self):
+        code, out, err = invoke(["table", "--max", "10000", "--format", "json"])
+        assert (code, err) == (0, "")
+        rows = json.loads(out)["rows"]
+        assert [row["n"] for row in rows] == list(range(1, 10001))
 
     def test_rejects_nonpositive(self):
         code, _, err = invoke(["table", "--max", "0"])
@@ -554,7 +568,11 @@ class TestParserReuse:
         assert code == 0 and json.loads(as_json)["schema"] == 1
         code, as_md, _ = invoke(["table", "--max", "3"])
         assert code == 0 and as_md.startswith("| n |")
-        assert invoke(["table", "--max", "600"])[0] == 2  # --force not kept
+        code, _, err = invoke(["table", "--max", "10001", "--force"])
+        assert code == 2 and err.count("\n") == 1
+        assert "unrecognized arguments: --force" in err  # no override flag
+        code, _, err = invoke(["table", "--max", "10001"])
+        assert code == 2 and err.count("\n") == 1
         assert cli._build_parser() is cli._build_parser()
 
 

@@ -306,7 +306,7 @@ def test_rewrite_paths_on_rebuilt_edges(g, extra, rng):
     c = saturate(p, needed_bound(p) + extra)
     rows = [tuple(int(x) for x in v) for v in c.vectors]
     sums = c.vectors.sum(axis=1, dtype=np.int32)
-    src, dst, _ = monoid._elementary_edges(p, c.bound, c.vectors, sums)
+    src, dst = monoid._elementary_edges(p, c.vectors, sums, -1, c.bound)
     edges = nx.Graph()
     edges.add_nodes_from(range(len(rows)))
     edges.add_edges_from(zip(src.tolist(), dst.tolist()))
@@ -747,6 +747,87 @@ def test_sum_ordered_levels_match_naive(g, extra):
     assert c.stabilized == (len(counts) == 3 and len(set(counts)) == 1)
 
 
+def _whole_box_edges(p, bound, vectors, sums):
+    """Every in-box rewrite edge, with its larger endpoint sum: the edge
+    list of the sweep that built the whole box's edges at once."""
+    srcs, dsts, esums = [], [], []
+    for gi, rhs in p.relations:
+        shift = sum(rhs) - 1
+        idx = np.flatnonzero((vectors[:, gi] >= 1) & (sums + shift <= bound))
+        if idx.size == 0:
+            continue
+        covers = np.ones(len(vectors), dtype=bool)
+        for j, r in enumerate(rhs):
+            if r:
+                covers &= vectors[:, j] >= r
+        srcs.append(idx.astype(np.int32))
+        dsts.append(np.flatnonzero(covers).astype(np.int32))
+        esums.append(sums[idx] + shift)
+    if not srcs:
+        empty = np.zeros(0, dtype=np.int32)
+        return empty, empty, empty
+    return np.concatenate(srcs), np.concatenate(dsts), np.concatenate(esums)
+
+
+def _sweep_reference(p, bound):
+    """The level sweep on one whole-box edge list, masked per level by
+    edge sum.  Returns the canonical labels, `translation_joins`,
+    `stabilized` and the class count."""
+    vectors = monoid._box_vectors(p.generator_count, bound)
+    sums = vectors.sum(axis=1, dtype=np.int32)
+    src, dst, esum = _whole_box_edges(p, bound, vectors, sums)
+    sub = np.flatnonzero(sums <= bound - 1).astype(np.int32)
+    sub_sums = sums[sub]
+    images = monoid._shift_images(vectors)
+    ranks = np.arange(len(vectors), dtype=np.int32)
+    labels, joins, counts, done = ranks, 0, {}, -1
+    for b in (bound - 2, bound - 1, bound):
+        if b < 0:
+            continue
+        new = (esum > done) & (esum <= b)
+        done = b
+        labels = monoid._merge(labels, src[new], dst[new])
+        subpos = np.flatnonzero(sub_sums <= b - 1)
+        labels, joins = monoid._close_under_translation(labels, sub, subpos, images)
+        if b < bound:
+            counts[b] = int(np.count_nonzero((labels == ranks) & (sums <= b))) - 1
+    first_member = np.flatnonzero(labels == ranks)
+    count = int(first_member.size)
+    relabel = np.empty(len(vectors), dtype=np.int64)
+    relabel[first_member] = np.arange(count)
+    stabilized = counts.get(bound - 2) == counts.get(bound - 1) == count - 1
+    return relabel[labels], joins, stabilized, count
+
+
+def assert_sweep_matches_reference(g, extra):
+    p = presentation(g)
+    bound = needed_bound(p) + extra
+    c = saturate(p, bound)
+    labels, joins, stabilized, count = _sweep_reference(p, bound)
+    assert c.labels.dtype == labels.dtype
+    assert np.array_equal(c.labels, labels)
+    assert c.translation_joins == joins
+    assert c.stabilized == stabilized
+    assert (c.class_count, c.nonzero_class_count) == (count, count - 1)
+
+
+class TestLevelEdgesAgainstWholeBoxEdges:
+    """Each level's edges built on their own give the same saturation as
+    one whole-box edge list masked per level."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(multigraphs(max_vertices=5, max_mult=2), st.integers(0, 4))
+    @example(cayley_graph(4), 4)
+    @example(rose_graph(2), 0)
+    def test_hypothesis_multigraphs(self, g, extra):
+        assert_sweep_matches_reference(g, extra)
+
+    @pytest.mark.parametrize("extra", range(5))
+    @pytest.mark.parametrize("name", sorted(NAMED_GRAPHS))
+    def test_named_graphs(self, name, extra):
+        assert_sweep_matches_reference(NAMED_GRAPHS[name], extra)
+
+
 @settings(deadline=None, max_examples=100)
 @given(multigraphs(max_vertices=5, max_mult=2), st.integers(0, 6))
 @example(NAMED_GRAPHS["empty"], 3)
@@ -756,7 +837,10 @@ def test_sum_ordered_levels_match_naive(g, extra):
 @example(NAMED_GRAPHS["rank_one"], 6)
 def test_lex_order_ranks_match_formula(g, extra):
     """The shift images and rewrite edges read off the lex order, against
-    the ranking formula applied to the translated vectors."""
+    the ranking formula applied to the translated vectors.  The edges are
+    checked in each level window of the sweep, with larger endpoint sums
+    inside it, and in the whole box; per relation, the three windows
+    split the whole box's edges."""
     p = presentation(g)
     n = p.generator_count
     bound = max([1] + [sum(rhs) for _, rhs in p.relations]) + extra
@@ -773,25 +857,42 @@ def test_lex_order_ranks_match_formula(g, extra):
         assert img.dtype == np.int32
         assert np.array_equal(img, _rank_vectors(shifted, bound, table))
 
-    src, dst, esum = monoid._elementary_edges(p, bound, vectors, sums)
-    want_src, want_dst = [], []
-    for i, rhs in p.relations:
-        shift = sum(rhs) - 1
-        idx = np.flatnonzero((vectors[:, i] >= 1) & (sums + shift <= bound))
-        targets = vectors[idx].copy()
-        targets[:, i] -= 1
-        targets += np.asarray(rhs, dtype=np.int16)
-        want_src.append(idx)
-        want_dst.append(_rank_vectors(targets, bound, table))
-    want_src = np.concatenate(want_src) if want_src else np.zeros(0, np.int64)
-    want_dst = np.concatenate(want_dst) if want_dst else np.zeros(0, np.int64)
-    assert src.dtype == dst.dtype == np.int32
-    assert np.array_equal(src, want_src)
-    assert np.array_equal(dst, want_dst)
-    assert np.array_equal(esum, np.maximum(sums[src], sums[dst]))
+    # the three level windows of the sweep, then the whole box
+    windows = [(-1, bound - 2), (bound - 2, bound - 1), (bound - 1, bound)]
     rows = [tuple(int(x) for x in v) for v in vectors]
-    for a, b in zip(src.tolist(), dst.tolist()):
-        assert is_single_rewrite(p, rows[a], rows[b])
+    for lo, hi in windows + [(-1, bound)]:
+        src, dst = monoid._elementary_edges(p, vectors, sums, lo, hi)
+        want_src, want_dst = [], []
+        for i, rhs in p.relations:
+            top = sums + sum(rhs) - 1
+            idx = np.flatnonzero((vectors[:, i] >= 1) & (top > lo) & (top <= hi))
+            targets = vectors[idx].copy()
+            targets[:, i] -= 1
+            targets += np.asarray(rhs, dtype=np.int16)
+            want_src.append(idx)
+            want_dst.append(_rank_vectors(targets, bound, table))
+        want_src = np.concatenate(want_src) if want_src else np.zeros(0, np.int64)
+        want_dst = np.concatenate(want_dst) if want_dst else np.zeros(0, np.int64)
+        assert src.dtype == dst.dtype == np.int32
+        assert np.array_equal(src, want_src)
+        assert np.array_equal(dst, want_dst)
+        esum = np.maximum(sums[src], sums[dst])
+        assert np.all((lo < esum) & (esum <= hi))
+        for a, b in zip(src.tolist(), dst.tolist()):
+            assert is_single_rewrite(p, rows[a], rows[b])
+
+    # per relation, the three windows split the whole box's edges
+    for relation in p.relations:
+        q = MonoidPresentation(n, (relation,))
+        whole = np.stack(monoid._elementary_edges(q, vectors, sums, -1, bound))
+        parts = np.concatenate(
+            [
+                np.stack(monoid._elementary_edges(q, vectors, sums, lo, hi))
+                for lo, hi in windows
+            ],
+            axis=1,
+        )
+        assert np.array_equal(parts[:, np.argsort(parts[0], kind="stable")], whole)
 
 
 def _box_vectors_by_blocks(n, bound):

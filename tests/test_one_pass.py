@@ -8,7 +8,8 @@ test.  Nor is a copy of C_n eliminated or searched in `classify`
 module; other graphs get one PIS test and, when both are purely
 infinite simple, one elimination each.  Each `lpainv monoid` call and each crosscheck saturates its box
 once, and the saturation ranks its translates off the box's lex order,
-never by the ranking formula."""
+never by the ranking formula, and builds each level's rewrite edges
+once, for that level alone."""
 
 import io
 import json
@@ -169,3 +170,25 @@ def test_saturation_ranks_no_vector_by_formula(monkeypatch):
     assert ranks == {"rank_of": 0}
     classes.class_of((1, 0, 0, 0, 0))
     assert ranks == {"rank_of": 1}
+
+
+@pytest.mark.parametrize(
+    "g, bound, windows",
+    [
+        (cayley_graph(5), 10, [(-1, 8), (8, 9), (9, 10)]),
+        (rose_graph(1), 1, [(-1, 0), (0, 1)]),
+    ],
+)
+def test_saturation_builds_each_levels_edges_once(monkeypatch, g, bound, windows):
+    # One call per level, each for the edges of that level alone: their
+    # larger endpoint sums lie in disjoint windows (lo, hi].
+    built = []
+    original = monoid._elementary_edges
+
+    def recorded(*args):
+        built.append(args[-2:])
+        return original(*args)
+
+    monkeypatch.setattr(monoid, "_elementary_edges", recorded)
+    monoid.saturate(monoid.presentation(g), bound)
+    assert built == windows
