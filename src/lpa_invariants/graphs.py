@@ -252,63 +252,53 @@ class PISReport:
     witnesses: tuple[tuple[str, Any], ...]
 
 
-def _strongly_connected_components(succ) -> list[list[int]]:
-    """Iterative Tarjan; components in reverse topological order."""
+def _cycle_vertices(g: Graph) -> set[int]:
+    """Vertices lying on at least one directed cycle: those of a strong
+    component with two or more vertices or with a loop.
+
+    Iterative Tarjan.  Each open vertex sits on `work` with an iterator
+    over its successors: it descends into the first unnumbered one, and
+    closes once the iterator runs out.  A vertex that closes as the root
+    of its component pops that component off `stack`.  O(V + E).
+    """
+    succ = g.successors
     n = len(succ)
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
     stack: list[int] = []
-    comps: list[list[int]] = []
+    on_cycle: set[int] = set()
     counter = 0
     for root in range(n):
         if index[root] != -1:
             continue
-        frames: list[list[int]] = [[root, 0]]
-        while frames:
-            v = frames[-1][0]
-            if frames[-1][1] == 0:
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, successors = work[-1]
+            if index[v] == -1:  # v opens
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
                 on_stack[v] = True
-            advanced = False
-            while frames[-1][1] < len(succ[v]):
-                w = succ[v][frames[-1][1]]
-                frames[-1][1] += 1
+            for w in successors:
                 if index[w] == -1:
-                    frames.append([w, 0])
-                    advanced = True
+                    work.append((w, iter(succ[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            frames.pop()
-            if frames:
-                parent = frames[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
                     w = stack.pop()
                     on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-    return comps
-
-
-def _cycle_vertices(g: Graph) -> set[int]:
-    """Vertices lying on at least one directed cycle."""
-    on_cycle: set[int] = set()
-    for comp in _strongly_connected_components(g.successors):
-        if len(comp) > 1:
-            on_cycle.update(comp)
-    for v, succ in enumerate(g.successors):
-        if v in succ:
-            on_cycle.add(v)
+                    if w != v or v in succ[v]:
+                        on_cycle.add(w)
+                    while w != v:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        on_cycle.add(w)
     return on_cycle
 
 
@@ -344,12 +334,11 @@ def _cofinal_witness(g: Graph, on_cycle: set[int]) -> tuple[int, int] | None:
         backward = _reachable(predecessors, c)
         u = next((u for u, ok in enumerate(backward) if not ok), None)
         return None if u is None else (u, c)
-    for u in range(g.n_vertices):
+    for u in range(c + 1):  # c itself misses a cycle vertex
         seen = _reachable(g.successors, u)
-        missing = next((w for w in targets if not seen[w]), None)
-        if missing is not None:
-            return u, missing
-    return None
+        for w in targets:
+            if not seen[w]:
+                return u, w
 
 
 def _cycle_without_exit(g: Graph) -> tuple[int, ...] | None:
@@ -363,22 +352,16 @@ def _cycle_without_exit(g: Graph) -> tuple[int, ...] | None:
     succ = g.successors
     colour = [0] * g.n_vertices  # 0 unvisited, 1 on current walk, 2 done
     for start in range(g.n_vertices):
-        if deg[start] != 1 or colour[start]:
-            continue
         path: list[int] = []
-        pos: dict[int, int] = {}
-        cur = start
-        while True:
-            if deg[cur] != 1 or colour[cur] == 2:
-                break
-            if colour[cur] == 1:
-                return tuple(path[pos[cur] :])
-            colour[cur] = 1
-            pos[cur] = len(path)
-            path.append(cur)
-            cur = succ[cur][0]
-        for v in path:
-            colour[v] = 2
+        v = start
+        while colour[v] == 0 and deg[v] == 1:
+            colour[v] = 1
+            path.append(v)
+            v = succ[v][0]
+        if colour[v] == 1:
+            return tuple(path[path.index(v) :])
+        for w in path:
+            colour[w] = 2
     return None
 
 
@@ -415,7 +398,8 @@ def pis_report(g: Graph) -> PISReport:
     cycle vertex it misses.  Only when c misses some cycle vertex (never
     cofinal: the cycle vertices then span more than one strong
     component) does finding it take a search per vertex, up to the first
-    failure.
+    failure; that failure comes at or before c, so the cost is
+    O(c (V + E)).
     """
     names = g.vertices
     witnesses: list[tuple[str, Any]] = []

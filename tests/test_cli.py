@@ -153,6 +153,181 @@ class TestInvariants:
         assert nontrivial == report["k0_factors"]
 
 
+# Graphs that are not purely infinite simple, with the text `invariants`
+# prints for each and the value its `--json` output encodes.
+NOT_PIS = {
+    "sink": (
+        graph_from_pairs(1, []),
+        """\
+graph: 1 vertices, 0 edges
+adjacency: [[0]]
+b_matrix: [[1]]
+snf_diagonal: [1]
+k0_factors: ()
+vertex_images: [[]]
+distinguished: []
+det: 1  (POSITIVE)
+pis: sink_free=False condition_L=True cofinal=True has_cycle=False purely_infinite_simple=False
+  witness sink_free: v0
+  witness has_cycle: ['v0']
+canonical: NONE
+""",
+        {
+            "schema": 1,
+            "graph": {"vertices": 1, "edges": 0},
+            "adjacency": [[0]],
+            "b_matrix": [[1]],
+            "snf_diagonal": [1],
+            "k0_factors": [],
+            "vertex_images": [[]],
+            "distinguished": [],
+            "det": 1,
+            "det_sign": "POSITIVE",
+            "pis": {
+                "sink_free": False,
+                "condition_L": True,
+                "cofinal": True,
+                "has_cycle": False,
+                "purely_infinite_simple": False,
+                "witnesses": [["sink_free", "v0"], ["has_cycle", ["v0"]]],
+            },
+            "canonical": None,
+        },
+    ),
+    "2-cycle without exit": (
+        graph_from_pairs(2, [(0, 1), (1, 0)]),
+        """\
+graph: 2 vertices, 2 edges
+adjacency: [[0, 1], [1, 0]]
+b_matrix: [[1, -1], [-1, 1]]
+snf_diagonal: [1, 0]
+k0_factors: (0)
+vertex_images: [[1], [1]]
+distinguished: [2]
+det: 0  (ZERO)
+pis: sink_free=True condition_L=False cofinal=True has_cycle=True purely_infinite_simple=False
+  witness condition_L: ['v0', 'v1']
+canonical: NONE
+""",
+        {
+            "schema": 1,
+            "graph": {"vertices": 2, "edges": 2},
+            "adjacency": [[0, 1], [1, 0]],
+            "b_matrix": [[1, -1], [-1, 1]],
+            "snf_diagonal": [1, 0],
+            "k0_factors": [0],
+            "vertex_images": [[1], [1]],
+            "distinguished": [2],
+            "det": 0,
+            "det_sign": "ZERO",
+            "pis": {
+                "sink_free": True,
+                "condition_L": False,
+                "cofinal": True,
+                "has_cycle": True,
+                "purely_infinite_simple": False,
+                "witnesses": [["condition_L", ["v0", "v1"]]],
+            },
+            "canonical": None,
+        },
+    ),
+    "acyclic path": (
+        graph_from_pairs(2, [(0, 1)]),
+        """\
+graph: 2 vertices, 1 edges
+adjacency: [[0, 1], [0, 0]]
+b_matrix: [[1, 0], [-1, 1]]
+snf_diagonal: [1, 1]
+k0_factors: ()
+vertex_images: [[], []]
+distinguished: []
+det: 1  (POSITIVE)
+pis: sink_free=False condition_L=True cofinal=True has_cycle=False purely_infinite_simple=False
+  witness sink_free: v1
+  witness has_cycle: ['v0', 'v1']
+canonical: NONE
+""",
+        {
+            "schema": 1,
+            "graph": {"vertices": 2, "edges": 1},
+            "adjacency": [[0, 1], [0, 0]],
+            "b_matrix": [[1, 0], [-1, 1]],
+            "snf_diagonal": [1, 1],
+            "k0_factors": [],
+            "vertex_images": [[], []],
+            "distinguished": [],
+            "det": 1,
+            "det_sign": "POSITIVE",
+            "pis": {
+                "sink_free": False,
+                "condition_L": True,
+                "cofinal": True,
+                "has_cycle": False,
+                "purely_infinite_simple": False,
+                "witnesses": [["sink_free", "v1"], ["has_cycle", ["v0", "v1"]]],
+            },
+            "canonical": None,
+        },
+    ),
+    # two roses of two petals each, neither reaching the other
+    "not cofinal": (
+        graph_from_pairs(2, [(0, 0), (0, 0), (1, 1), (1, 1)]),
+        """\
+graph: 2 vertices, 4 edges
+adjacency: [[2, 0], [0, 2]]
+b_matrix: [[-1, 0], [0, -1]]
+snf_diagonal: [1, 1]
+k0_factors: ()
+vertex_images: [[], []]
+distinguished: []
+det: 1  (POSITIVE)
+pis: sink_free=True condition_L=True cofinal=False has_cycle=True purely_infinite_simple=False
+  witness cofinal: ['v0', 'v1']
+canonical: NONE
+""",
+        {
+            "schema": 1,
+            "graph": {"vertices": 2, "edges": 4},
+            "adjacency": [[2, 0], [0, 2]],
+            "b_matrix": [[-1, 0], [0, -1]],
+            "snf_diagonal": [1, 1],
+            "k0_factors": [],
+            "vertex_images": [[], []],
+            "distinguished": [],
+            "det": 1,
+            "det_sign": "POSITIVE",
+            "pis": {
+                "sink_free": True,
+                "condition_L": True,
+                "cofinal": False,
+                "has_cycle": True,
+                "purely_infinite_simple": False,
+                "witnesses": [["cofinal", ["v0", "v1"]]],
+            },
+            "canonical": None,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(NOT_PIS))
+class TestInvariantsWitnesses:
+    def _path(self, tmp_path, name):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(graph_to_dict(NOT_PIS[name][0])))
+        return str(path)
+
+    def test_text(self, tmp_path, name):
+        code, out, err = invoke(["invariants", self._path(tmp_path, name)])
+        assert (code, err) == (0, "")
+        assert out == NOT_PIS[name][1]
+
+    def test_json(self, tmp_path, name):
+        code, out, err = invoke(["invariants", self._path(tmp_path, name), "--json"])
+        assert (code, err) == (0, "")
+        assert out == json.dumps(NOT_PIS[name][2], indent=2) + "\n"
+
+
 class TestClassify:
     def test_isomorphic_exit_zero(self, c_files):
         code, out, _ = invoke(["classify", c_files[7], c_files[11]])
@@ -375,6 +550,20 @@ class TestTable:
 
 
 class TestMonoid:
+    def test_empty_graph_has_no_group(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text('{"vertices": [], "edges": []}')
+        code, out, err = invoke(["monoid", str(path)])
+        assert (code, err) == (0, "")
+        assert out == (
+            "bound: 8\n"
+            "stabilized: True\n"
+            "classes: 1\n"
+            "  class 0: representative []\n"
+            "group: NOT_CLOSED\n"
+            "crosscheck: INCONCLUSIVE\n"
+        )
+
     def test_c3_json(self, c_files):
         code, out, _ = invoke(["monoid", c_files[3], "--bound", "8", "--json"])
         assert code == 0

@@ -1,17 +1,21 @@
 import copy
+import itertools
 import operator
 from collections import Counter, OrderedDict, defaultdict
 
 import networkx as nx
 import numpy as np
 import pytest
-from graph_strategies import NAMED_GRAPHS, multigraphs
+from graph_strategies import NAMED_GRAPHS, graph_from_pairs, multigraphs
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpa_invariants.graphs import (
     Edge,
     Graph,
+    PISReport,
+    _reachable,
+    _topological_order,
     adjacency_matrix,
     cayley_graph,
     graph_from_dict,
@@ -289,8 +293,7 @@ class TestPISReport:
         assert report.cofinal
         assert not report.condition_L
         assert not report.purely_infinite_simple
-        kinds = dict(report.witnesses)
-        assert set(kinds["condition_L"]) == {"v1", "v2"}
+        assert report.witnesses == (("condition_L", ("v1", "v2")),)
 
     def test_not_cofinal(self):
         report = pis_report(SPLIT)
@@ -395,6 +398,155 @@ def test_cofinal_witness_is_first_failing_vertex():
     report = pis_report(NAMED_GRAPHS["two_loops_apart"])
     assert not report.cofinal
     assert ("cofinal", ("v1", "v2")) in report.witnesses
+
+
+# Reference PIS search: a frame-list Tarjan that lists the strong
+# components, a walk that keeps each vertex's position on its path, and a
+# cofinality fallback that may search from every vertex.
+
+
+def _reference_strongly_connected_components(succ) -> list[list[int]]:
+    """Iterative Tarjan; components in reverse topological order."""
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        frames: list[list[int]] = [[root, 0]]
+        while frames:
+            v = frames[-1][0]
+            if frames[-1][1] == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            while frames[-1][1] < len(succ[v]):
+                w = succ[v][frames[-1][1]]
+                frames[-1][1] += 1
+                if index[w] == -1:
+                    frames.append([w, 0])
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            frames.pop()
+            if frames:
+                parent = frames[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(comp)
+    return comps
+
+
+def _reference_cycle_vertices(g: Graph) -> set[int]:
+    on_cycle: set[int] = set()
+    for comp in _reference_strongly_connected_components(g.successors):
+        if len(comp) > 1:
+            on_cycle.update(comp)
+    for v, succ in enumerate(g.successors):
+        if v in succ:
+            on_cycle.add(v)
+    return on_cycle
+
+
+def _reference_cofinal_witness(g: Graph, on_cycle: set[int]):
+    targets = sorted(on_cycle)
+    c = targets[0]
+    forward = _reachable(g.successors, c)
+    if all(forward[w] for w in targets):
+        predecessors: list[list[int]] = [[] for _ in g.vertices]
+        for e in g.edges:
+            predecessors[e.range].append(e.source)
+        backward = _reachable(predecessors, c)
+        u = next((u for u, ok in enumerate(backward) if not ok), None)
+        return None if u is None else (u, c)
+    for u in range(g.n_vertices):
+        seen = _reachable(g.successors, u)
+        missing = next((w for w in targets if not seen[w]), None)
+        if missing is not None:
+            return u, missing
+    return None
+
+
+def _reference_cycle_without_exit(g: Graph):
+    deg = g.out_degrees
+    succ = g.successors
+    colour = [0] * g.n_vertices  # 0 unvisited, 1 on current walk, 2 done
+    for start in range(g.n_vertices):
+        if deg[start] != 1 or colour[start]:
+            continue
+        path: list[int] = []
+        pos: dict[int, int] = {}
+        cur = start
+        while True:
+            if deg[cur] != 1 or colour[cur] == 2:
+                break
+            if colour[cur] == 1:
+                return tuple(path[pos[cur] :])
+            colour[cur] = 1
+            pos[cur] = len(path)
+            path.append(cur)
+            cur = succ[cur][0]
+        for v in path:
+            colour[v] = 2
+    return None
+
+
+def reference_pis_report(g: Graph) -> PISReport:
+    names = g.vertices
+    witnesses = []
+    sinks = [v for v, d in enumerate(g.out_degrees) if d == 0]
+    witnesses += [("sink_free", names[v]) for v in sinks]
+    bad_cycle = _reference_cycle_without_exit(g)
+    if bad_cycle is not None:
+        witnesses.append(("condition_L", tuple(names[v] for v in bad_cycle)))
+    on_cycle = _reference_cycle_vertices(g)
+    if not on_cycle:
+        order = _topological_order(g)
+        witnesses.append(("has_cycle", tuple(names[v] for v in order)))
+    witness = _reference_cofinal_witness(g, on_cycle) if on_cycle else None
+    if witness is not None:
+        u, missing = witness
+        witnesses.append(("cofinal", (names[u], names[missing])))
+    flags = (not sinks, bad_cycle is None, witness is None, bool(on_cycle))
+    return PISReport(*flags, all(flags), tuple(witnesses))
+
+
+@settings(deadline=None, max_examples=400)
+@given(multigraphs(max_vertices=10, max_mult=2))
+@example(SPLIT)
+@example(NAMED_GRAPHS["two_loops_apart"])
+def test_pis_report_matches_reference(g):
+    assert pis_report(g) == reference_pis_report(g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pis_report_matches_reference_on_every_small_graph(n):
+    """Every graph on n vertices whose vertices emit at most two edges."""
+    out_edges = [
+        targets
+        for k in range(3)
+        for targets in itertools.combinations_with_replacement(range(n), k)
+    ]
+    for choice in itertools.product(out_edges, repeat=n):
+        pairs = [(s, r) for s, targets in enumerate(choice) for r in targets]
+        g = graph_from_pairs(n, pairs)
+        assert pis_report(g) == reference_pis_report(g), choice
 
 
 class TestGraphJSON:

@@ -5,12 +5,13 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
-from graph_strategies import NAMED_GRAPHS, multigraphs
+from graph_strategies import NAMED_GRAPHS, graph_from_pairs, multigraphs
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpa_invariants import monoid
 from lpa_invariants.graphs import Graph, adjacency_matrix, cayley_graph, rose_graph
+from lpa_invariants.ktheory import GroupElement, PointedK0, cokernel_pointed
 from lpa_invariants.monoid import (
     NOT_CLOSED,
     FiniteGroupTable,
@@ -538,12 +539,57 @@ class TestMstarGroup:
             )
         assert table.invariant_factors() == factors
 
+    def test_no_nonzero_class_is_not_closed(self):
+        c = saturate(presentation(Graph((), ())), 8)
+        assert c.stabilized and c.class_count == 1
+        assert mstar_group(c) is NOT_CLOSED
+
+    def test_sum_leaving_the_box_is_not_closed(self):
+        # C_2 needs bound 9 (test_c2_z3); at 4 the count is stable already
+        c = saturate(presentation(cayley_graph(2)), 4)
+        assert c.stabilized
+        assert _sum_table(c) is None
+        assert mstar_group(c) is NOT_CLOSED
+
+    def test_no_identity_is_not_closed(self):
+        # two roses apart: a + a = a, b + b = b, and a + b absorbs both
+        g = graph_from_pairs(2, [(0, 0), (0, 0), (1, 1), (1, 1)])
+        c = saturate(presentation(g), 4)
+        assert c.stabilized
+        ids, table = _sum_table(c)
+        assert ids not in table
+        assert mstar_group(c) is NOT_CLOSED
+
+    def test_missing_inverse_is_not_closed(self):
+        # a rose of two petals, fed by a second rose of two petals
+        g = graph_from_pairs(2, [(0, 0), (0, 0), (1, 0), (1, 1), (1, 1)])
+        c = saturate(presentation(g), 6)
+        assert c.stabilized
+        ids, table = _sum_table(c)
+        identity = ids[table.index(ids)]
+        assert any(identity not in row for row in table)
+        assert mstar_group(c) is NOT_CLOSED
+
     def test_identity_is_vertex_sum(self):
         for n in (1, 2, 3, 4, 5, 7):
             c = saturate(presentation(cayley_graph(n)), 12)
             table = mstar_group(c)
             assert not isinstance(table, str)
             assert table.identity_class == c.class_of((1,) * n)
+
+
+def _sum_table(c):
+    """The nonzero class ids and the class of each sum of two of their
+    representatives, row by row; None when some sum leaves the box."""
+    ids = list(range(1, c.class_count))
+    reps = [c.representative(i) for i in ids]
+    table = []
+    for x in reps:
+        sums = [tuple(a + b for a, b in zip(x, y)) for y in reps]
+        if any(sum(total) > c.bound for total in sums):
+            return None
+        table.append([c.class_of(total) for total in sums])
+    return ids, table
 
 
 class TestCrosscheck:
@@ -553,6 +599,21 @@ class TestCrosscheck:
 
     def test_c6_inconclusive(self):
         assert crosscheck_cokernel(cayley_graph(6), 10) == "INCONCLUSIVE"
+
+    def test_other_invariant_factors_mismatch(self, monkeypatch):
+        # K0 of C_2 is Z/3; the box group of C_3 is Z/2 + Z/2
+        other = cokernel_pointed(cayley_graph(2))
+        monkeypatch.setattr(monoid, "cokernel_pointed", lambda g: other)
+        assert crosscheck_cokernel(C3, 8) == "MISMATCH"
+
+    def test_one_vertex_order_mismatch(self, monkeypatch):
+        # the same group, with v1's class sent to zero: order 1, not 2
+        k0 = cokernel_pointed(C3)
+        zero = GroupElement((0,) * len(k0.group.factors))
+        images = (zero,) + k0.vertex_images[1:]
+        moved = PointedK0(k0.group, images, k0.distinguished)
+        monkeypatch.setattr(monoid, "cokernel_pointed", lambda g: moved)
+        assert crosscheck_cokernel(C3, 8) == "MISMATCH"
 
 
 def naive_partition(p, bound):
