@@ -109,15 +109,6 @@ def _json_text(value, indent: str = "\n") -> str:
     return json.dumps(value)
 
 
-def _write_graph(g: Graph, path: str | None, out: IO[str]) -> None:
-    text = _json_text(graph_to_dict(g)) + "\n"
-    if path is None:
-        out.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-
-
 def invariant_report(g: Graph) -> dict:
     """All invariants of one graph as a JSON-ready dict."""
     analysis = analyse(g)
@@ -126,7 +117,8 @@ def invariant_report(g: Graph) -> dict:
     pis = pis_report(g)
     canonical = _canonical(pis.purely_infinite_simple, k0, det)
     # The printed matrices are plain int lists built from the edges; the
-    # elimination above has its own sparse B.
+    # elimination above has its own sparse B.  Building them with
+    # `adjacency_matrix` and `b_matrix` takes nearly four times as long.
     n = g.n_vertices
     adjacency = [[0] * n for _ in range(n)]
     for e in g.edges:
@@ -196,22 +188,18 @@ def _factors_str(factors) -> str:
     return "(" + ",".join(str(d) for d in factors) + ")"
 
 
-def _cmd_cayley(args, out, err) -> int:
-    _write_graph(cayley_graph(args.n), args.out, out)
+def _cmd_write(args, out) -> int:
+    """Write the graph that the subcommand's `build` makes from `args`."""
+    text = _json_text(graph_to_dict(args.build(args))) + "\n"
+    if args.out is None:
+        out.write(text)
+    else:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text)
     return 0
 
 
-def _cmd_rose(args, out, err) -> int:
-    _write_graph(rose_graph(args.n), args.out, out)
-    return 0
-
-
-def _cmd_stemmed_rose(args, out, err) -> int:
-    _write_graph(stemmed_rose_graph(args.n, args.d), args.out, out)
-    return 0
-
-
-def _cmd_invariants(args, out, err) -> int:
+def _cmd_invariants(args, out) -> int:
     report = invariant_report(_load_graph(args.file))
     if args.json:
         out.write(_json_text(report) + "\n")
@@ -220,7 +208,7 @@ def _cmd_invariants(args, out, err) -> int:
     return 0
 
 
-def _cmd_classify(args, out, err) -> int:
+def _cmd_classify(args, out) -> int:
     verdict = kp_decide(_load_graph(args.file_a), _load_graph(args.file_b))
     if args.json:
         payload = {
@@ -275,7 +263,7 @@ def _table_rows(max_n: int) -> list[dict]:
     return rows
 
 
-def _cmd_table(args, out, err) -> int:
+def _cmd_table(args, out) -> int:
     if args.max < 1:
         raise _CliError("--max must be at least 1")
     if args.max > _TABLE_CAP:
@@ -301,7 +289,7 @@ def _cmd_table(args, out, err) -> int:
     return 0
 
 
-def _cmd_monoid(args, out, err) -> int:
+def _cmd_monoid(args, out) -> int:
     from .monoid import _crosscheck_classes, default_bound, mstar_group, presentation, saturate
 
     g = _load_graph(args.file)
@@ -309,54 +297,57 @@ def _cmd_monoid(args, out, err) -> int:
     bound = args.bound if args.bound is not None else default_bound(pres)
     classes = saturate(pres, bound)
     group = mstar_group(classes)
-    crosscheck = _crosscheck_classes(g, classes, group)
-    reps = classes.representatives()
-    shown = reps[:_MAX_PRINTED_CLASSES]
+    shown = min(classes.class_count, _MAX_PRINTED_CLASSES)
+    payload = {
+        "schema": SCHEMA_VERSION,
+        "bound": classes.bound,
+        "stabilized": classes.stabilized,
+        "classes": classes.class_count,
+        "nonzero_classes": classes.nonzero_class_count,
+        "representatives": [list(classes.representative(c)) for c in range(shown)],
+        "group": (
+            "NOT_CLOSED"
+            if isinstance(group, str)
+            else {
+                "order": group.order,
+                "element_class_ids": list(group.element_class_ids),
+                "identity_class": group.identity_class,
+                "invariant_factors": list(group.invariant_factors()),
+                "table": [list(row) for row in group.table],
+            }
+        ),
+        "crosscheck": _crosscheck_classes(g, classes, group),
+    }
     if args.json:
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "bound": classes.bound,
-            "stabilized": classes.stabilized,
-            "classes": classes.class_count,
-            "nonzero_classes": classes.nonzero_class_count,
-            "representatives": [list(r) for r in shown],
-            "group": (
-                "NOT_CLOSED"
-                if isinstance(group, str)
-                else {
-                    "order": group.order,
-                    "element_class_ids": list(group.element_class_ids),
-                    "identity_class": group.identity_class,
-                    "invariant_factors": list(group.invariant_factors()),
-                    "table": [list(row) for row in group.table],
-                }
-            ),
-            "crosscheck": crosscheck,
-        }
         out.write(_json_text(payload) + "\n")
     else:
-        out.write(f"bound: {classes.bound}\n")
-        out.write(f"stabilized: {classes.stabilized}\n")
-        out.write(f"classes: {classes.class_count}\n")
-        for i, rep in enumerate(shown):
-            out.write(f"  class {i}: representative {list(rep)}\n")
-        if len(reps) > len(shown):
-            out.write(f"  ... ({len(reps) - len(shown)} more classes)\n")
-        if isinstance(group, str):
-            out.write("group: NOT_CLOSED\n")
-        else:
-            out.write(
-                f"group: order {group.order}, invariant factors "
-                f"{_factors_str(group.invariant_factors())}, "
-                f"identity class {group.identity_class}\n"
-            )
-            for cid, row in zip(group.element_class_ids, group.table):
-                out.write(f"  {cid} + .: {list(row)}\n")
-        out.write(f"crosscheck: {crosscheck}\n")
+        _print_monoid_text(payload, out)
     return 0
 
 
-def _cmd_validate(args, out, err) -> int:
+def _print_monoid_text(payload: dict, out: IO[str]) -> None:
+    for key in ("bound", "stabilized", "classes"):
+        out.write(f"{key}: {payload[key]}\n")
+    reps = payload["representatives"]
+    for i, rep in enumerate(reps):
+        out.write(f"  class {i}: representative {rep}\n")
+    if payload["classes"] > len(reps):
+        out.write(f"  ... ({payload['classes'] - len(reps)} more classes)\n")
+    group = payload["group"]
+    if group == "NOT_CLOSED":
+        out.write("group: NOT_CLOSED\n")
+    else:
+        out.write(
+            f"group: order {group['order']}, invariant factors "
+            f"{_factors_str(group['invariant_factors'])}, "
+            f"identity class {group['identity_class']}\n"
+        )
+        for cid, row in zip(group["element_class_ids"], group["table"]):
+            out.write(f"  {cid} + .: {row}\n")
+    out.write(f"crosscheck: {payload['crosscheck']}\n")
+
+
+def _cmd_validate(args, out) -> int:
     g = _load_graph(args.file)
     out.write(f"ok: {g.n_vertices} vertices, {g.n_edges} edges\n")
     return 0
@@ -373,12 +364,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("cayley", help="write the Cayley graph of Z/nZ as JSON")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_cayley)
+    p.set_defaults(func=_cmd_write, build=lambda a: cayley_graph(a.n))
 
     p = sub.add_parser("rose", help="write the rose with n petals as JSON")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_rose)
+    p.set_defaults(func=_cmd_write, build=lambda a: rose_graph(a.n))
 
     p = sub.add_parser(
         "stemmed-rose", help="write the stemmed rose (d-1 stem edges, n loops)"
@@ -386,7 +377,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_stemmed_rose)
+    p.set_defaults(func=_cmd_write, build=lambda a: stemmed_rose_graph(a.n, a.d))
 
     p = sub.add_parser("invariants", help="report all invariants of a graph")
     p.add_argument("file")
@@ -431,7 +422,7 @@ def run(argv, stdout: IO[str] | None = None, stderr: IO[str] | None = None) -> i
     except SystemExit as exc:  # --help and argparse-internal exits
         return int(exc.code or 0)
     try:
-        return args.func(args, out, err)
+        return args.func(args, out)
     except _CliError as exc:
         err.write(f"error: {exc}\n")
         return exc.exit_code

@@ -475,7 +475,9 @@ def graph_from_dict(data) -> Graph:
     # Each edge raises its first fault, in this order: not an object, an unknown
     # field, a missing field, a non-string field, an unknown vertex.
     edges = []
-    make = tuple.__new__  # builds the Edge without its Python-level __new__
+    # Builds the same Edge without the Python-level __new__ of a NamedTuple,
+    # one Python call per edge saved on the input of every command.
+    make = tuple.__new__
     for item in raw_edges:
         if type(item) is not dict and not isinstance(item, dict):
             raise ValueError(f"edge #{len(edges)} must be an object")
@@ -486,7 +488,9 @@ def graph_from_dict(data) -> Graph:
         else:
             missing = None
         # An exact dict with the three fields and three items has no other
-        # field; a `defaultdict` adds only the fields read.
+        # field; a `defaultdict` adds only the fields read.  Comparing
+        # `item.keys()` with the field set finds the same faults but takes
+        # about a fifth longer per graph.
         if missing is not None or len(item) != 3 or type(item) is not dict:
             if unknown := set(item) - {"id", "source", "range"}:
                 raise ValueError(

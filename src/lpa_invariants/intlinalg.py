@@ -50,6 +50,14 @@ def _as_index(x, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {x!r}") from None
 
 
+def _as_size(x, what: str) -> int:
+    """`x` as a nonnegative int, coerced as by `_as_index`."""
+    n = _as_index(x, what)
+    if n < 0:
+        raise ValueError(f"{what} must be nonnegative, got {n}")
+    return n
+
+
 def _as_ints(values, what: str) -> tuple[int, ...]:
     """`values` as a tuple of ints; non-integers are rejected."""
     try:
@@ -93,6 +101,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> IntMatrix:
+        n = _as_size(n, "size n")
         return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     def transpose(self) -> IntMatrix:
@@ -129,6 +138,8 @@ class IntMatrix:
 def diagonal_matrix(d, rows: int, cols: int) -> IntMatrix:
     """Matrix of the given shape with `d` down the main diagonal."""
     d = _as_ints(d, "diagonal entries")
+    rows = _as_size(rows, "row count rows")
+    cols = _as_size(cols, "column count cols")
     if len(d) != min(rows, cols):
         raise ValueError("diagonal length must be min(rows, cols)")
     return IntMatrix(
@@ -383,6 +394,7 @@ def sparse_smith(rows: Sequence[Mapping[int, int]], cols: int) -> SparseSmith:
     into a divisibility chain by pairwise (gcd, lcm) steps, which build
     the rows and columns they combine; zeros trail.
     """
+    cols = _as_size(cols, "column count cols")
     nr = len(rows)
     a: list[dict[int, int]] = []
     col_rows: list[set[int]] = [set() for _ in range(cols)]

@@ -549,6 +549,25 @@ class TestTable:
             assert (cls.k0_factors, cls.det) == computed, n
 
 
+# The first 100 of the 218 classes of C_6 in the box of bound 8, each
+# representative written as its six digits.
+C6_BOUND8_REPRESENTATIVES = [
+    [int(x) for x in digits]
+    for digits in (
+        "000000 000001 000002 000003 000004 000005 000006 000007 000008 000010 "
+        "000011 000012 000013 000014 000015 000016 000017 000020 000021 000022 "
+        "000023 000024 000025 000026 000030 000031 000032 000033 000034 000035 "
+        "000040 000041 000042 000043 000044 000050 000051 000052 000053 000060 "
+        "000061 000062 000070 000071 000080 000100 000110 000120 000130 000140 "
+        "000150 000160 000170 000200 000210 000220 000230 000240 000250 000260 "
+        "000300 000310 000320 000330 000340 000350 000400 000410 000420 000430 "
+        "000440 000500 000510 000520 000530 000600 000610 000620 000700 000710 "
+        "000800 001000 001001 001100 001200 001300 001400 001500 001600 001700 "
+        "002000 002100 002200 002300 002400 002500 002600 003000 003100 003200"
+    ).split()
+]
+
+
 class TestMonoid:
     def test_empty_graph_has_no_group(self, tmp_path):
         path = tmp_path / "empty.json"
@@ -579,6 +598,56 @@ class TestMonoid:
         assert code == 0
         assert "group: NOT_CLOSED" in out
         assert "crosscheck: INCONCLUSIVE" in out
+
+    def test_c3_text_pinned(self, c_files):
+        code, out, err = invoke(["monoid", c_files[3], "--bound", "8"])
+        assert (code, err) == (0, "")
+        assert out == (
+            "bound: 8\n"
+            "stabilized: True\n"
+            "classes: 5\n"
+            "  class 0: representative [0, 0, 0]\n"
+            "  class 1: representative [0, 0, 1]\n"
+            "  class 2: representative [0, 0, 2]\n"
+            "  class 3: representative [0, 1, 0]\n"
+            "  class 4: representative [0, 1, 1]\n"
+            "group: order 4, invariant factors (2,2), identity class 2\n"
+            "  1 + .: [2, 1, 4, 3]\n"
+            "  2 + .: [1, 2, 3, 4]\n"
+            "  3 + .: [4, 3, 2, 1]\n"
+            "  4 + .: [3, 4, 1, 2]\n"
+            "crosscheck: MATCH\n"
+        )
+
+    def test_c6_text_prints_the_first_classes_only(self, c_files):
+        code, out, err = invoke(["monoid", c_files[6], "--bound", "8"])
+        assert (code, err) == (0, "")
+        assert out == (
+            "bound: 8\n"
+            "stabilized: False\n"
+            "classes: 218\n"
+            + "".join(
+                f"  class {i}: representative {rep}\n"
+                for i, rep in enumerate(C6_BOUND8_REPRESENTATIVES)
+            )
+            + "  ... (118 more classes)\n"
+            "group: NOT_CLOSED\n"
+            "crosscheck: INCONCLUSIVE\n"
+        )
+
+    def test_c6_json_prints_the_first_classes_only(self, c_files):
+        code, out, err = invoke(["monoid", c_files[6], "--bound", "8", "--json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "schema": 1,
+            "bound": 8,
+            "stabilized": False,
+            "classes": 218,
+            "nonzero_classes": 217,
+            "representatives": C6_BOUND8_REPRESENTATIVES,
+            "group": "NOT_CLOSED",
+            "crosscheck": "INCONCLUSIVE",
+        }
 
     def test_default_bound_applies(self, c_files):
         code, out, _ = invoke(["monoid", c_files[2]])
@@ -730,6 +799,77 @@ class TestArgumentErrors:
         assert code == 0 and err == ""
         assert out.startswith("usage: lpainv")
         assert capsys.readouterr() == ("", "")
+
+
+WRITER_HELP = {
+    "cayley": (
+        "usage: lpainv cayley [-h] --n N [--out OUT]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --n N\n"
+        "  --out OUT\n"
+    ),
+    "rose": (
+        "usage: lpainv rose [-h] --n N [--out OUT]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --n N\n"
+        "  --out OUT\n"
+    ),
+    "stemmed-rose": (
+        "usage: lpainv stemmed-rose [-h] --n N --d D [--out OUT]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --n N\n"
+        "  --d D\n"
+        "  --out OUT\n"
+    ),
+}
+
+MAIN_HELP = """\
+usage: lpainv [-h]
+              {cayley,rose,stemmed-rose,invariants,classify,table,monoid,validate}
+              ...
+
+Command-line front end. Subcommands: `cayley`, `rose`, `stemmed-rose` write
+graph JSON; `invariants` reports the full invariant bundle of a graph;
+`classify` runs the Kirchberg-Phillips decision on a pair (exit code encodes
+the verdict); `table` tabulates the cyclic-Cayley-graph invariants; `monoid`
+runs the box-monoid oracle; `validate` checks graph JSON. Exit codes: 0
+success/Isomorphic, 2 malformed input or flags, 3 NotIsomorphic, 4 Unknown, 5
+NotApplicable, 6 a `table` row whose computed K0 factors, det, det sign or
+canonical form contradict the closed form of `cayley_class`. All errors go to
+the error stream as one line prefixed `error:`.
+
+positional arguments:
+  {cayley,rose,stemmed-rose,invariants,classify,table,monoid,validate}
+    cayley              write the Cayley graph of Z/nZ as JSON
+    rose                write the rose with n petals as JSON
+    stemmed-rose        write the stemmed rose (d-1 stem edges, n loops)
+    invariants          report all invariants of a graph
+    classify            Kirchberg-Phillips decision for a pair
+    table               tabulate cyclic Cayley graph invariants
+    monoid              box saturation of the graph monoid
+    validate            check a graph JSON file
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(["--help"], MAIN_HELP)]
+    + [([command, "--help"], text) for command, text in WRITER_HELP.items()],
+    ids=["lpainv", *WRITER_HELP],
+)
+def test_help_text_pinned(monkeypatch, argv, expected):
+    # argparse wraps help to the terminal width, which it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    assert invoke(argv) == (0, expected, "")
 
 
 class TestParserReuse:

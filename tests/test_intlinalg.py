@@ -76,6 +76,8 @@ class TestIntMatrix:
         assert CirculantRow((False, 1)).b == (0, 1)
         assert diagonal_matrix((True,), 1, 2).entries == ((1, 0),)
         assert sparse_smith([{0: True}, {1: 2}], 2).det == 2
+        assert IntMatrix.identity(True).entries == ((1,),)
+        assert sparse_smith([{0: 3}], True).d == (3,)
 
     def test_identity_transpose_sub_matmul(self):
         i2 = IntMatrix.identity(2)
@@ -89,6 +91,38 @@ class TestIntMatrix:
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ValueError):
             mat([[1, 2]]) @ mat([[1, 2]])
+
+    def test_sub_shape_mismatch(self):
+        with pytest.raises(ValueError, match="^matrix shapes differ$"):
+            mat([[1, 2]]) - mat([[1], [2]])
+
+    def test_diagonal_of_wrong_length(self):
+        with pytest.raises(ValueError, match=r"^diagonal length must be min\(rows, cols\)$"):
+            diagonal_matrix((1,), 2, 3)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: IntMatrix.identity(-1), "size n must be nonnegative, got -1"),
+            (lambda: IntMatrix.identity(2.0), "size n must be an integer, got 2.0"),
+            (lambda: sparse_smith([{}], -2), "column count cols must be nonnegative, got -2"),
+            (lambda: sparse_smith([{}], 1.0), "column count cols must be an integer, got 1.0"),
+            (lambda: diagonal_matrix((1,), 1, 1.0), "column count cols must be an integer, got 1.0"),
+            (lambda: diagonal_matrix((), -1, 0), "row count rows must be nonnegative, got -1"),
+        ],
+        ids=[
+            "identity-negative",
+            "identity-float",
+            "sparse-negative",
+            "sparse-float",
+            "diagonal-float",
+            "diagonal-negative",
+        ],
+    )
+    def test_sizes_reject_negatives_and_non_integers(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
 
 
 class TestDetExact:
@@ -315,6 +349,12 @@ class TestSparseSmith:
         assert result.d == (0, 0)
         assert result.u_rows == ({0: 1}, {1: 1})
         assert sparse_smith([{}], 0).d == ()
+
+    def test_replayed_transforms_compare_and_print_as_tuples(self):
+        u_rows = sparse_smith([{}, {}], 3).u_rows
+        assert u_rows.__eq__([{0: 1}, {1: 1}]) is NotImplemented
+        assert (u_rows == [{0: 1}, {1: 1}]) is False
+        assert repr(u_rows) == "({0: 1}, {1: 1})"
 
     def test_pivot_order_is_pinned(self):
         # Every entry has |x| = 2; rows 1-3 tie on Markowitz cost 9, so

@@ -91,6 +91,8 @@ class TestPresentation:
             MonoidPresentation(2, ((0, (1,)),))
         with pytest.raises(ValueError):
             MonoidPresentation(2, ((0, (0, 0)),))
+        with pytest.raises(ValueError, match="^relation coefficients must be nonnegative$"):
+            MonoidPresentation(2, ((0, (-1, 2)),))
 
     def test_rejects_non_integer_data(self):
         for bad in [
