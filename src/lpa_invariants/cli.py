@@ -32,7 +32,7 @@ from .graphs import (
     rose_graph,
     stemmed_rose_graph,
 )
-from .ktheory import analyse, circulant_k0
+from .ktheory import _circulant_rows, analyse
 
 SCHEMA_VERSION = 1
 _TABLE_CAP = 10_000
@@ -234,11 +234,12 @@ def _checked_row(factors, det: int, canonical) -> tuple[str, ...]:
 
 
 def _table_rows(max_n: int) -> list[dict]:
-    """Rows 1..max_n, each from `circulant_k0` (a 2 x 2 elimination, not
-    one of C_n) and checked against `cayley_class` in one comparison."""
+    """Rows 1..max_n, read off one upward walk in the module of C_n
+    (`_circulant_rows`: one ring step per row, one 2 x 2 elimination per
+    distinct companion power, no graph) and each checked against
+    `cayley_class` in one comparison."""
     rows = []
-    for n in range(1, max_n + 1):
-        k0 = circulant_k0(n)
+    for n, k0 in enumerate(_circulant_rows(max_n), 1):
         det, factors = k0.det, k0.group.factors
         canonical = _canonical(k0.purely_infinite_simple, k0, det)
         expected = cayley_class(n)

@@ -8,7 +8,9 @@ coordinates in the factor presentation; the distinguished element is the
 sum of all vertex classes, i.e. the class of the unit module.
 
 For the Cayley graph C_n, `circulant_k0` reads the same data off the
-module Z[x]/(x^n - 1, x^2 - x + 1), on a 2 x 2 matrix.
+module Z[x]/(x^n - 1, x^2 - x + 1), on a 2 x 2 matrix.  `_circulant_rows`
+reads C_1..C_m off one upward walk in that module, as `table` does: one
+ring step per row, and one elimination per distinct matrix it meets.
 """
 
 from __future__ import annotations
@@ -240,9 +242,10 @@ def circulant_k0(n: int) -> CirculantK0:
     One binary recursion in Z[x]/(x^2 - x + 1) gives x^n and the unit
     class sum_{i<n} x^i (the sum of the vertex classes): k -> 2k takes
     x^k to (x^k)^2 and the sum to sum * (1 + x^k), and k -> k + 1 adds
-    x^k to the sum and multiplies x^k by x.  One `sparse_smith` of the
-    2 x 2 matrix C^n - I then gives the group, the unit's coordinates
-    and det(C^n - I).
+    x^k to the sum and multiplies x^k by x.  `_circulant_read` then
+    eliminates the 2 x 2 matrix C^n - I and reads the group, the unit's
+    coordinates and det off it.  `table`, which needs every n in order,
+    reads its rows off one upward walk (`_circulant_rows`) instead.
 
     Over C, multiplication by -x^-1 is -1 times a cyclic permutation,
     with det (-1)^n (-1)^(n-1) = -1, and multiplication by x^2 - x + 1
@@ -265,19 +268,53 @@ def circulant_k0(n: int) -> CirculantK0:
         if bit == "1":
             total = (total[0] + power[0], total[1] + power[1])
             power = _times(power, (0, 1))
+    return _circulant_read(power, total, {})
 
-    column = (power[0] - 1, power[1])  # x^n - 1; C^n - I has it and x times it
-    columns = (column, _times(column, (0, 1)))
-    result = sparse_smith(
-        [{j: col[i] for j, col in enumerate(columns) if col[i]} for i in range(2)], 2
-    )
-    keep = [i for i, di in enumerate(result.d) if di != 1]
-    group = AbelianGroup(tuple(result.d[i] for i in keep))
+
+def _circulant_rows(max_n: int) -> Iterator[CirculantK0]:
+    """`circulant_k0(n)` for n = 1..max_n, in order, from one walk.
+
+    Each step adds x^(n-1) to the unit sum and multiplies x^(n-1) by x:
+    O(1) ring work per row.  Each distinct x^n is eliminated once per
+    call (x is a sixth root of unity, so the walk meets at most six), and
+    nothing is kept between calls.
+    """
+    eliminated: dict = {}
+    power, total = (1, 0), (0, 0)  # x^k and sum_{i<k} x^i, at k = 0
+    for _ in range(max_n):
+        total = (total[0] + power[0], total[1] + power[1])
+        power = _times(power, (0, 1))
+        yield _circulant_read(power, total, eliminated)
+
+
+def _circulant_read(
+    power: tuple[int, int], total: tuple[int, int], eliminated: dict
+) -> CirculantK0:
+    """The K0 data of C_n from x^n and the unit class sum_{i<n} x^i.
+
+    x^n fixes the matrix C^n - I, so `eliminated` maps each x^n already
+    seen to what its `sparse_smith` gives: the group, the rows of u that
+    carry its factors, and det(I - A^t) = -det(C^n - I).  The unit's
+    coordinates come from `total` and those rows on every call.
+    """
+    known = eliminated.get(power)
+    if known is None:
+        column = (power[0] - 1, power[1])  # x^n - 1; C^n - I has it and x times it
+        columns = (column, _times(column, (0, 1)))
+        result = sparse_smith(
+            [{j: col[i] for j, col in enumerate(columns) if col[i]} for i in range(2)],
+            2,
+        )
+        keep = [i for i, di in enumerate(result.d) if di != 1]
+        group = AbelianGroup(tuple(result.d[i] for i in keep))
+        rows = [result.u_rows[i] for i in keep]
+        known = eliminated[power] = (group, rows, -result.det)
+    group, rows, det = known
     coords = []
-    for i, di in zip(keep, group.factors):
-        c = sum(x * total[j] for j, x in result.u_rows[i].items())
+    for row, di in zip(rows, group.factors):
+        c = sum(x * total[j] for j, x in row.items())
         coords.append(c % di if di else c)
-    return CirculantK0(group, GroupElement(tuple(coords)), -result.det, True)
+    return CirculantK0(group, GroupElement(tuple(coords)), det, True)
 
 
 def element_order(group: AbelianGroup, x: GroupElement) -> int | float:

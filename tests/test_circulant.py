@@ -2,13 +2,19 @@
 Z[x]/(x^n - 1, x^2 - x + 1) read on the 2 x 2 companion power must give
 the group, det and PIS flag that `analyse` and `pis_report` give on
 `cayley_graph(n)`, and a unit class that some isomorphism of the groups
-carries to theirs."""
+carries to theirs.  `_circulant_rows`, the upward walk that `table`
+reads, must give row for row what `circulant_k0` gives."""
 
 import pytest
 
 from lpa_invariants.classify import _canonical, cayley_class
 from lpa_invariants.graphs import cayley_graph, pis_report
-from lpa_invariants.ktheory import analyse, circulant_k0, pointed_iso_exists
+from lpa_invariants.ktheory import (
+    _circulant_rows,
+    analyse,
+    circulant_k0,
+    pointed_iso_exists,
+)
 
 
 @pytest.mark.parametrize("n", range(1, 501))
@@ -41,6 +47,29 @@ def test_closed_form_at_large_n(n):
         cls.det,
         cls.canonical,
     )
+
+
+def fields(k0):
+    return (
+        k0.group.factors,
+        k0.distinguished.coords,
+        k0.det,
+        k0.purely_infinite_simple,
+    )
+
+
+def test_walk_agrees_with_circulant_k0_row_for_row():
+    rows = list(_circulant_rows(2000))
+    assert len(rows) == 2000
+    for n, row in enumerate(rows, 1):
+        assert fields(row) == fields(circulant_k0(n)), n
+
+
+def test_walk_agrees_with_circulant_k0_at_the_table_cap():
+    rows = list(_circulant_rows(10_000))
+    assert len(rows) == 10_000
+    for n in [*range(1, 13), 97, 500, 4096, 9999, 10_000]:
+        assert fields(rows[n - 1]) == fields(circulant_k0(n)), n
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ from graph_strategies import graph_from_pairs, permute
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lpa_invariants import cli
+from lpa_invariants import cli, ktheory
 from lpa_invariants.classify import CanonicalAlgebra, CayleyClass, cayley_class
 from lpa_invariants.cli import invariant_report, run
 from lpa_invariants.graphs import cayley_graph, graph_to_dict, stemmed_rose_graph
@@ -489,15 +489,13 @@ class TestTable:
     ):
         # Neither wrong det changes the canonical column: KLEIN4 and ZxZ
         # have non-cyclic K0, so only the det check can see it.
-        real = cli.circulant_k0
+        real = cli._circulant_rows
 
-        def patched(n):
-            k0 = real(n)
-            if n in wrong_det:
-                return k0._replace(det=wrong_det[n])
-            return k0
+        def patched(max_n):
+            for n, k0 in enumerate(real(max_n), 1):
+                yield k0._replace(det=wrong_det[n]) if n in wrong_det else k0
 
-        monkeypatch.setattr(cli, "circulant_k0", patched)
+        monkeypatch.setattr(cli, "_circulant_rows", patched)
         code, out, err = invoke(["table", "--max", "6", "--format", fmt])
         assert (code, out, err) == (6, "", f"error: table: {message}\n")
 
@@ -531,15 +529,37 @@ class TestTable:
     def test_k0_and_canonical_columns_checked_against_class(
         self, monkeypatch, fmt, n, change, message
     ):
-        real = cli.circulant_k0
+        real = cli._circulant_rows
 
-        def patched(m):
-            k0 = real(m)
-            return k0._replace(**change) if m == n else k0
+        def patched(max_n):
+            for m, k0 in enumerate(real(max_n), 1):
+                yield k0._replace(**change) if m == n else k0
 
-        monkeypatch.setattr(cli, "circulant_k0", patched)
+        monkeypatch.setattr(cli, "_circulant_rows", patched)
         code, out, err = invoke(["table", "--max", "6", "--format", fmt])
         assert (code, out, err) == (6, "", f"error: table: {message}\n")
+
+    @pytest.mark.parametrize("fmt", ["md", "json"])
+    def test_det_of_a_companion_power_checked_at_its_first_row(
+        self, monkeypatch, fmt
+    ):
+        # x^n = -1 first at n = 3 (and again at n = 9, 15, ...): its one
+        # elimination, of C^3 - I = -2I, gets a wrong det.  The walk reuses
+        # it, so the first row it reaches is the one the error names.
+        real = ktheory.sparse_smith
+
+        def corrupted(rows, cols):
+            result = real(rows, cols)
+            if [dict(row) for row in rows] == [{0: -2}, {1: -2}]:
+                return result._replace(det=result.det + 1)
+            return result
+
+        monkeypatch.setattr(ktheory, "sparse_smith", corrupted)
+        code, out, err = invoke(["table", "--max", "12", "--format", fmt])
+        assert (code, out) == (6, "")
+        assert err == (
+            "error: table: n=3: closed form class KLEIN4 has det -4, computed -5\n"
+        )
 
     def test_closed_form_matches_analyse(self):
         for n in range(1, 61):

@@ -1,9 +1,11 @@
 """Each graph is eliminated once: K0, vertex images and det come from one
 `sparse_smith` call, and Bareiss stays off the command paths.  The work
 of that call on C_n grows linearly in n, and K0 builds only the rows of
-u it reads.  A `table` row builds no graph: it is one `sparse_smith` of
-the 2 x 2 companion power of `circulant_k0`, with no `analyse` or PIS
-test.  Nor is a copy of C_n eliminated or searched in `classify`
+u it reads.  A `table` builds no graph: its rows come from one upward
+walk in the module of C_n, one ring step per row, and each distinct
+2 x 2 companion power C^n - I (six at most) gets one `sparse_smith` per
+call, with no `analyse` or PIS test and nothing kept between calls.
+Nor is a copy of C_n eliminated or searched in `classify`
 (`kp_decide`, `canonical_form`, `det_sign`): it is read off the same
 module; other graphs get one PIS test and, when both are purely
 infinite simple, one elimination each.  Each `lpainv monoid` call and each crosscheck saturates its box
@@ -64,9 +66,25 @@ def test_invariant_report_eliminates_once(calls):
     assert calls == {"sparse_smith": 1, "det_exact": 0}
 
 
-def test_table_rows_eliminate_once_per_row(calls):
+def test_table_rows_eliminate_once_per_companion_power(calls):
+    # x is a sixth root of unity: a table meets at most six matrices
+    # C^n - I, and eliminates each once.
+    for k in (1, 5, 6, 12, 500, 10_000):
+        calls["sparse_smith"] = 0
+        _table_rows(k)
+        assert calls == {"sparse_smith": min(k, 6), "det_exact": 0}, k
+
+
+def test_table_rows_keep_no_eliminations_across_calls(calls):
+    _table_rows(12)
     _table_rows(12)
     assert calls == {"sparse_smith": 12, "det_exact": 0}
+
+
+def test_table_rows_take_one_ring_step_per_row(monkeypatch):
+    steps = counting(monkeypatch, ktheory, "_times")
+    _table_rows(10_000)
+    assert steps["_times"] <= 2 * 10_000 + 50
 
 
 def test_table_rows_build_no_graph(monkeypatch):
