@@ -235,9 +235,9 @@ def _checked_row(factors, det: int, canonical) -> tuple[str, ...]:
 
 def _table_rows(max_n: int) -> list[dict]:
     """Rows 1..max_n, read off one upward walk in the module of C_n
-    (`_circulant_rows`: one ring step per row, one 2 x 2 elimination per
-    distinct companion power, no graph) and each checked against
-    `cayley_class` in one comparison."""
+    (`_circulant_rows`: one ring step per row, one reading of x^n and one
+    2 x 2 elimination per distinct x^n, no graph) and each checked
+    against `cayley_class` in one comparison."""
     rows = []
     for n, k0 in enumerate(_circulant_rows(max_n), 1):
         det, factors = k0.det, k0.group.factors

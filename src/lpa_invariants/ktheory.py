@@ -8,9 +8,10 @@ coordinates in the factor presentation; the distinguished element is the
 sum of all vertex classes, i.e. the class of the unit module.
 
 For the Cayley graph C_n, `circulant_k0` reads the same data off the
-module Z[x]/(x^n - 1, x^2 - x + 1), on a 2 x 2 matrix.  `_circulant_rows`
-reads C_1..C_m off one upward walk in that module, as `table` does: one
-ring step per row, and one elimination per distinct matrix it meets.
+module Z[x]/(x^n - 1, x^2 - x + 1), on a 2 x 2 matrix, from x^n alone:
+the unit class sum_{i<n} x^i is x (1 - x^n).  `_circulant_rows` reads
+C_1..C_m off one upward walk in that module, as `table` does: one ring
+step per row, and one reading per distinct x^n it meets.
 """
 
 from __future__ import annotations
@@ -239,13 +240,11 @@ def circulant_k0(n: int) -> CirculantK0:
     1 - x - x^-1 = -x^-1 (x^2 - x + 1).  As x is a unit there, K0 =
     Z[x]/(x^n - 1, x^2 - x + 1): Z^2 on 1 and x, where x acts as the
     companion matrix C of x^2 - x + 1, modulo the image of C^n - I.
-    One binary recursion in Z[x]/(x^2 - x + 1) gives x^n and the unit
-    class sum_{i<n} x^i (the sum of the vertex classes): k -> 2k takes
-    x^k to (x^k)^2 and the sum to sum * (1 + x^k), and k -> k + 1 adds
-    x^k to the sum and multiplies x^k by x.  `_circulant_read` then
-    eliminates the 2 x 2 matrix C^n - I and reads the group, the unit's
-    coordinates and det off it.  `table`, which needs every n in order,
-    reads its rows off one upward walk (`_circulant_rows`) instead.
+    One square-and-multiply recursion in Z[x]/(x^2 - x + 1) gives x^n,
+    and `_circulant_read` eliminates the 2 x 2 matrix C^n - I and reads
+    the group, the unit's coordinates and det off it.  `table`, which
+    needs every n in order, reads its rows off one upward walk
+    (`_circulant_rows`) instead.
 
     Over C, multiplication by -x^-1 is -1 times a cyclic permutation,
     with det (-1)^n (-1)^(n-1) = -1, and multiplication by x^2 - x + 1
@@ -261,60 +260,53 @@ def circulant_k0(n: int) -> CirculantK0:
     """
     if isinstance(n, bool) or (n := _as_index(n, "n")) < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    power, total = (1, 0), (0, 0)  # x^k and sum_{i<k} x^i, at k = 0
+    power = (1, 0)  # x^0
     for bit in bin(n)[2:]:
-        total = _times(total, (1 + power[0], power[1]))
         power = _times(power, power)
         if bit == "1":
-            total = (total[0] + power[0], total[1] + power[1])
             power = _times(power, (0, 1))
-    return _circulant_read(power, total, {})
+    return _circulant_read(power)
 
 
 def _circulant_rows(max_n: int) -> Iterator[CirculantK0]:
     """`circulant_k0(n)` for n = 1..max_n, in order, from one walk.
 
-    Each step adds x^(n-1) to the unit sum and multiplies x^(n-1) by x:
-    O(1) ring work per row.  Each distinct x^n is eliminated once per
-    call (x is a sixth root of unity, so the walk meets at most six), and
-    nothing is kept between calls.
+    Each step multiplies x^(n-1) by x.  x^n fixes the row, so each
+    distinct x^n is read once per call and its row object reused (x is a
+    sixth root of unity, so the walk meets at most six); nothing is kept
+    between calls.
     """
-    eliminated: dict = {}
-    power, total = (1, 0), (0, 0)  # x^k and sum_{i<k} x^i, at k = 0
+    rows: dict = {}
+    power = (1, 0)  # x^0
     for _ in range(max_n):
-        total = (total[0] + power[0], total[1] + power[1])
         power = _times(power, (0, 1))
-        yield _circulant_read(power, total, eliminated)
+        row = rows.get(power)
+        if row is None:
+            row = rows[power] = _circulant_read(power)
+        yield row
 
 
-def _circulant_read(
-    power: tuple[int, int], total: tuple[int, int], eliminated: dict
-) -> CirculantK0:
-    """The K0 data of C_n from x^n and the unit class sum_{i<n} x^i.
+def _circulant_read(power: tuple[int, int]) -> CirculantK0:
+    """The K0 data of C_n from x^n alone.
 
-    x^n fixes the matrix C^n - I, so `eliminated` maps each x^n already
-    seen to what its `sparse_smith` gives: the group, the rows of u that
-    carry its factors, and det(I - A^t) = -det(C^n - I).  The unit's
-    coordinates come from `total` and those rows on every call.
+    The unit class is sum_{i<n} x^i = x (1 - x^n), as (x - 1)(-x) =
+    x - x^2 = 1 in Z[x]/(x^2 - x + 1).  One `sparse_smith` of C^n - I
+    gives the group, the rows of u that carry the unit's coordinates and
+    det(I - A^t) = -det(C^n - I).
     """
-    known = eliminated.get(power)
-    if known is None:
-        column = (power[0] - 1, power[1])  # x^n - 1; C^n - I has it and x times it
-        columns = (column, _times(column, (0, 1)))
-        result = sparse_smith(
-            [{j: col[i] for j, col in enumerate(columns) if col[i]} for i in range(2)],
-            2,
-        )
-        keep = [i for i, di in enumerate(result.d) if di != 1]
-        group = AbelianGroup(tuple(result.d[i] for i in keep))
-        rows = [result.u_rows[i] for i in keep]
-        known = eliminated[power] = (group, rows, -result.det)
-    group, rows, det = known
+    column = (power[0] - 1, power[1])  # x^n - 1; C^n - I has it and x times it
+    columns = (column, _times(column, (0, 1)))
+    result = sparse_smith(
+        [{j: col[i] for j, col in enumerate(columns) if col[i]} for i in range(2)], 2
+    )
+    unit = _times((0, 1), (1 - power[0], -power[1]))
+    keep = [i for i, di in enumerate(result.d) if di != 1]
+    group = AbelianGroup(tuple(result.d[i] for i in keep))
     coords = []
-    for row, di in zip(rows, group.factors):
-        c = sum(x * total[j] for j, x in row.items())
+    for i, di in zip(keep, group.factors):
+        c = sum(x * unit[j] for j, x in result.u_rows[i].items())
         coords.append(c % di if di else c)
-    return CirculantK0(group, GroupElement(tuple(coords)), det, True)
+    return CirculantK0(group, GroupElement(tuple(coords)), -result.det, True)
 
 
 def element_order(group: AbelianGroup, x: GroupElement) -> int | float:

@@ -2,8 +2,11 @@
 Z[x]/(x^n - 1, x^2 - x + 1) read on the 2 x 2 companion power must give
 the group, det and PIS flag that `analyse` and `pis_report` give on
 `cayley_graph(n)`, and a unit class that some isomorphism of the groups
-carries to theirs.  `_circulant_rows`, the upward walk that `table`
-reads, must give row for row what `circulant_k0` gives."""
+carries to theirs.  It reads the unit class sum_{i<n} x^i as
+x (1 - x^n), which must equal the sum itself, summed term by term or by
+a square-and-multiply recursion that carries it.  `_circulant_rows`, the
+upward walk that `table` reads, must give row for row what
+`circulant_k0` gives."""
 
 import pytest
 
@@ -11,6 +14,7 @@ from lpa_invariants.classify import _canonical, cayley_class
 from lpa_invariants.graphs import cayley_graph, pis_report
 from lpa_invariants.ktheory import (
     _circulant_rows,
+    _times,
     analyse,
     circulant_k0,
     pointed_iso_exists,
@@ -47,6 +51,38 @@ def test_closed_form_at_large_n(n):
         cls.det,
         cls.canonical,
     )
+
+
+def unit_from_power(power):
+    """x (1 - x^n) from x^n, as `_circulant_read` reads the unit class."""
+    return _times((0, 1), (1 - power[0], -power[1]))
+
+
+def test_unit_class_is_the_sum_on_every_row_of_a_walk():
+    power, total = (1, 0), (0, 0)  # x^n and sum_{i<n} x^i, at n = 0
+    for n in range(1, 10_001):
+        total = (total[0] + power[0], total[1] + power[1])
+        power = _times(power, (0, 1))
+        assert unit_from_power(power) == total, n
+
+
+def power_and_sum(n):
+    """x^n and sum_{i<n} x^i by square and multiply: k -> 2k takes the
+    sum to sum * (1 + x^k), and k -> k + 1 adds x^k to it."""
+    power, total = (1, 0), (0, 0)
+    for bit in bin(n)[2:]:
+        total = _times(total, (1 + power[0], power[1]))
+        power = _times(power, power)
+        if bit == "1":
+            total = (total[0] + power[0], total[1] + power[1])
+            power = _times(power, (0, 1))
+    return power, total
+
+
+@pytest.mark.parametrize("n", SPREAD)
+def test_unit_class_is_the_sum_at_large_n(n):
+    power, total = power_and_sum(n)
+    assert unit_from_power(power) == total
 
 
 def fields(k0):

@@ -1,10 +1,13 @@
 """Each graph is eliminated once: K0, vertex images and det come from one
 `sparse_smith` call, and Bareiss stays off the command paths.  The work
 of that call on C_n grows linearly in n, and K0 builds only the rows of
-u it reads.  A `table` builds no graph: its rows come from one upward
-walk in the module of C_n, one ring step per row, and each distinct
-2 x 2 companion power C^n - I (six at most) gets one `sparse_smith` per
-call, with no `analyse` or PIS test and nothing kept between calls.
+u it reads.  The module of C_n is read from x^n alone: `circulant_k0`
+carries nothing else through its square and multiply.  A `table` builds
+no graph: its rows come from one upward walk in that module, one ring
+step per row, and each distinct x^n (six at most) is read once per call,
+with one `sparse_smith` of C^n - I and no `analyse` or PIS test, into
+one row object that every later row with that x^n reuses; nothing is
+kept between calls.
 Nor is a copy of C_n eliminated or searched in `classify`
 (`kp_decide`, `canonical_form`, `det_sign`): it is read off the same
 module; other graphs get one PIS test and, when both are purely
@@ -85,6 +88,23 @@ def test_table_rows_take_one_ring_step_per_row(monkeypatch):
     steps = counting(monkeypatch, ktheory, "_times")
     _table_rows(10_000)
     assert steps["_times"] <= 2 * 10_000 + 50
+
+
+def test_circulant_k0_takes_two_ring_steps_per_bit(monkeypatch):
+    # One square, and one multiplication by x per 1 bit; then x times
+    # x^n - 1 for C^n - I and x (1 - x^n) for the unit class.
+    steps = counting(monkeypatch, ktheory, "_times")
+    for n in [*range(1, 5000), 10**6]:
+        steps["_times"] = 0
+        ktheory.circulant_k0(n)
+        assert steps["_times"] <= 2 * n.bit_length() + 2, n
+
+
+@pytest.mark.parametrize("k", [1, 5, 6, 12, 500, 10_000])
+def test_walk_reuses_one_row_per_companion_power(k):
+    rows = list(ktheory._circulant_rows(k))
+    assert len(rows) == k
+    assert len({id(row) for row in rows}) <= min(k, 6)
 
 
 def test_table_rows_build_no_graph(monkeypatch):
