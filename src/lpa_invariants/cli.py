@@ -233,35 +233,60 @@ def _checked_row(factors, det: int, canonical) -> tuple[str, ...]:
     return (_factors_str(factors), str(det), sign_of(det), label)
 
 
-def _table_rows(max_n: int) -> list[dict]:
-    """Rows 1..max_n, read off one upward walk in the module of C_n
-    (`_circulant_rows`: one ring step per row, one reading of x^n and one
-    2 x 2 elimination per distinct x^n, no graph) and each checked
-    against `cayley_class` in one comparison."""
+def _table_rows(max_n: int, fmt: str = "md") -> list[str]:
+    """Rows 1..max_n as `table` writes them in `fmt`, read off one upward
+    walk in the module of C_n (`_circulant_rows`: one ring step per row,
+    one reading of x^n and one 2 x 2 elimination per distinct x^n, no
+    graph).
+
+    The walk yields at most six row objects and `cayley_class` reads only
+    n mod 6, so each pair (row object, n mod 6) is checked against the
+    closed form in one comparison, and its five columns after `n` are
+    written, once per call, at the pair's first row.  Every other row is
+    its n plus that text.  The pair is keyed on the object the walk
+    yields, not on n, so a row object not seen before for its residue is
+    checked afresh; the text is kept with its object, so no other object
+    can take its id within the call.
+    """
+    tails: dict = {}
+    head = '{\n      "n": ' if fmt == "json" else "| "
     rows = []
     for n, k0 in enumerate(_circulant_rows(max_n), 1):
-        det, factors = k0.det, k0.group.factors
-        canonical = _canonical(k0.purely_infinite_simple, k0, det)
-        expected = cayley_class(n)
-        want = _checked_row(expected.k0_factors, expected.det, expected.canonical)
-        got = _checked_row(factors, det, canonical)
-        if got != want:
-            i = next(i for i, (w, c) in enumerate(zip(want, got)) if w != c)
-            raise _ClosedFormMismatch(
-                f"table: n={n}: closed form class {expected.class_id} has "
-                f"{_CHECKED_COLUMNS[i]} {want[i]}, computed {got[i]}"
-            )
-        rows.append(
-            {
-                "n": n,
-                "k0_factors": list(factors),
-                "det": det,
-                "det_sign": sign_of(det),
-                "class_id": expected.class_id,
-                "canonical": canonical and canonical.label,
-            }
-        )
+        key = (id(k0), n % 6)
+        seen = tails.get(key)
+        if seen is None:
+            seen = tails[key] = (k0, _checked_tail(n, k0, fmt))
+        rows.append(head + str(n) + seen[1])
     return rows
+
+
+def _checked_tail(n: int, k0, fmt: str) -> str:
+    """Row n's columns after `n`, as written in `fmt`, once its
+    `_CHECKED_COLUMNS` match the closed form of `cayley_class(n)`."""
+    det, factors = k0.det, k0.group.factors
+    canonical = _canonical(k0.purely_infinite_simple, k0, det)
+    expected = cayley_class(n)
+    want = _checked_row(expected.k0_factors, expected.det, expected.canonical)
+    got = _checked_row(factors, det, canonical)
+    if got != want:
+        i = next(i for i, (w, c) in enumerate(zip(want, got)) if w != c)
+        raise _ClosedFormMismatch(
+            f"table: n={n}: closed form class {expected.class_id} has "
+            f"{_CHECKED_COLUMNS[i]} {want[i]}, computed {got[i]}"
+        )
+    if fmt == "json":
+        columns = {
+            "k0_factors": list(factors),
+            "det": det,
+            "det_sign": got[2],
+            "class_id": expected.class_id,
+            "canonical": canonical and canonical.label,
+        }
+        # The row dict's own "{" is `head`; its first item is "n".
+        return "," + _json_text(columns, "\n    ")[1:]
+    return " | {factors} | {det} | {sign} | {cls} | {canonical} |\n".format(
+        factors=got[0], det=got[1], sign=got[2], cls=expected.class_id, canonical=got[3]
+    )
 
 
 def _cmd_table(args, out) -> int:
@@ -269,24 +294,19 @@ def _cmd_table(args, out) -> int:
         raise _CliError("--max must be at least 1")
     if args.max > _TABLE_CAP:
         raise _CliError(f"--max {args.max} exceeds the cap of {_TABLE_CAP}")
-    rows = _table_rows(args.max)
+    rows = _table_rows(args.max, args.format)
     if args.format == "json":
-        payload = {"schema": SCHEMA_VERSION, "rows": rows}
-        out.write(_json_text(payload) + "\n")
+        # `_json_text({"schema": SCHEMA_VERSION, "rows": rows})`, with each
+        # row already written at its depth.
+        out.write(
+            f'{{\n  "schema": {SCHEMA_VERSION},\n  "rows": [\n    '
+            + ",\n    ".join(rows)
+            + "\n  ]\n}\n"
+        )
     else:
         out.write("| n | k0_factors | det | det_sign | class | canonical |\n")
         out.write("|---:|---|---:|---|---|---|\n")
-        for row in rows:
-            out.write(
-                "| {n} | {factors} | {det} | {sign} | {cls} | {canonical} |\n".format(
-                    n=row["n"],
-                    factors=_factors_str(row["k0_factors"]),
-                    det=row["det"],
-                    sign=row["det_sign"],
-                    cls=row["class_id"],
-                    canonical=row["canonical"] or "-",
-                )
-            )
+        out.write("".join(rows))
     return 0
 
 

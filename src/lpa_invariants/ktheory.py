@@ -9,7 +9,8 @@ sum of all vertex classes, i.e. the class of the unit module.
 
 For the Cayley graph C_n, `circulant_k0` reads the same data off the
 module Z[x]/(x^n - 1, x^2 - x + 1), on a 2 x 2 matrix, from x^n alone:
-the unit class sum_{i<n} x^i is x (1 - x^n).  `_circulant_rows` reads
+the unit class sum_{i<n} x^i is x (1 - x^n), a multiple of x^n - 1, so
+it is zero.  `_circulant_rows` reads
 C_1..C_m off one upward walk in that module, as `table` does: one ring
 step per row, and one reading per distinct x^n it meets.
 """
@@ -216,9 +217,10 @@ def cokernel_pointed(g: Graph) -> PointedK0:
 class CirculantK0(NamedTuple):
     """K0 group, unit class, det(I - A^t) and PIS flag of C_n.
 
-    The unit class is in the factor presentation of `group`, which need
-    not be the one `analyse` picks for the same graph; some isomorphism
-    of the groups carries the one unit class to the other.
+    The group is in the factor presentation `_circulant_read` finds,
+    which need not be the one `analyse` picks for the same graph.  The
+    unit class is zero for every n, so every isomorphism of the groups
+    carries the one unit class to the other.
     """
 
     group: AbelianGroup
@@ -242,8 +244,8 @@ def circulant_k0(n: int) -> CirculantK0:
     companion matrix C of x^2 - x + 1, modulo the image of C^n - I.
     One square-and-multiply recursion in Z[x]/(x^2 - x + 1) gives x^n,
     and `_circulant_read` eliminates the 2 x 2 matrix C^n - I and reads
-    the group, the unit's coordinates and det off it.  `table`, which
-    needs every n in order, reads its rows off one upward walk
+    the group and det off it; the unit class is always zero.  `table`,
+    which needs every n in order, reads its rows off one upward walk
     (`_circulant_rows`) instead.
 
     Over C, multiplication by -x^-1 is -1 times a cyclic permutation,
@@ -289,24 +291,18 @@ def _circulant_rows(max_n: int) -> Iterator[CirculantK0]:
 def _circulant_read(power: tuple[int, int]) -> CirculantK0:
     """The K0 data of C_n from x^n alone.
 
-    The unit class is sum_{i<n} x^i = x (1 - x^n), as (x - 1)(-x) =
-    x - x^2 = 1 in Z[x]/(x^2 - x + 1).  One `sparse_smith` of C^n - I
-    gives the group, the rows of u that carry the unit's coordinates and
-    det(I - A^t) = -det(C^n - I).
+    One `sparse_smith` of C^n - I gives the group and det(I - A^t) =
+    -det(C^n - I).  The unit class is zero: it is sum_{i<n} x^i =
+    x (1 - x^n) = -x (x^n - 1), as (x - 1)(-x) = x - x^2 = 1 in
+    Z[x]/(x^2 - x + 1), and that lies in (x^n - 1) = Im(C^n - I).
     """
     column = (power[0] - 1, power[1])  # x^n - 1; C^n - I has it and x times it
     columns = (column, _times(column, (0, 1)))
     result = sparse_smith(
         [{j: col[i] for j, col in enumerate(columns) if col[i]} for i in range(2)], 2
     )
-    unit = _times((0, 1), (1 - power[0], -power[1]))
-    keep = [i for i, di in enumerate(result.d) if di != 1]
-    group = AbelianGroup(tuple(result.d[i] for i in keep))
-    coords = []
-    for i, di in zip(keep, group.factors):
-        c = sum(x * unit[j] for j, x in result.u_rows[i].items())
-        coords.append(c % di if di else c)
-    return CirculantK0(group, GroupElement(tuple(coords)), -result.det, True)
+    group = AbelianGroup(tuple(d for d in result.d if d != 1))
+    return CirculantK0(group, group.zero(), -result.det, True)
 
 
 def element_order(group: AbelianGroup, x: GroupElement) -> int | float:

@@ -2,11 +2,12 @@
 Z[x]/(x^n - 1, x^2 - x + 1) read on the 2 x 2 companion power must give
 the group, det and PIS flag that `analyse` and `pis_report` give on
 `cayley_graph(n)`, and a unit class that some isomorphism of the groups
-carries to theirs.  It reads the unit class sum_{i<n} x^i as
+carries to theirs.  It writes the unit class as zero: sum_{i<n} x^i is
 x (1 - x^n), which must equal the sum itself, summed term by term or by
-a square-and-multiply recursion that carries it.  `_circulant_rows`, the
-upward walk that `table` reads, must give row for row what
-`circulant_k0` gives."""
+a square-and-multiply recursion that carries it, and which lies in
+(x^n - 1) = Im(C^n - I); `analyse`'s own elimination must find it zero
+too.  `_circulant_rows`, the upward walk that `table` reads, must give
+row for row what `circulant_k0` gives."""
 
 import pytest
 
@@ -35,6 +36,12 @@ def test_cayley_graphs_agree_with_analyse(n):
         == "YES"
     )
     assert got.purely_infinite_simple == pis_report(g).purely_infinite_simple
+    assert want.k0.distinguished.is_zero
+
+
+def test_unit_class_is_zero():
+    for n in range(1, 3001):
+        assert circulant_k0(n).distinguished.is_zero, n
 
 
 SPREAD = [1, 2, 3, 4, 5, 6, 7, 11, 12, 97, 500, 501, 1000, 4096, 65535]
@@ -54,7 +61,7 @@ def test_closed_form_at_large_n(n):
 
 
 def unit_from_power(power):
-    """x (1 - x^n) from x^n, as `_circulant_read` reads the unit class."""
+    """x (1 - x^n) from x^n: the unit class, a multiple of x^n - 1."""
     return _times((0, 1), (1 - power[0], -power[1]))
 
 

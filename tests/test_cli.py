@@ -568,6 +568,84 @@ class TestTable:
             computed = (analysis.k0.group.factors, analysis.det)
             assert (cls.k0_factors, cls.det) == computed, n
 
+    @staticmethod
+    def reference_stdout(max_n, fmt):
+        """`table`'s stdout, written row by row from `cayley_class`."""
+        classes = [(n, cayley_class(n)) for n in range(1, max_n + 1)]
+
+        def sign(det):
+            return {-1: "NEGATIVE", 0: "ZERO", 1: "POSITIVE"}[(det > 0) - (det < 0)]
+
+        if fmt == "json":
+            rows = [
+                {
+                    "n": n,
+                    "k0_factors": list(cls.k0_factors),
+                    "det": cls.det,
+                    "det_sign": sign(cls.det),
+                    "class_id": cls.class_id,
+                    "canonical": cls.canonical.label if cls.canonical else None,
+                }
+                for n, cls in classes
+            ]
+            return json.dumps({"schema": 1, "rows": rows}, indent=2) + "\n"
+        lines = [
+            "| n | k0_factors | det | det_sign | class | canonical |\n",
+            "|---:|---|---:|---|---|---|\n",
+        ]
+        for n, cls in classes:
+            factors = ",".join(map(str, cls.k0_factors))
+            label = cls.canonical.label if cls.canonical else "-"
+            lines.append(
+                f"| {n} | ({factors}) | {cls.det} | {sign(cls.det)} | "
+                f"{cls.class_id} | {label} |\n"
+            )
+        return "".join(lines)
+
+    @pytest.mark.parametrize("fmt", ["md", "json"])
+    @pytest.mark.parametrize("max_n", [*range(1, 14), 100, 500, 10_000])
+    def test_bytes_match_the_closed_form(self, fmt, max_n):
+        code, out, err = invoke(["table", "--max", str(max_n), "--format", fmt])
+        assert (code, err) == (0, "")
+        assert out == self.reference_stdout(max_n, fmt)
+
+    def test_closed_form_reads_n_mod_6_alone(self):
+        # `table` checks and writes one row per (row object, n mod 6) and
+        # reuses it, which is sound only while this holds.
+        def read(cls):
+            return (cls.class_id, cls.k0_factors, cls.det, cls.canonical)
+
+        for n in range(1, 10_001):
+            assert read(cayley_class(n)) == read(cayley_class((n - 1) % 6 + 1)), n
+
+    @pytest.mark.parametrize("fmt", ["md", "json"])
+    @pytest.mark.parametrize(
+        "n, change, message",
+        [
+            (
+                13,
+                {"group": AbelianGroup((3,)), "distinguished": GroupElement((0,))},
+                "n=13: closed form class TRIVIAL_K0 has k0_factors (), computed (3)",
+            ),
+            (18, {"det": 1}, "n=18: closed form class ZxZ has det 0, computed 1"),
+        ],
+        ids=["trivial-factor", "zxz-det"],
+    )
+    def test_later_row_of_a_checked_residue_is_checked(
+        self, monkeypatch, fmt, n, change, message
+    ):
+        # Rows 1..n-1 of the residue pass, and its row object is written
+        # before n; a fresh, wrong object at n must still be checked.
+        real = cli._circulant_rows
+
+        def patched(max_n):
+            for m, k0 in enumerate(real(max_n), 1):
+                yield k0._replace(**change) if m == n else k0
+
+        monkeypatch.setattr(cli, "_circulant_rows", patched)
+        code, out, err = invoke(["table", "--max", "24", "--format", fmt])
+        assert (code, out, err) == (6, "", f"error: table: {message}\n")
+
 
 # The first 100 of the 218 classes of C_6 in the box of bound 8, each
 # representative written as its six digits.

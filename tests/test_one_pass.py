@@ -6,7 +6,8 @@ carries nothing else through its square and multiply.  A `table` builds
 no graph: its rows come from one upward walk in that module, one ring
 step per row, and each distinct x^n (six at most) is read once per call,
 with one `sparse_smith` of C^n - I and no `analyse` or PIS test, into
-one row object that every later row with that x^n reuses; nothing is
+one row object that every later row with that x^n reuses; each such
+object is checked against the closed form and written once; nothing is
 kept between calls.
 Nor is a copy of C_n eliminated or searched in `classify`
 (`kp_decide`, `canonical_form`, `det_sign`): it is read off the same
@@ -25,7 +26,7 @@ import pytest
 from graph_strategies import permute
 
 from lpa_invariants.classify import canonical_form, det_sign, kp_decide
-from lpa_invariants import graphs, intlinalg, ktheory, monoid
+from lpa_invariants import classify, graphs, intlinalg, ktheory, monoid
 from lpa_invariants.cli import _table_rows, invariant_report, run
 from lpa_invariants.graphs import (
     cayley_graph,
@@ -85,19 +86,29 @@ def test_table_rows_keep_no_eliminations_across_calls(calls):
 
 
 def test_table_rows_take_one_ring_step_per_row(monkeypatch):
+    # One multiplication by x per row, and x times x^n - 1 for C^n - I
+    # once per distinct x^n.
     steps = counting(monkeypatch, ktheory, "_times")
     _table_rows(10_000)
-    assert steps["_times"] <= 2 * 10_000 + 50
+    assert steps["_times"] <= 10_000 + 6
+
+
+def test_table_rows_check_each_row_object_once(monkeypatch):
+    counts = counting_everywhere(monkeypatch, classify._canonical, classify.cayley_class)
+    for fmt in ("md", "json"):
+        counts.update(_canonical=0, cayley_class=0)
+        assert len(_table_rows(10_000, fmt)) == 10_000
+        assert max(counts.values()) <= 6, (fmt, counts)
 
 
 def test_circulant_k0_takes_two_ring_steps_per_bit(monkeypatch):
     # One square, and one multiplication by x per 1 bit; then x times
-    # x^n - 1 for C^n - I and x (1 - x^n) for the unit class.
+    # x^n - 1 for C^n - I.
     steps = counting(monkeypatch, ktheory, "_times")
     for n in [*range(1, 5000), 10**6]:
         steps["_times"] = 0
         ktheory.circulant_k0(n)
-        assert steps["_times"] <= 2 * n.bit_length() + 2, n
+        assert steps["_times"] <= 2 * n.bit_length() + 1, n
 
 
 @pytest.mark.parametrize("k", [1, 5, 6, 12, 500, 10_000])
