@@ -2,9 +2,13 @@
 
 Shows a Smith normal form with its unimodular transforms, the
 fraction-free determinant, the determinant of a Cayley graph from its
-module Z[x]/(x^n - 1, x^2 - x + 1) on a 2 x 2 companion power, and the
-circulant determinant formula cross-checking the exact value.
+module Z[x]/(x^n - 1, x^2 - x + 1) on a 2 x 2 companion power, the
+circulant determinant formula cross-checking the exact value, and the
+Smith form of that companion power read off gcd(a, b) and a^2 + ab + b^2
+for x^n - 1 = a + bx.
 """
+
+import math
 
 from lpa_invariants import (
     CirculantRow,
@@ -69,3 +73,21 @@ print(
 
 print("\nThe determinant is never positive, and vanishes exactly when n is")
 print("a multiple of 6: the factor 1 - 2cos(2*pi*j/n) vanishes at j = n/6.")
+
+print("\nThe module needs no elimination.  For x^n - 1 = a + bx, C^n - I has")
+print("columns (a, b) and (-b, a + b), so its Smith form is (gcd(a, b),")
+print("(a^2 + ab + b^2) / gcd(a, b)), or (0, 0) when a = b = 0, and det B =")
+print("-(a^2 + ab + b^2).  x is a sixth root of unity: six values of x^n.")
+power = (1, 0)  # x^0, on the coefficients of 1 and x
+for n in range(1, 7):
+    power = (-power[1], power[0] + power[1])  # times x, as x^2 = x - 1
+    a, b = power[0] - 1, power[1]
+    d1, norm = math.gcd(a, b), a * a + a * b + b * b
+    factors = tuple(d for d in ((d1, norm // d1) if d1 else (0, 0)) if d != 1)
+    analysis = analyse(cayley_graph(n))
+    assert (factors, -norm) == (analysis.k0.group.factors, analysis.det)
+    print(
+        f"  n={n}  x^n = {power[0]:>2} {'-' if power[1] < 0 else '+'} {abs(power[1])}x"
+        f"  gcd(a, b) = {d1}"
+        f"  a^2 + ab + b^2 = {norm}  K0 = {factors}, as `analyse` finds"
+    )

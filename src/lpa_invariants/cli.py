@@ -236,8 +236,8 @@ def _checked_row(factors, det: int, canonical) -> tuple[str, ...]:
 def _table_rows(max_n: int, fmt: str = "md") -> list[str]:
     """Rows 1..max_n as `table` writes them in `fmt`, read off one upward
     walk in the module of C_n (`_circulant_rows`: one ring step per row,
-    one reading of x^n and one 2 x 2 elimination per distinct x^n, no
-    graph).
+    one closed-form reading of x^n per distinct x^n, no elimination and
+    no graph).
 
     The walk yields at most six row objects and `cayley_class` reads only
     n mod 6, so each pair (row object, n mod 6) is checked against the

@@ -8,11 +8,12 @@ coordinates in the factor presentation; the distinguished element is the
 sum of all vertex classes, i.e. the class of the unit module.
 
 For the Cayley graph C_n, `circulant_k0` reads the same data off the
-module Z[x]/(x^n - 1, x^2 - x + 1), on a 2 x 2 matrix, from x^n alone:
-the unit class sum_{i<n} x^i is x (1 - x^n), a multiple of x^n - 1, so
-it is zero.  `_circulant_rows` reads
-C_1..C_m off one upward walk in that module, as `table` does: one ring
-step per row, and one reading per distinct x^n it meets.
+module Z[x]/(x^n - 1, x^2 - x + 1), on a 2 x 2 matrix, from x^n alone,
+with no elimination: for x^n - 1 = a + bx the group is read off
+gcd(a, b) and a^2 + ab + b^2, and the unit class sum_{i<n} x^i is
+x (1 - x^n), a multiple of x^n - 1, so it is zero.  `_circulant_rows`
+reads C_1..C_m off one upward walk in that module, as `table` does: one
+ring step per row, and one reading per distinct x^n it meets.
 """
 
 from __future__ import annotations
@@ -217,10 +218,10 @@ def cokernel_pointed(g: Graph) -> PointedK0:
 class CirculantK0(NamedTuple):
     """K0 group, unit class, det(I - A^t) and PIS flag of C_n.
 
-    The group is in the factor presentation `_circulant_read` finds,
-    which need not be the one `analyse` picks for the same graph.  The
-    unit class is zero for every n, so every isomorphism of the groups
-    carries the one unit class to the other.
+    The group is in invariant-factor form, so its factors are those
+    `analyse` finds for the same graph; no elimination picks a
+    presentation.  The unit class is zero for every n, so every
+    isomorphism of the groups carries the one unit class to the other.
     """
 
     group: AbelianGroup
@@ -243,8 +244,9 @@ def circulant_k0(n: int) -> CirculantK0:
     Z[x]/(x^n - 1, x^2 - x + 1): Z^2 on 1 and x, where x acts as the
     companion matrix C of x^2 - x + 1, modulo the image of C^n - I.
     One square-and-multiply recursion in Z[x]/(x^2 - x + 1) gives x^n,
-    and `_circulant_read` eliminates the 2 x 2 matrix C^n - I and reads
-    the group and det off it; the unit class is always zero.  `table`,
+    and `_circulant_read` reads the group and det of the 2 x 2 matrix
+    C^n - I off the gcd of its entries and its determinant, with no
+    elimination; the unit class is always zero.  `table`,
     which needs every n in order, reads its rows off one upward walk
     (`_circulant_rows`) instead.
 
@@ -289,20 +291,23 @@ def _circulant_rows(max_n: int) -> Iterator[CirculantK0]:
 
 
 def _circulant_read(power: tuple[int, int]) -> CirculantK0:
-    """The K0 data of C_n from x^n alone.
+    """The K0 data of C_n from x^n alone, by its determinantal divisors.
 
-    One `sparse_smith` of C^n - I gives the group and det(I - A^t) =
+    With x^n - 1 = a + bx, C^n - I has columns x^n - 1 = (a, b) and
+    x (x^n - 1) = (-b, a + b).  Its first invariant factor is the gcd
+    d1 of its entries, gcd(a, b), and the product of both is |det|.  The
+    det is a (a + b) + b^2 = a^2 + ab + b^2, a norm form that is never
+    negative and is 0 only at a = b = 0.  So the group is Z/d1 +
+    Z/(det / d1), or Z^2 when d1 = 0, and det(I - A^t) =
     -det(C^n - I).  The unit class is zero: it is sum_{i<n} x^i =
     x (1 - x^n) = -x (x^n - 1), as (x - 1)(-x) = x - x^2 = 1 in
     Z[x]/(x^2 - x + 1), and that lies in (x^n - 1) = Im(C^n - I).
     """
-    column = (power[0] - 1, power[1])  # x^n - 1; C^n - I has it and x times it
-    columns = (column, _times(column, (0, 1)))
-    result = sparse_smith(
-        [{j: col[i] for j, col in enumerate(columns) if col[i]} for i in range(2)], 2
-    )
-    group = AbelianGroup(tuple(d for d in result.d if d != 1))
-    return CirculantK0(group, group.zero(), -result.det, True)
+    a, b = power[0] - 1, power[1]
+    d1, det = math.gcd(a, b), a * a + a * b + b * b
+    factors = (d1, det // d1) if d1 else (0, 0)
+    group = AbelianGroup(tuple(d for d in factors if d != 1))
+    return CirculantK0(group, group.zero(), -det, True)
 
 
 def element_order(group: AbelianGroup, x: GroupElement) -> int | float:

@@ -7,13 +7,28 @@ x (1 - x^n), which must equal the sum itself, summed term by term or by
 a square-and-multiply recursion that carries it, and which lies in
 (x^n - 1) = Im(C^n - I); `analyse`'s own elimination must find it zero
 too.  `_circulant_rows`, the upward walk that `table` reads, must give
-row for row what `circulant_k0` gives."""
+row for row what `circulant_k0` gives.
+
+The group and det come from the determinantal divisors of the 2 x 2
+matrix C^n - I, with columns (a, b) and (-b, a + b) for x^n - 1 =
+a + bx: the gcd of its entries and |det| = a^2 + ab + b^2.  That closed
+form must match an elimination of the matrix by `sparse_smith` and by
+sympy on every small (a, b), and `sparse_smith` must show the
+determinantal-divisor fact on every small 2 x 2 matrix."""
+
+import itertools
+import math
 
 import pytest
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import smith_normal_form
 
 from lpa_invariants.classify import _canonical, cayley_class
 from lpa_invariants.graphs import cayley_graph, pis_report
+from lpa_invariants.intlinalg import sparse_smith
 from lpa_invariants.ktheory import (
+    _circulant_read,
     _circulant_rows,
     _times,
     analyse,
@@ -90,6 +105,44 @@ def power_and_sum(n):
 def test_unit_class_is_the_sum_at_large_n(n):
     power, total = power_and_sum(n)
     assert unit_from_power(power) == total
+
+
+def eliminated(power):
+    """The K0 factors and det(I - A^t) of x^n = power by one `sparse_smith`
+    of C^n - I, whose columns are x^n - 1 and x times it."""
+    column = (power[0] - 1, power[1])
+    columns = (column, _times(column, (0, 1)))
+    result = sparse_smith(
+        [{j: col[i] for j, col in enumerate(columns) if col[i]} for i in range(2)], 2
+    )
+    return tuple(d for d in result.d if d != 1), -result.det
+
+
+def sympy_smith(a, b):
+    """The same, for x^n - 1 = a + bx, by sympy's Smith normal form."""
+    m = DomainMatrix([[ZZ(a), ZZ(-b)], [ZZ(b), ZZ(a + b)]], (2, 2), ZZ)
+    d = smith_normal_form(m).to_Matrix()
+    return tuple(int(d[i, i]) for i in range(2) if d[i, i] != 1), -int(m.det())
+
+
+def test_closed_form_matches_elimination():
+    for a in range(-40, 41):
+        for b in range(-40, 41):
+            k0 = _circulant_read((a + 1, b))
+            got = (k0.group.factors, k0.det)
+            assert got == eliminated((a + 1, b)) == sympy_smith(a, b), (a, b)
+
+
+def test_first_invariant_factor_is_the_gcd_of_the_entries():
+    # The first determinantal divisor of a 2 x 2 matrix is the gcd of its
+    # entries and the second is |det|, so d = (gcd, |det| / gcd), or
+    # (0, 0) for the zero matrix.
+    values = range(-5, 6)
+    for p, q, r, s in itertools.product(values, repeat=4):
+        result = sparse_smith([{0: p, 1: q}, {0: r, 1: s}], 2)
+        g, det = math.gcd(p, q, r, s), p * s - q * r
+        assert result.d == ((g, abs(det) // g) if g else (0, 0)), (p, q, r, s)
+        assert result.det == det, (p, q, r, s)
 
 
 def fields(k0):

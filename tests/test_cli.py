@@ -544,17 +544,17 @@ class TestTable:
         self, monkeypatch, fmt
     ):
         # x^n = -1 first at n = 3 (and again at n = 9, 15, ...): its one
-        # elimination, of C^3 - I = -2I, gets a wrong det.  The walk reuses
+        # reading, of C^3 - I = -2I, gets a wrong det.  The walk reuses
         # it, so the first row it reaches is the one the error names.
-        real = ktheory.sparse_smith
+        real = ktheory._circulant_read
 
-        def corrupted(rows, cols):
-            result = real(rows, cols)
-            if [dict(row) for row in rows] == [{0: -2}, {1: -2}]:
-                return result._replace(det=result.det + 1)
+        def corrupted(power):
+            result = real(power)
+            if power == (-1, 0):
+                return result._replace(det=result.det - 1)
             return result
 
-        monkeypatch.setattr(ktheory, "sparse_smith", corrupted)
+        monkeypatch.setattr(ktheory, "_circulant_read", corrupted)
         code, out, err = invoke(["table", "--max", "12", "--format", fmt])
         assert (code, out) == (6, "")
         assert err == (

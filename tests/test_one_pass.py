@@ -5,9 +5,10 @@ u it reads.  The module of C_n is read from x^n alone: `circulant_k0`
 carries nothing else through its square and multiply.  A `table` builds
 no graph: its rows come from one upward walk in that module, one ring
 step per row, and each distinct x^n (six at most) is read once per call,
-with one `sparse_smith` of C^n - I and no `analyse` or PIS test, into
+by the closed form of x^n - 1 = a + bx (gcd(a, b) and a^2 + ab + b^2,
+no ring step) and with no `sparse_smith`, `analyse` or PIS test, into
 one row object that every later row with that x^n reuses; each such
-object is checked against the closed form and written once; nothing is
+object is checked against `cayley_class` and written once; nothing is
 kept between calls.
 Nor is a copy of C_n eliminated or searched in `classify`
 (`kp_decide`, `canonical_form`, `det_sign`): it is read off the same
@@ -70,27 +71,30 @@ def test_invariant_report_eliminates_once(calls):
     assert calls == {"sparse_smith": 1, "det_exact": 0}
 
 
-def test_table_rows_eliminate_once_per_companion_power(calls):
+def test_table_rows_eliminate_once_per_companion_power(monkeypatch, calls):
     # x is a sixth root of unity: a table meets at most six matrices
-    # C^n - I, and eliminates each once.
+    # C^n - I, reads each once by its closed form, and eliminates none.
+    reads = counting(monkeypatch, ktheory, "_circulant_read")
     for k in (1, 5, 6, 12, 500, 10_000):
-        calls["sparse_smith"] = 0
+        reads["_circulant_read"] = 0
         _table_rows(k)
-        assert calls == {"sparse_smith": min(k, 6), "det_exact": 0}, k
+        assert reads == {"_circulant_read": min(k, 6)}, k
+        assert calls == {"sparse_smith": 0, "det_exact": 0}, k
 
 
-def test_table_rows_keep_no_eliminations_across_calls(calls):
+def test_table_rows_keep_no_eliminations_across_calls(monkeypatch, calls):
+    reads = counting(monkeypatch, ktheory, "_circulant_read")
     _table_rows(12)
     _table_rows(12)
-    assert calls == {"sparse_smith": 12, "det_exact": 0}
+    assert reads == {"_circulant_read": 12}
+    assert calls == {"sparse_smith": 0, "det_exact": 0}
 
 
 def test_table_rows_take_one_ring_step_per_row(monkeypatch):
-    # One multiplication by x per row, and x times x^n - 1 for C^n - I
-    # once per distinct x^n.
+    # One multiplication by x per row; reading x^n takes none.
     steps = counting(monkeypatch, ktheory, "_times")
     _table_rows(10_000)
-    assert steps["_times"] <= 10_000 + 6
+    assert steps["_times"] == 10_000
 
 
 def test_table_rows_check_each_row_object_once(monkeypatch):
@@ -102,13 +106,13 @@ def test_table_rows_check_each_row_object_once(monkeypatch):
 
 
 def test_circulant_k0_takes_two_ring_steps_per_bit(monkeypatch):
-    # One square, and one multiplication by x per 1 bit; then x times
-    # x^n - 1 for C^n - I.
+    # One square, and one multiplication by x per 1 bit; reading x^n
+    # takes none.
     steps = counting(monkeypatch, ktheory, "_times")
     for n in [*range(1, 5000), 10**6]:
         steps["_times"] = 0
         ktheory.circulant_k0(n)
-        assert steps["_times"] <= 2 * n.bit_length() + 1, n
+        assert steps["_times"] <= 2 * n.bit_length(), n
 
 
 @pytest.mark.parametrize("k", [1, 5, 6, 12, 500, 10_000])
@@ -128,7 +132,11 @@ def test_table_rows_build_no_graph(monkeypatch):
 
 
 def test_kp_decide_eliminates_each_graph_once(calls):
+    # Copies of C_n are read off their module, with no elimination; other
+    # purely infinite simple graphs are eliminated once each.
     assert kp_decide(cayley_graph(2), cayley_graph(8)).outcome == "Isomorphic"
+    assert calls == {"sparse_smith": 0, "det_exact": 0}
+    assert kp_decide(stemmed_rose_graph(4, 3), rose_graph(4)).outcome == "NotIsomorphic"
     assert calls == {"sparse_smith": 2, "det_exact": 0}
 
 
