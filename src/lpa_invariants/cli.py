@@ -32,7 +32,7 @@ from .graphs import (
     rose_graph,
     stemmed_rose_graph,
 )
-from .ktheory import _circulant_rows, analyse
+from .ktheory import analyse, circulant_k0
 
 SCHEMA_VERSION = 1
 _TABLE_CAP = 10_000
@@ -234,30 +234,22 @@ def _checked_row(factors, det: int, canonical) -> tuple[str, ...]:
 
 
 def _table_rows(max_n: int, fmt: str = "md") -> list[str]:
-    """Rows 1..max_n as `table` writes them in `fmt`, read off one upward
-    walk in the module of C_n (`_circulant_rows`: one ring step per row,
-    one closed-form reading of x^n per distinct x^n, no elimination and
-    no graph).
+    """Rows 1..max_n as `table` writes them in `fmt`, with no elimination
+    and no graph.
 
-    The walk yields at most six row objects and `cayley_class` reads only
-    n mod 6, so each pair (row object, n mod 6) is checked against the
-    closed form in one comparison, and its five columns after `n` are
-    written, once per call, at the pair's first row.  Every other row is
-    its n plus that text.  The pair is keyed on the object the walk
-    yields, not on n, so a row object not seen before for its residue is
-    checked afresh; the text is kept with its object, so no other object
-    can take its id within the call.
+    C_n's data depend on n mod 6 alone (x^6 = 1, see `circulant_k0`), and
+    so does `cayley_class`.  So the rows r = 1..min(max_n, 6) are read by
+    `circulant_k0(r)`, checked against the closed form and their five
+    columns after `n` written, in that order, so the first row that fails
+    is the smallest failing n.  Every row n is then its n plus the text
+    of row n mod 6.
     """
-    tails: dict = {}
+    tails = {
+        r % 6: _checked_tail(r, circulant_k0(r), fmt)
+        for r in range(1, min(max_n, 6) + 1)
+    }
     head = '{\n      "n": ' if fmt == "json" else "| "
-    rows = []
-    for n, k0 in enumerate(_circulant_rows(max_n), 1):
-        key = (id(k0), n % 6)
-        seen = tails.get(key)
-        if seen is None:
-            seen = tails[key] = (k0, _checked_tail(n, k0, fmt))
-        rows.append(head + str(n) + seen[1])
-    return rows
+    return [head + str(n) + tails[n % 6] for n in range(1, max_n + 1)]
 
 
 def _checked_tail(n: int, k0, fmt: str) -> str:

@@ -11,9 +11,9 @@ For the Cayley graph C_n, `circulant_k0` reads the same data off the
 module Z[x]/(x^n - 1, x^2 - x + 1), on a 2 x 2 matrix, from x^n alone,
 with no elimination: for x^n - 1 = a + bx the group is read off
 gcd(a, b) and a^2 + ab + b^2, and the unit class sum_{i<n} x^i is
-x (1 - x^n), a multiple of x^n - 1, so it is zero.  `_circulant_rows`
-reads C_1..C_m off one upward walk in that module, as `table` does: one
-ring step per row, and one reading per distinct x^n it meets.
+x (1 - x^n), a multiple of x^n - 1, so it is zero.  As x^6 = 1 there,
+x^n = x^(n mod 6): C_n's data depend on n mod 6 alone, and x^n takes at
+most five ring steps.
 """
 
 from __future__ import annotations
@@ -243,12 +243,14 @@ def circulant_k0(n: int) -> CirculantK0:
     1 - x - x^-1 = -x^-1 (x^2 - x + 1).  As x is a unit there, K0 =
     Z[x]/(x^n - 1, x^2 - x + 1): Z^2 on 1 and x, where x acts as the
     companion matrix C of x^2 - x + 1, modulo the image of C^n - I.
-    One square-and-multiply recursion in Z[x]/(x^2 - x + 1) gives x^n,
-    and `_circulant_read` reads the group and det of the 2 x 2 matrix
+    `_circulant_read` reads the group and det of the 2 x 2 matrix
     C^n - I off the gcd of its entries and its determinant, with no
-    elimination; the unit class is always zero.  `table`,
-    which needs every n in order, reads its rows off one upward walk
-    (`_circulant_rows`) instead.
+    elimination; the unit class is always zero.
+
+    x^n has period 6: in Z[x]/(x^2 - x + 1), x^2 = x - 1, so
+    x^3 = x^2 - x = -1 and x^6 = 1.  Hence x^n = x^(n mod 6), which
+    takes at most five multiplications by x, and C_n's data depend on
+    n mod 6 alone.
 
     Over C, multiplication by -x^-1 is -1 times a cyclic permutation,
     with det (-1)^n (-1)^(n-1) = -1, and multiplication by x^2 - x + 1
@@ -258,36 +260,14 @@ def circulant_k0(n: int) -> CirculantK0:
     reaches every vertex, so every cycle has an exit and the graph is
     cofinal: the algebra is purely infinite simple for every n.
 
-    x is a sixth root of unity, so the coefficients stay small and the
-    work is O(log n).  Raises ValueError when n is not a positive
-    integer.
+    Raises ValueError when n is not a positive integer.
     """
     if isinstance(n, bool) or (n := _as_index(n, "n")) < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     power = (1, 0)  # x^0
-    for bit in bin(n)[2:]:
-        power = _times(power, power)
-        if bit == "1":
-            power = _times(power, (0, 1))
-    return _circulant_read(power)
-
-
-def _circulant_rows(max_n: int) -> Iterator[CirculantK0]:
-    """`circulant_k0(n)` for n = 1..max_n, in order, from one walk.
-
-    Each step multiplies x^(n-1) by x.  x^n fixes the row, so each
-    distinct x^n is read once per call and its row object reused (x is a
-    sixth root of unity, so the walk meets at most six); nothing is kept
-    between calls.
-    """
-    rows: dict = {}
-    power = (1, 0)  # x^0
-    for _ in range(max_n):
+    for _ in range(n % 6):
         power = _times(power, (0, 1))
-        row = rows.get(power)
-        if row is None:
-            row = rows[power] = _circulant_read(power)
-        yield row
+    return _circulant_read(power)
 
 
 def _circulant_read(power: tuple[int, int]) -> CirculantK0:

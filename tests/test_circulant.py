@@ -6,8 +6,10 @@ carries to theirs.  It writes the unit class as zero: sum_{i<n} x^i is
 x (1 - x^n), which must equal the sum itself, summed term by term or by
 a square-and-multiply recursion that carries it, and which lies in
 (x^n - 1) = Im(C^n - I); `analyse`'s own elimination must find it zero
-too.  `_circulant_rows`, the upward walk that `table` reads, must give
-row for row what `circulant_k0` gives.
+too.  `circulant_k0` reads x^(n mod 6), as x^3 = -1 and x^6 = 1: it must
+give what the reading of x^n gives, with x^n taken by an upward walk of
+one multiplication by x per n (every n up to the `table` cap) or by a
+square-and-multiply recursion (spot checks up to 10^100).
 
 The group and det come from the determinantal divisors of the 2 x 2
 matrix C^n - I, with columns (a, b) and (-b, a + b) for x^n - 1 =
@@ -29,7 +31,6 @@ from lpa_invariants.graphs import cayley_graph, pis_report
 from lpa_invariants.intlinalg import sparse_smith
 from lpa_invariants.ktheory import (
     _circulant_read,
-    _circulant_rows,
     _times,
     analyse,
     circulant_k0,
@@ -154,18 +155,26 @@ def fields(k0):
     )
 
 
-def test_walk_agrees_with_circulant_k0_row_for_row():
-    rows = list(_circulant_rows(2000))
-    assert len(rows) == 2000
-    for n, row in enumerate(rows, 1):
-        assert fields(row) == fields(circulant_k0(n)), n
+X = (0, 1)
 
 
-def test_walk_agrees_with_circulant_k0_at_the_table_cap():
-    rows = list(_circulant_rows(10_000))
-    assert len(rows) == 10_000
-    for n in [*range(1, 13), 97, 500, 4096, 9999, 10_000]:
-        assert fields(rows[n - 1]) == fields(circulant_k0(n)), n
+def test_x_has_period_six():
+    x3 = _times(_times(X, X), X)
+    assert x3 == (-1, 0)
+    assert _times(x3, x3) == (1, 0)
+
+
+def test_walk_agrees_with_circulant_k0_up_to_the_table_cap():
+    power = (1, 0)  # x^0
+    for n in range(1, 10_001):
+        power = _times(power, X)
+        assert fields(_circulant_read(power)) == fields(circulant_k0(n)), n
+
+
+@pytest.mark.parametrize("n", [*SPREAD, 10**100])
+def test_square_and_multiply_agrees_with_circulant_k0(n):
+    power, _ = power_and_sum(n)
+    assert fields(_circulant_read(power)) == fields(circulant_k0(n))
 
 
 @pytest.mark.parametrize(

@@ -489,13 +489,13 @@ class TestTable:
     ):
         # Neither wrong det changes the canonical column: KLEIN4 and ZxZ
         # have non-cyclic K0, so only the det check can see it.
-        real = cli._circulant_rows
+        real = cli.circulant_k0
 
-        def patched(max_n):
-            for n, k0 in enumerate(real(max_n), 1):
-                yield k0._replace(det=wrong_det[n]) if n in wrong_det else k0
+        def patched(n):
+            k0 = real(n)
+            return k0._replace(det=wrong_det[n]) if n in wrong_det else k0
 
-        monkeypatch.setattr(cli, "_circulant_rows", patched)
+        monkeypatch.setattr(cli, "circulant_k0", patched)
         code, out, err = invoke(["table", "--max", "6", "--format", fmt])
         assert (code, out, err) == (6, "", f"error: table: {message}\n")
 
@@ -529,13 +529,13 @@ class TestTable:
     def test_k0_and_canonical_columns_checked_against_class(
         self, monkeypatch, fmt, n, change, message
     ):
-        real = cli._circulant_rows
+        real = cli.circulant_k0
 
-        def patched(max_n):
-            for m, k0 in enumerate(real(max_n), 1):
-                yield k0._replace(**change) if m == n else k0
+        def patched(m):
+            k0 = real(m)
+            return k0._replace(**change) if m == n else k0
 
-        monkeypatch.setattr(cli, "_circulant_rows", patched)
+        monkeypatch.setattr(cli, "circulant_k0", patched)
         code, out, err = invoke(["table", "--max", "6", "--format", fmt])
         assert (code, out, err) == (6, "", f"error: table: {message}\n")
 
@@ -543,9 +543,9 @@ class TestTable:
     def test_det_of_a_companion_power_checked_at_its_first_row(
         self, monkeypatch, fmt
     ):
-        # x^n = -1 first at n = 3 (and again at n = 9, 15, ...): its one
-        # reading, of C^3 - I = -2I, gets a wrong det.  The walk reuses
-        # it, so the first row it reaches is the one the error names.
+        # x^n = -1 at n = 3 (and again at n = 9, 15, ...): its one
+        # reading, of C^3 - I = -2I, gets a wrong det.  Every row of the
+        # residue reuses it, so its first row is the one the error names.
         real = ktheory._circulant_read
 
         def corrupted(power):
@@ -610,8 +610,10 @@ class TestTable:
         assert out == self.reference_stdout(max_n, fmt)
 
     def test_closed_form_reads_n_mod_6_alone(self):
-        # `table` checks and writes one row per (row object, n mod 6) and
-        # reuses it, which is sound only while this holds.
+        # `table` checks and writes the row of each residue n mod 6 once
+        # and reuses its text for every n, which is sound only while this
+        # holds (and while `circulant_k0` reads n mod 6 alone, which
+        # tests/test_circulant.py checks against a walk and a recursion).
         def read(cls):
             return (cls.class_id, cls.k0_factors, cls.det, cls.canonical)
 
@@ -620,31 +622,32 @@ class TestTable:
 
     @pytest.mark.parametrize("fmt", ["md", "json"])
     @pytest.mark.parametrize(
-        "n, change, message",
+        "r, change, message",
         [
             (
-                13,
+                1,
                 {"group": AbelianGroup((3,)), "distinguished": GroupElement((0,))},
-                "n=13: closed form class TRIVIAL_K0 has k0_factors (), computed (3)",
+                "n=1: closed form class TRIVIAL_K0 has k0_factors (), computed (3)",
             ),
-            (18, {"det": 1}, "n=18: closed form class ZxZ has det 0, computed 1"),
+            (0, {"det": 1}, "n=6: closed form class ZxZ has det 0, computed 1"),
         ],
         ids=["trivial-factor", "zxz-det"],
     )
     def test_later_row_of_a_checked_residue_is_checked(
-        self, monkeypatch, fmt, n, change, message
+        self, monkeypatch, fmt, r, change, message
     ):
-        # Rows 1..n-1 of the residue pass, and its row object is written
-        # before n; a fresh, wrong object at n must still be checked.
-        real = cli._circulant_rows
+        # A wrong reading for every n = r mod 6, the later rows 13 or 18
+        # among them, exits 6 at the residue's first row, whatever --max.
+        real = cli.circulant_k0
 
-        def patched(max_n):
-            for m, k0 in enumerate(real(max_n), 1):
-                yield k0._replace(**change) if m == n else k0
+        def patched(m):
+            k0 = real(m)
+            return k0._replace(**change) if m % 6 == r else k0
 
-        monkeypatch.setattr(cli, "_circulant_rows", patched)
-        code, out, err = invoke(["table", "--max", "24", "--format", fmt])
-        assert (code, out, err) == (6, "", f"error: table: {message}\n")
+        monkeypatch.setattr(cli, "circulant_k0", patched)
+        for max_n in ("24", "10000"):
+            code, out, err = invoke(["table", "--max", max_n, "--format", fmt])
+            assert (code, out, err) == (6, "", f"error: table: {message}\n"), max_n
 
 
 # The first 100 of the 218 classes of C_6 in the box of bound 8, each

@@ -1,15 +1,14 @@
 """Each graph is eliminated once: K0, vertex images and det come from one
 `sparse_smith` call, and Bareiss stays off the command paths.  The work
 of that call on C_n grows linearly in n, and K0 builds only the rows of
-u it reads.  The module of C_n is read from x^n alone: `circulant_k0`
-carries nothing else through its square and multiply.  A `table` builds
-no graph: its rows come from one upward walk in that module, one ring
-step per row, and each distinct x^n (six at most) is read once per call,
-by the closed form of x^n - 1 = a + bx (gcd(a, b) and a^2 + ab + b^2,
-no ring step) and with no `sparse_smith`, `analyse` or PIS test, into
-one row object that every later row with that x^n reuses; each such
-object is checked against `cayley_class` and written once; nothing is
-kept between calls.
+u it reads.  The module of C_n is read from x^n alone, and x^n =
+x^(n mod 6): `circulant_k0` takes at most five ring steps for any n.  A
+`table` builds no graph: it reads the rows of the residues 1..6 once per
+call, each by `circulant_k0`, that is by the closed form of x^n - 1 =
+a + bx (gcd(a, b) and a^2 + ab + b^2, no ring step) and with no
+`sparse_smith`, `analyse` or PIS test; each is checked against
+`cayley_class` and written once, and every other row reuses the text of
+its residue; nothing is kept between calls.
 Nor is a copy of C_n eliminated or searched in `classify`
 (`kp_decide`, `canonical_form`, `det_sign`): it is read off the same
 module; other graphs get one PIS test and, when both are purely
@@ -90,14 +89,16 @@ def test_table_rows_keep_no_eliminations_across_calls(monkeypatch, calls):
     assert calls == {"sparse_smith": 0, "det_exact": 0}
 
 
-def test_table_rows_take_one_ring_step_per_row(monkeypatch):
-    # One multiplication by x per row; reading x^n takes none.
+def test_table_rows_take_at_most_fifteen_ring_steps(monkeypatch):
+    # x^r for the residues r = 1..6 (x^6 = x^0): 1 + 2 + 3 + 4 + 5 steps.
     steps = counting(monkeypatch, ktheory, "_times")
-    _table_rows(10_000)
-    assert steps["_times"] == 10_000
+    for k in (1, 5, 6, 12, 500, 10_000):
+        steps["_times"] = 0
+        _table_rows(k)
+        assert steps["_times"] <= 15, k
 
 
-def test_table_rows_check_each_row_object_once(monkeypatch):
+def test_table_rows_check_each_residue_once(monkeypatch):
     counts = counting_everywhere(monkeypatch, classify._canonical, classify.cayley_class)
     for fmt in ("md", "json"):
         counts.update(_canonical=0, cayley_class=0)
@@ -105,21 +106,13 @@ def test_table_rows_check_each_row_object_once(monkeypatch):
         assert max(counts.values()) <= 6, (fmt, counts)
 
 
-def test_circulant_k0_takes_two_ring_steps_per_bit(monkeypatch):
-    # One square, and one multiplication by x per 1 bit; reading x^n
-    # takes none.
+def test_circulant_k0_takes_at_most_five_ring_steps(monkeypatch):
+    # x^n = x^(n mod 6); reading x^n takes none.
     steps = counting(monkeypatch, ktheory, "_times")
-    for n in [*range(1, 5000), 10**6]:
+    for n in [*range(1, 5001), 10**6, 10**100]:
         steps["_times"] = 0
         ktheory.circulant_k0(n)
-        assert steps["_times"] <= 2 * n.bit_length(), n
-
-
-@pytest.mark.parametrize("k", [1, 5, 6, 12, 500, 10_000])
-def test_walk_reuses_one_row_per_companion_power(k):
-    rows = list(ktheory._circulant_rows(k))
-    assert len(rows) == k
-    assert len({id(row) for row in rows}) <= min(k, 6)
+        assert steps["_times"] <= 5, n
 
 
 def test_table_rows_build_no_graph(monkeypatch):
