@@ -164,11 +164,26 @@ def test_x_has_period_six():
     assert _times(x3, x3) == (1, 0)
 
 
-def test_walk_agrees_with_circulant_k0_up_to_the_table_cap():
+def walk(limit):
+    """Read x^1, ..., x^limit, one multiplication by x per n."""
     power = (1, 0)  # x^0
-    for n in range(1, 10_001):
+    for _ in range(limit):
         power = _times(power, X)
-        assert fields(_circulant_read(power)) == fields(circulant_k0(n)), n
+        yield _circulant_read(power)
+
+
+def test_walk_agrees_with_circulant_k0_row_for_row():
+    rows = list(walk(2000))
+    assert len(rows) == 2000
+    for n, row in enumerate(rows, 1):
+        assert fields(row) == fields(circulant_k0(n)), n
+
+
+def test_walk_agrees_with_circulant_k0_at_the_table_cap():
+    rows = list(walk(10_000))
+    assert len(rows) == 10_000
+    for n, row in enumerate(rows, 1):
+        assert fields(row) == fields(circulant_k0(n)), n
 
 
 @pytest.mark.parametrize("n", [*SPREAD, 10**100])
