@@ -11,9 +11,10 @@ when either algebra fails purely infinite simplicity).  Cyclic K0 with
 negative determinant pins the algebra down to a matrix algebra over a
 classical Leavitt algebra L(1, n).
 
-A copy of the Cayley graph C_n, in any vertex order, is read off its
-module (`circulant_k0`); every other graph gets the PIS test and, when
-needed, one elimination of I - A^t.
+A copy of the Cayley graph C_n, in any vertex order, is purely infinite
+simple and is read off its module (`circulant_k0`), with a zero unit
+class; every other graph gets the PIS test and, when needed, one
+elimination of I - A^t.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from typing import Literal, Optional
 
 from ._record import record
 from .graphs import Graph, _cayley_order, pis_report
-from .intlinalg import _as_index
+from .intlinalg import _as_index, _as_positive
 from .ktheory import (
-    CirculantK0,
-    PointedK0,
+    AbelianGroup,
+    GroupElement,
     analyse,
     circulant_k0,
     pointed_iso_exists,
@@ -128,38 +129,29 @@ def sign_of(value: int) -> Sign:
     return "ZERO"
 
 
-def _module(g: Graph) -> CirculantK0 | None:
-    """`circulant_k0(n)` when g is a copy of C_n in any vertex order, else
-    None.  `kp_decide`, `canonical_form` and `det_sign` pass it to `_pis`
-    and `_k0_and_det`, which fall back to `pis_report` and `analyse`.
+def _pis(g: Graph, n: int | None) -> bool:
+    """Whether g is purely infinite simple, for n = `_cayley_order(g)`: every
+    copy of C_n is (see `circulant_k0`), so only other graphs get the test."""
+    return n is not None or pis_report(g).purely_infinite_simple
 
-    K0, the unit class (the sum of all vertex classes) and det(I - A^t)
-    do not change when the vertices are relabelled, and every use of them
-    here is independent of the group's presentation, so a copy of C_n
-    gets the same answers as from `pis_report` and `analyse`, in O(log n).
+
+def _k0(g: Graph, n: int | None) -> tuple[AbelianGroup, GroupElement, int]:
+    """K0, the unit class and det(I - A^t) of g, for n = `_cayley_order(g)`:
+    off `circulant_k0(n)`, with its zero unit class, for a copy of C_n,
+    else from one `analyse`.  None of them changes when the vertices are
+    relabelled, and every use of them here is independent of the group's
+    presentation, so both paths give the same answers.
     """
-    n = _cayley_order(g)
-    return None if n is None else circulant_k0(n)
-
-
-def _pis(g: Graph, module: CirculantK0 | None) -> bool:
-    if module is not None:
-        return module.purely_infinite_simple
-    return pis_report(g).purely_infinite_simple
-
-
-def _k0_and_det(
-    g: Graph, module: CirculantK0 | None
-) -> tuple[PointedK0 | CirculantK0, int]:
-    if module is not None:
-        return module, module.det
+    if n is not None:
+        k0 = circulant_k0(n)
+        return k0.group, k0.group.zero(), k0.det
     analysis = analyse(g)
-    return analysis.k0, analysis.det
+    return analysis.k0.group, analysis.k0.distinguished, analysis.det
 
 
 def det_sign(g: Graph) -> Sign:
     """Sign of det(I - A^t)."""
-    return sign_of(_k0_and_det(g, _module(g))[1])
+    return sign_of(_k0(g, _cayley_order(g))[2])
 
 
 def _signs_compatible(a: Sign, b: Sign) -> bool:
@@ -177,26 +169,24 @@ def kp_decide(e: Graph, f: Graph) -> KPVerdict:
     give Unknown.
     """
     trace: list[tuple[str, str]] = []
-    module_e, module_f = _module(e), _module(f)
-    pis_e = _pis(e, module_e)
-    pis_f = _pis(f, module_f)
+    n_e, n_f = _cayley_order(e), _cayley_order(f)
+    pis_e = _pis(e, n_e)
+    pis_f = _pis(f, n_f)
     trace.append(("pis_first", str(pis_e)))
     trace.append(("pis_second", str(pis_f)))
     if not (pis_e and pis_f):
         return KPVerdict("NotApplicable", tuple(trace))
 
-    k0_e, det_e = _k0_and_det(e, module_e)
-    k0_f, det_f = _k0_and_det(f, module_f)
-    trace.append(("k0_factors_first", str(list(k0_e.group.factors))))
-    trace.append(("k0_factors_second", str(list(k0_f.group.factors))))
-    if k0_e.group.factors != k0_f.group.factors:
+    group_e, unit_e, det_e = _k0(e, n_e)
+    group_f, unit_f, det_f = _k0(f, n_f)
+    trace.append(("k0_factors_first", str(list(group_e.factors))))
+    trace.append(("k0_factors_second", str(list(group_f.factors))))
+    if group_e.factors != group_f.factors:
         trace.append(("k0_factors_equal", "False"))
         return KPVerdict("NotIsomorphic", tuple(trace))
     trace.append(("k0_factors_equal", "True"))
 
-    pointed = pointed_iso_exists(
-        k0_e.group, k0_e.distinguished, k0_f.group, k0_f.distinguished
-    )
+    pointed = pointed_iso_exists(group_e, unit_e, group_f, unit_f)
     trace.append(("pointed_iso", pointed))
     if pointed == "NO":
         return KPVerdict("NotIsomorphic", tuple(trace))
@@ -223,19 +213,16 @@ def canonical_form(g: Graph) -> Optional[CanonicalAlgebra]:
     gcd(d, n-1), making the label independent of the generator the
     Smith normal form happened to pick.
     """
-    module = _module(g)
-    if not _pis(g, module):
-        return None
-    return _canonical(True, *_k0_and_det(g, module))
+    n = _cayley_order(g)
+    return _canonical(*_k0(g, n)) if _pis(g, n) else None
 
 
 def _canonical(
-    pis: bool, k0: PointedK0 | CirculantK0, det: int
+    group: AbelianGroup, unit: GroupElement, det: int
 ) -> Optional[CanonicalAlgebra]:
-    """The rule of `canonical_form`, on invariants already computed."""
-    if not pis:
-        return None
-    factors = k0.group.factors
+    """The rule of `canonical_form`, on the invariants of a graph whose
+    algebra is already known to be purely infinite simple."""
+    factors = group.factors
     if factors == ():
         order = 1
     elif len(factors) == 1 and factors[0] > 0:
@@ -244,10 +231,8 @@ def _canonical(
         return None
     if det >= 0:
         return None
-    n = order + 1
-    residue = k0.distinguished.coords[0] % order if order > 1 else 0
-    d = order if residue == 0 else math.gcd(residue, order)
-    return CanonicalAlgebra(n=n, d=d)
+    # gcd(0, order) = order: a zero unit class renders as d = n - 1.
+    return CanonicalAlgebra(n=order + 1, d=math.gcd(*unit.coords, order))
 
 
 def cayley_class(n: int) -> CayleyClass:
@@ -256,8 +241,7 @@ def cayley_class(n: int) -> CayleyClass:
     {1,5}: trivial K0, the algebra is L(1,2).  {2,4}: K0 = Z/3, the
     algebra is M_3(L(1,4)).  {3}: K0 = Z/2 x Z/2.  {0}: K0 = Z x Z.
     """
-    if isinstance(n, bool) or (n := _as_index(n, "n")) < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    n = _as_positive(n, "n")
     class_id = next(c for c, row in _CLOSED_FORM.items() if n % 6 in row[0])
     residues, _, _, canonical = _CLOSED_FORM[class_id]
     return CayleyClass(class_id, residues, canonical)

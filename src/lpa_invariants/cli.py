@@ -25,6 +25,7 @@ from typing import IO
 from .classify import EXIT_CODES, _canonical, cayley_class, kp_decide, sign_of
 from .graphs import (
     Graph,
+    _adjacency_rows,
     cayley_graph,
     graph_from_dict,
     graph_to_dict,
@@ -115,16 +116,15 @@ def invariant_report(g: Graph) -> dict:
     k0 = analysis.k0
     det = analysis.det
     pis = pis_report(g)
-    canonical = _canonical(pis.purely_infinite_simple, k0, det)
+    canonical = None
+    if pis.purely_infinite_simple:
+        canonical = _canonical(k0.group, k0.distinguished, det)
     # The printed matrices are plain int lists built from the edges; the
     # elimination above has its own sparse B.  Building them with
     # `adjacency_matrix` and `b_matrix` takes nearly four times as long.
-    n = g.n_vertices
-    adjacency = [[0] * n for _ in range(n)]
-    for e in g.edges:
-        adjacency[e.source][e.range] += 1
+    adjacency = _adjacency_rows(g)
     b = [[-a for a in column] for column in zip(*adjacency)]  # -A^t
-    for i in range(n):
+    for i in range(g.n_vertices):
         b[i][i] += 1
     return {
         "schema": SCHEMA_VERSION,
@@ -254,9 +254,10 @@ def _table_rows(max_n: int, fmt: str = "md") -> list[str]:
 
 def _checked_tail(n: int, k0, fmt: str) -> str:
     """Row n's columns after `n`, as written in `fmt`, once its
-    `_CHECKED_COLUMNS` match the closed form of `cayley_class(n)`."""
+    `_CHECKED_COLUMNS` match the closed form of `cayley_class(n)`; `k0`
+    is `circulant_k0(n)`, and C_n's unit class is zero."""
     det, factors = k0.det, k0.group.factors
-    canonical = _canonical(k0.purely_infinite_simple, k0, det)
+    canonical = _canonical(k0.group, k0.group.zero(), det)
     expected = cayley_class(n)
     want = _checked_row(expected.k0_factors, expected.det, expected.canonical)
     got = _checked_row(factors, det, canonical)

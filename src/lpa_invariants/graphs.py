@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Any, NamedTuple
 
 from ._record import record
-from .intlinalg import IntMatrix, _as_index
+from .intlinalg import IntMatrix, _as_positive
 
 __all__ = [
     "Edge",
@@ -163,8 +163,7 @@ def cayley_graph(n: int) -> Graph:
     n=1 gives a single vertex with two loops, n=2 two vertices with two
     parallel edges in each direction.
     """
-    if isinstance(n, bool) or (n := _as_index(n, "n")) < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    n = _as_positive(n, "n")
     vertices = tuple(f"v{i}" for i in range(1, n + 1))
     edges = [Edge(f"e{i}", i - 1, i % n) for i in range(1, n + 1)]
     edges += [Edge(f"f{i}", i - 1, (i - 2) % n) for i in range(1, n + 1)]
@@ -205,29 +204,30 @@ def _cayley_order(g: Graph) -> int | None:
 
 def rose_graph(n: int) -> Graph:
     """Rose with n petals: one vertex and n loops."""
-    if isinstance(n, bool) or (n := _as_index(n, "n")) < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    n = _as_positive(n, "n")
     return Graph(("v1",), tuple(Edge(f"g{i}", 0, 0) for i in range(1, n + 1)))
 
 
 def stemmed_rose_graph(n: int, d: int) -> Graph:
     """Two vertices, d-1 stem edges v1 -> v2, and n loops at v2."""
-    if isinstance(n, bool) or (n := _as_index(n, "n")) < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
-    if isinstance(d, bool) or (d := _as_index(d, "d")) < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
+    n, d = _as_positive(n, "n", 2), _as_positive(d, "d", 2)
     stem = tuple(Edge(f"h{i}", 0, 1) for i in range(1, d))
     loops = tuple(Edge(f"g{i}", 1, 1) for i in range(1, n + 1))
     return Graph(("v1", "v2"), stem + loops)
 
 
-def adjacency_matrix(g: Graph) -> IntMatrix:
-    """Entry (i, j) counts edges from vertex i to vertex j."""
+def _adjacency_rows(g: Graph) -> list[list[int]]:
+    """Entry (i, j) counts edges from vertex i to vertex j, as plain lists."""
     n = g.n_vertices
     a = [[0] * n for _ in range(n)]
     for e in g.edges:
         a[e.source][e.range] += 1
-    return IntMatrix(tuple(tuple(row) for row in a))
+    return a
+
+
+def adjacency_matrix(g: Graph) -> IntMatrix:
+    """Entry (i, j) counts edges from vertex i to vertex j."""
+    return IntMatrix(_adjacency_rows(g))
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,14 @@ def _as_index(x, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {x!r}") from None
 
 
+def _as_positive(x, what: str, least: int = 1) -> int:
+    """`x` as an int of at least `least`, coerced as by `_as_index`; not a bool."""
+    if isinstance(x, bool) or (x := _as_index(x, what)) < least:
+        bound = "a positive integer" if least == 1 else f"at least {least}"
+        raise ValueError(f"{what} must be {bound}, got {x!r}")
+    return x
+
+
 def _as_size(x, what: str) -> int:
     """`x` as a nonnegative int, coerced as by `_as_index`."""
     n = _as_index(x, what)

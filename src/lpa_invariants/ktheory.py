@@ -7,10 +7,10 @@ of the i-th standard basis vector (the class [v_i] of vertex i) to its
 coordinates in the factor presentation; the distinguished element is the
 sum of all vertex classes, i.e. the class of the unit module.
 
-For the Cayley graph C_n, `circulant_k0` reads the same data off the
-module Z[x]/(x^n - 1, x^2 - x + 1), on a 2 x 2 matrix, from x^n alone,
-with no elimination: for x^n - 1 = a + bx the group is read off
-gcd(a, b) and a^2 + ab + b^2, and the unit class sum_{i<n} x^i is
+For the Cayley graph C_n, `circulant_k0` reads the group and det off
+the module Z[x]/(x^n - 1, x^2 - x + 1), on a 2 x 2 matrix, from x^n
+alone, with no elimination: for x^n - 1 = a + bx the group is read off
+gcd(a, b) and a^2 + ab + b^2.  The unit class sum_{i<n} x^i is
 x (1 - x^n), a multiple of x^n - 1, so it is zero.  As x^6 = 1 there,
 x^n = x^(n mod 6): C_n's data depend on n mod 6 alone, and x^n takes at
 most five ring steps.
@@ -24,7 +24,7 @@ from typing import Iterator, Literal, NamedTuple
 
 from ._record import record
 from .graphs import Graph
-from .intlinalg import IntMatrix, _as_index, sparse_smith
+from .intlinalg import IntMatrix, _as_index, _as_positive, sparse_smith
 
 __all__ = [
     "INFINITE",
@@ -216,18 +216,18 @@ def cokernel_pointed(g: Graph) -> PointedK0:
 
 
 class CirculantK0(NamedTuple):
-    """K0 group, unit class, det(I - A^t) and PIS flag of C_n.
+    """K0 group and det(I - A^t) of C_n, all that varies with n.
 
     The group is in invariant-factor form, so its factors are those
     `analyse` finds for the same graph; no elimination picks a
-    presentation.  The unit class is zero for every n, so every
-    isomorphism of the groups carries the one unit class to the other.
+    presentation.  The unit class is zero for every n (see
+    `_circulant_read`), so every isomorphism of the groups carries the
+    one unit class to the other, and the algebra is purely infinite
+    simple for every n (see `circulant_k0`).
     """
 
     group: AbelianGroup
-    distinguished: GroupElement
     det: int
-    purely_infinite_simple: bool
 
 
 def _times(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -237,7 +237,7 @@ def _times(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 
 
 def circulant_k0(n: int) -> CirculantK0:
-    """`analyse` and `pis_report` of `cayley_graph(n)`, without building it.
+    """K0 and det(I - A^t) of `cayley_graph(n)`, without building it.
 
     With e_i = x^i, Z^n is Z[x]/(x^n - 1) and I - A^t multiplies by
     1 - x - x^-1 = -x^-1 (x^2 - x + 1).  As x is a unit there, K0 =
@@ -245,7 +245,7 @@ def circulant_k0(n: int) -> CirculantK0:
     companion matrix C of x^2 - x + 1, modulo the image of C^n - I.
     `_circulant_read` reads the group and det of the 2 x 2 matrix
     C^n - I off the gcd of its entries and its determinant, with no
-    elimination; the unit class is always zero.
+    elimination; the unit class, which is not returned, is always zero.
 
     x^n has period 6: in Z[x]/(x^2 - x + 1), x^2 = x - 1, so
     x^3 = x^2 - x = -1 and x^6 = 1.  Hence x^n = x^(n mod 6), which
@@ -262,8 +262,7 @@ def circulant_k0(n: int) -> CirculantK0:
 
     Raises ValueError when n is not a positive integer.
     """
-    if isinstance(n, bool) or (n := _as_index(n, "n")) < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    n = _as_positive(n, "n")
     power = (1, 0)  # x^0
     for _ in range(n % 6):
         power = _times(power, (0, 1))
@@ -287,7 +286,7 @@ def _circulant_read(power: tuple[int, int]) -> CirculantK0:
     d1, det = math.gcd(a, b), a * a + a * b + b * b
     factors = (d1, det // d1) if d1 else (0, 0)
     group = AbelianGroup(tuple(d for d in factors if d != 1))
-    return CirculantK0(group, group.zero(), -det, True)
+    return CirculantK0(group, -det)
 
 
 def element_order(group: AbelianGroup, x: GroupElement) -> int | float:

@@ -196,7 +196,8 @@ def reference_verdict(facts_e, facts_f):
 
 
 def reference_canonical(pis, analysis):
-    return _canonical(pis, analysis.k0, analysis.det) if pis else None
+    k0 = analysis.k0
+    return _canonical(k0.group, k0.distinguished, analysis.det) if pis else None
 
 
 def out_split(g, v):

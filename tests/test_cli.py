@@ -19,7 +19,7 @@ from lpa_invariants import cli, ktheory
 from lpa_invariants.classify import CanonicalAlgebra, CayleyClass, cayley_class
 from lpa_invariants.cli import invariant_report, run
 from lpa_invariants.graphs import cayley_graph, graph_to_dict, stemmed_rose_graph
-from lpa_invariants.ktheory import AbelianGroup, GroupElement, analyse
+from lpa_invariants.ktheory import AbelianGroup, analyse
 from lpa_invariants.monoid import crosscheck_cokernel, mstar_group, presentation, saturate
 
 
@@ -501,41 +501,57 @@ class TestTable:
 
     @pytest.mark.parametrize("fmt", ["md", "json"])
     @pytest.mark.parametrize(
-        "n, change, message",
+        "n, change, canonical, message",
         [
             (
                 3,
-                {"group": AbelianGroup((4,)), "distinguished": GroupElement((0,))},
+                {"group": AbelianGroup((4,))},
+                None,
                 "n=3: closed form class KLEIN4 has k0_factors (2,2), computed (4)",
             ),
             (
                 4,
-                {"group": AbelianGroup((0,)), "distinguished": GroupElement((0,))},
+                {"group": AbelianGroup((0,))},
+                None,
                 "n=4: closed form class Z3 has k0_factors (3), computed (0)",
             ),
             (
+                # The unit class read as 1 in Z/3, not 0.
                 2,
-                {"distinguished": GroupElement((1,))},
+                {},
+                lambda real, group, unit, det: real(group, group.element((1,)), det),
                 "n=2: closed form class Z3 has canonical M_3(L(1,4)), computed L(1,4)",
             ),
             (
+                # The row read as for a graph that is not PIS.
                 5,
-                {"purely_infinite_simple": False},
+                {},
+                lambda real, group, unit, det: None,
                 "n=5: closed form class TRIVIAL_K0 has canonical L(1,2), computed -",
             ),
         ],
         ids=["klein4-factor", "z3-factor", "unit-class", "pis-flag"],
     )
     def test_k0_and_canonical_columns_checked_against_class(
-        self, monkeypatch, fmt, n, change, message
+        self, monkeypatch, fmt, n, change, canonical, message
     ):
-        real = cli.circulant_k0
+        # `circulant_k0` builds a fresh group for every n, so row n's
+        # `_canonical` call is the one that gets row n's group.
+        real, real_canonical = cli.circulant_k0, cli._canonical
+        groups = {}
 
         def patched(m):
-            k0 = real(m)
-            return k0._replace(**change) if m == n else k0
+            k0 = real(m)._replace(**change) if m == n else real(m)
+            groups[m] = k0.group
+            return k0
+
+        def patched_canonical(group, unit, det):
+            if canonical and group is groups.get(n):
+                return canonical(real_canonical, group, unit, det)
+            return real_canonical(group, unit, det)
 
         monkeypatch.setattr(cli, "circulant_k0", patched)
+        monkeypatch.setattr(cli, "_canonical", patched_canonical)
         code, out, err = invoke(["table", "--max", "6", "--format", fmt])
         assert (code, out, err) == (6, "", f"error: table: {message}\n")
 
@@ -626,7 +642,7 @@ class TestTable:
         [
             (
                 1,
-                {"group": AbelianGroup((3,)), "distinguished": GroupElement((0,))},
+                {"group": AbelianGroup((3,))},
                 "n=1: closed form class TRIVIAL_K0 has k0_factors (), computed (3)",
             ),
             (0, {"det": 1}, "n=6: closed form class ZxZ has det 0, computed 1"),
