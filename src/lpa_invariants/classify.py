@@ -14,7 +14,9 @@ classical Leavitt algebra L(1, n).
 A copy of the Cayley graph C_n, in any vertex order, is purely infinite
 simple and is read off its module (`circulant_k0`), with a zero unit
 class; every other graph gets the PIS test and, when needed, one
-elimination of I - A^t.
+elimination of I - A^t.  The paper's four classes of C_n are the four
+`CayleyClass` records of `_CLASSES`, built once: `cayley_class(n)`
+returns the one whose residues hold n mod 6.
 """
 
 from __future__ import annotations
@@ -90,35 +92,27 @@ class CanonicalAlgebra:
         return f"M_{self.d}(L(1,{self.n}))"
 
 
-# The closed form of the Cayley graphs of Z/nZ, one row per class: the
-# residues of n mod 6, the K0 factors, det(I - A^t) and the canonical form.
-# |det| = |K0| when K0 is finite, and det < 0 unless 6 divides n.
-_CLOSED_FORM = {
-    "TRIVIAL_K0": ((1, 5), (), -1, CanonicalAlgebra(2, 1)),
-    "Z3": ((2, 4), (3,), -3, CanonicalAlgebra(4, 3)),
-    "KLEIN4": ((3,), (2, 2), -4, None),
-    "ZxZ": ((0,), (0, 0), 0, None),
-}
-
-
 @record
 class CayleyClass:
     """Isomorphism class of the cyclic-Cayley-graph algebras for one
-    residue pattern mod 6."""
+    residue pattern mod 6: the residues of n, the invariant factors of K0
+    (0 for a copy of Z), det(I - A^t) and the canonical form."""
 
     class_id: Literal["TRIVIAL_K0", "Z3", "KLEIN4", "ZxZ"]
     residues: tuple[int, ...]
+    k0_factors: tuple[int, ...]
+    det: int
     canonical: Optional[CanonicalAlgebra]
 
-    @property
-    def k0_factors(self) -> tuple[int, ...]:
-        """Invariant factors of the class's K0 group (0 for a copy of Z)."""
-        return _CLOSED_FORM[self.class_id][1]
 
-    @property
-    def det(self) -> int:
-        """det(I - A^t) of every Cayley graph in the class."""
-        return _CLOSED_FORM[self.class_id][2]
+# The closed form of the Cayley graphs of Z/nZ, one record per class.
+# |det| = |K0| when K0 is finite, and det < 0 unless 6 divides n.
+_CLASSES = (
+    CayleyClass("TRIVIAL_K0", (1, 5), (), -1, CanonicalAlgebra(2, 1)),
+    CayleyClass("Z3", (2, 4), (3,), -3, CanonicalAlgebra(4, 3)),
+    CayleyClass("KLEIN4", (3,), (2, 2), -4, None),
+    CayleyClass("ZxZ", (0,), (0, 0), 0, None),
+)
 
 
 def sign_of(value: int) -> Sign:
@@ -221,16 +215,15 @@ def _canonical(
     group: AbelianGroup, unit: GroupElement, det: int
 ) -> Optional[CanonicalAlgebra]:
     """The rule of `canonical_form`, on the invariants of a graph whose
-    algebra is already known to be purely infinite simple."""
-    factors = group.factors
-    if factors == ():
-        order = 1
-    elif len(factors) == 1 and factors[0] > 0:
-        order = factors[0]
-    else:
+    algebra is already known to be purely infinite simple.
+
+    The `is_finite` test matters although no graph has det < 0 with an
+    infinite K0: without it a faulty reading of Z at det < 0 would ask
+    for L(1, inf) and raise, where `table` must report it as a mismatch.
+    """
+    if len(group.factors) > 1 or not group.is_finite or det >= 0:
         return None
-    if det >= 0:
-        return None
+    order = group.order
     # gcd(0, order) = order: a zero unit class renders as d = n - 1.
     return CanonicalAlgebra(n=order + 1, d=math.gcd(*unit.coords, order))
 
@@ -242,6 +235,4 @@ def cayley_class(n: int) -> CayleyClass:
     algebra is M_3(L(1,4)).  {3}: K0 = Z/2 x Z/2.  {0}: K0 = Z x Z.
     """
     n = _as_positive(n, "n")
-    class_id = next(c for c, row in _CLOSED_FORM.items() if n % 6 in row[0])
-    residues, _, _, canonical = _CLOSED_FORM[class_id]
-    return CayleyClass(class_id, residues, canonical)
+    return next(c for c in _CLASSES if n % 6 in c.residues)

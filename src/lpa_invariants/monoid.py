@@ -31,7 +31,7 @@ from typing import Literal, Union
 import numpy as np
 
 from ._record import record
-from .graphs import Graph
+from .graphs import Graph, _adjacency_rows
 from .intlinalg import _as_index
 from .ktheory import _coprime_base, _valuation, cokernel_pointed, element_order
 
@@ -103,14 +103,9 @@ class MonoidPresentation:
 def presentation(g: Graph) -> MonoidPresentation:
     """Read the defining relations off the out-edges of the non-sinks:
     rhs[j] of v_i counts the edges from v_i to v_j."""
-    relations = []
-    for i, targets in enumerate(g.successors):
-        if targets:
-            rhs = [0] * g.n_vertices
-            for j in targets:
-                rhs[j] += 1
-            relations.append((i, tuple(rhs)))
-    return MonoidPresentation(generator_count=g.n_vertices, relations=tuple(relations))
+    rows = _adjacency_rows(g)
+    relations = tuple((i, tuple(row)) for i, row in enumerate(rows) if any(row))
+    return MonoidPresentation(generator_count=g.n_vertices, relations=relations)
 
 
 def default_bound(p: MonoidPresentation) -> int:

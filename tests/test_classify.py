@@ -6,7 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpa_invariants.classify import (
+    _CLASSES,
     CanonicalAlgebra,
+    _canonical,
     canonical_form,
     cayley_class,
     det_sign,
@@ -22,7 +24,7 @@ from lpa_invariants.graphs import (
     stemmed_rose_graph,
 )
 from lpa_invariants.intlinalg import det_exact
-from lpa_invariants.ktheory import analyse, b_matrix
+from lpa_invariants.ktheory import AbelianGroup, analyse, b_matrix
 
 SINK = Graph(("v1",), ())
 
@@ -227,6 +229,31 @@ class TestCayleyClass:
             "D": "ZxZ",
         }[residue_class(n)]
         assert cls.class_id == expected
+
+    def test_residues_partition_the_residues_mod_6(self):
+        residues = [r for cls in _CLASSES for r in cls.residues]
+        assert sorted(residues) == list(range(6))
+        assert len({cls.class_id for cls in _CLASSES}) == len(_CLASSES)
+
+    @pytest.mark.parametrize("n", list(range(1, 31)))
+    def test_one_shared_record_per_class(self, n):
+        assert cayley_class(n) is cayley_class(n + 6)
+        assert cayley_class(n) is cayley_class(n % 6 or 6)
+
+    @pytest.mark.parametrize("cls", _CLASSES, ids=lambda cls: cls.class_id)
+    def test_closed_form_is_consistent(self, cls):
+        # Each record's own data, with no graph: |det| = |K0| when K0 is
+        # finite, det < 0 unless 6 divides n, and the canonical form is
+        # what `_canonical` makes of K0, a zero unit class and det.
+        group = AbelianGroup(cls.k0_factors)
+        assert (cls.det == 0) == (0 in cls.k0_factors)
+        if cls.det != 0:
+            assert abs(cls.det) == group.order
+        assert (cls.det < 0) == (cls.residues != (0,))
+        assert _canonical(group, group.zero(), cls.det) == cls.canonical
+
+    def test_c3_to_c6_realize_the_four_classes(self):
+        assert {cayley_class(n) for n in (3, 4, 5, 6)} == set(_CLASSES)
 
 
 @settings(deadline=None, max_examples=100)

@@ -448,7 +448,7 @@ class TestTable:
 
         def wrong_at_5(n):
             if n == 5:
-                return CayleyClass("TRIVIAL_K0", (1, 5), CanonicalAlgebra(3, 1))
+                return CayleyClass("TRIVIAL_K0", (1, 5), (), -1, CanonicalAlgebra(3, 1))
             return real(n)
 
         monkeypatch.setattr(cli, "cayley_class", wrong_at_5)
@@ -464,7 +464,7 @@ class TestTable:
 
         def canonical_at_3(n):
             if n == 3:
-                return CayleyClass("KLEIN4", (3,), CanonicalAlgebra(2, 1))
+                return CayleyClass("KLEIN4", (3,), (2, 2), -4, CanonicalAlgebra(2, 1))
             return real(n)
 
         monkeypatch.setattr(cli, "cayley_class", canonical_at_3)

@@ -52,7 +52,7 @@ FIELDS = {
     GraphAnalysis: ("snf_diagonal", "k0", "det"),
     KPVerdict: ("outcome", "trace"),
     CanonicalAlgebra: ("n", "d"),
-    CayleyClass: ("class_id", "residues", "canonical"),
+    CayleyClass: ("class_id", "residues", "k0_factors", "det", "canonical"),
     MonoidPresentation: ("generator_count", "relations"),
     CongruenceClasses: (
         "generator_count",
@@ -81,7 +81,7 @@ ARGS = {
     GraphAnalysis: ((1, 3), K0, -3),
     KPVerdict: ("Isomorphic", (("pis_first", "True"), ("pis_second", "True"))),
     CanonicalAlgebra: (4, 3),
-    CayleyClass: ("Z3", (2, 4), CanonicalAlgebra(4, 3)),
+    CayleyClass: ("Z3", (2, 4), (3,), -3, CanonicalAlgebra(4, 3)),
     MonoidPresentation: (2, ((0, (0, 2)), (1, (1, 1)))),
     CongruenceClasses: (
         1,
@@ -134,7 +134,7 @@ REPRS = {
     ),
     CanonicalAlgebra: "CanonicalAlgebra(n=4, d=3)",
     CayleyClass: (
-        "CayleyClass(class_id='Z3', residues=(2, 4), "
+        "CayleyClass(class_id='Z3', residues=(2, 4), k0_factors=(3,), det=-3, "
         "canonical=CanonicalAlgebra(n=4, d=3))"
     ),
     MonoidPresentation: (
