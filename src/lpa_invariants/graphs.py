@@ -240,8 +240,9 @@ class PISReport:
     """Outcome of the purely-infinite-simple test, with witnesses.
 
     Every False flag carries at least one verifiable witness: a sink
-    vertex, a cycle without exit (vertex tuple), an unreachable pair
-    (vertex, cycle vertex), or a topological order certifying acyclicity.
+    vertex (one per sink), a cycle without exit (vertex tuple), an
+    unreachable pair (vertex, cycle vertex), or a topological order
+    certifying acyclicity.  `pis_report` states which witness it picks.
     """
 
     sink_free: bool
@@ -252,22 +253,24 @@ class PISReport:
     witnesses: tuple[tuple[str, Any], ...]
 
 
-def _cycle_vertices(g: Graph) -> set[int]:
-    """Vertices lying on at least one directed cycle: those of a strong
-    component with two or more vertices or with a loop.
+def _strong_components(succ) -> tuple[list[list[int]], list[int]]:
+    """Tarjan's strong components of `succ`, split in two: the cyclic ones
+    (two or more vertices, or a loop) as vertex lists, and the vertices of
+    the others in the order their components close.
 
-    Iterative Tarjan.  Each open vertex sits on `work` with an iterator
-    over its successors: it descends into the first unnumbered one, and
-    closes once the iterator runs out.  A vertex that closes as the root
-    of its component pops that component off `stack`.  O(V + E).
+    Iterative.  Each open vertex sits on `work` with an iterator over its
+    successors: it descends into the first unnumbered one, and closes once
+    the iterator runs out.  A vertex that closes as the root of its
+    component pops that component off `stack`.  Components close in
+    reverse topological order.  O(V + E).
     """
-    succ = g.successors
     n = len(succ)
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
     stack: list[int] = []
-    on_cycle: set[int] = set()
+    cyclic: list[list[int]] = []
+    closed: list[int] = []
     counter = 0
     for root in range(n):
         if index[root] != -1:
@@ -293,13 +296,16 @@ def _cycle_vertices(g: Graph) -> set[int]:
                 if low[v] == index[v]:
                     w = stack.pop()
                     on_stack[w] = False
-                    if w != v or v in succ[v]:
-                        on_cycle.add(w)
+                    if w == v and v not in succ[v]:
+                        closed.append(v)
+                        continue
+                    component = [w]
                     while w != v:
                         w = stack.pop()
                         on_stack[w] = False
-                        on_cycle.add(w)
-    return on_cycle
+                        component.append(w)
+                    cyclic.append(component)
+    return cyclic, closed
 
 
 def _reachable(adjacent, start: int) -> list[bool]:
@@ -315,70 +321,21 @@ def _reachable(adjacent, start: int) -> list[bool]:
     return seen
 
 
-def _cofinal_witness(g: Graph, on_cycle: set[int]) -> tuple[int, int] | None:
-    """First vertex u, in index order, that misses some cycle vertex, and
-    the first cycle vertex it misses; None when the graph is cofinal.
-
-    When the first cycle vertex, c, reaches every cycle vertex, a vertex
-    reaches all of them iff it reaches c, so u is the first vertex the
-    reverse search from c misses, and c is the first cycle vertex u
-    misses.  Otherwise vertices are searched one by one.
-    """
-    targets = sorted(on_cycle)
-    c = targets[0]
+def _cofinal_witness(g: Graph, cyclic: list[list[int]]) -> tuple[int, int] | None:
+    """None when the graph is cofinal, else an unreachable pair (vertex,
+    cycle vertex), from one forward and at most one backward search from
+    c, the least vertex of the cyclic components `cyclic`."""
+    c = min(min(comp) for comp in cyclic)
     forward = _reachable(g.successors, c)
-    if all(forward[w] for w in targets):
-        predecessors: list[list[int]] = [[] for _ in g.vertices]
-        for e in g.edges:
-            predecessors[e.range].append(e.source)
-        backward = _reachable(predecessors, c)
-        u = next((u for u, ok in enumerate(backward) if not ok), None)
-        return None if u is None else (u, c)
-    for u in range(c + 1):  # c itself misses a cycle vertex
-        seen = _reachable(g.successors, u)
-        for w in targets:
-            if not seen[w]:
-                return u, w
-
-
-def _cycle_without_exit(g: Graph) -> tuple[int, ...] | None:
-    """A cycle all of whose vertices have out-degree exactly 1, if any.
-
-    A cycle has no exit precisely when every vertex on it emits a single
-    edge, so it suffices to chase the functional subgraph of out-degree-1
-    vertices.
-    """
-    deg = g.out_degrees
-    succ = g.successors
-    colour = [0] * g.n_vertices  # 0 unvisited, 1 on current walk, 2 done
-    for start in range(g.n_vertices):
-        path: list[int] = []
-        v = start
-        while colour[v] == 0 and deg[v] == 1:
-            colour[v] = 1
-            path.append(v)
-            v = succ[v][0]
-        if colour[v] == 1:
-            return tuple(path[path.index(v) :])
-        for w in path:
-            colour[w] = 2
-    return None
-
-
-def _topological_order(g: Graph) -> list[int]:
-    """Kahn order; callers use this only on acyclic graphs."""
-    n = g.n_vertices
-    indeg = list(g.in_degrees)
-    ready = [v for v in range(n) if indeg[v] == 0]
-    order: list[int] = []
-    while ready:
-        v = ready.pop()
-        order.append(v)
-        for w in g.successors[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-    return order
+    missed = min((w for comp in cyclic for w in comp if not forward[w]), default=None)
+    if missed is not None:
+        return c, missed
+    predecessors: list[list[int]] = [[] for _ in g.vertices]
+    for e in g.edges:
+        predecessors[e.range].append(e.source)
+    backward = _reachable(predecessors, c)
+    u = next((u for u, ok in enumerate(backward) if not ok), None)
+    return None if u is None else (u, c)
 
 
 def pis_report(g: Graph) -> PISReport:
@@ -389,40 +346,53 @@ def pis_report(g: Graph) -> PISReport:
     cycle.  has_cycle: some directed cycle exists.  The algebra test is
     the conjunction of all four.
 
-    Every test is O(V + E).  For cofinality, fix one cycle vertex c.  The
-    graph is cofinal iff c reaches every cycle vertex and every vertex
-    reaches c: then every vertex reaches every cycle vertex through c;
-    conversely, c and every other vertex reach every cycle vertex, c
-    among them.  So one forward and one reverse search from c decide it.
-    The witness is the first failing vertex in index order with the first
-    cycle vertex it misses.  Only when c misses some cycle vertex (never
-    cofinal: the cycle vertices then span more than one strong
-    component) does finding it take a search per vertex, up to the first
-    failure; that failure comes at or before c, so the cost is
-    O(c (V + E)).
+    One Tarjan pass gives the strong components, and every flag and
+    witness is read off it, plus at most one forward and one backward
+    search from c, the least cycle vertex.  O(V + E) on every graph.
+    Witnesses, in this order:
+
+    - sink_free: each sink, in vertex order.
+    - condition_L: a cycle has no exit iff each of its vertices emits
+      exactly one edge, and such a cycle is a whole strong component.
+      The witness is the exit-less component that holds the least such
+      vertex, listed from that vertex along the single out-edges.
+    - has_cycle: with no cycle every component is one vertex, and they
+      close in reverse topological order; the witness is that order
+      reversed.
+    - cofinal: the graph is cofinal iff c reaches every cycle vertex and
+      every vertex reaches c (then every vertex reaches every cycle
+      vertex through c; conversely, c and every other vertex reach every
+      cycle vertex, c among them).  If the forward search from c misses
+      a cycle vertex, the witness is (c, the least cycle vertex it
+      misses); otherwise (the least vertex the backward search misses, c).
     """
     names = g.vertices
+    succ = g.successors
+    deg = g.out_degrees
     witnesses: list[tuple[str, Any]] = []
 
-    sinks = [v for v, d in enumerate(g.out_degrees) if d == 0]
+    sinks = [v for v, d in enumerate(deg) if d == 0]
     sink_free = not sinks
     for v in sinks:
         witnesses.append(("sink_free", names[v]))
 
-    bad_cycle = _cycle_without_exit(g)
-    condition_L = bad_cycle is None
-    if bad_cycle is not None:
-        witnesses.append(("condition_L", tuple(names[v] for v in bad_cycle)))
+    cyclic, closed = _strong_components(succ)
+    exitless = [comp for comp in cyclic if all(deg[v] == 1 for v in comp)]
+    condition_L = not exitless
+    if exitless:
+        comp = min(exitless, key=min)
+        cycle = [min(comp)]
+        for _ in range(len(comp) - 1):
+            cycle.append(succ[cycle[-1]][0])
+        witnesses.append(("condition_L", tuple(names[v] for v in cycle)))
 
-    on_cycle = _cycle_vertices(g)
-    has_cycle = bool(on_cycle)
+    has_cycle = bool(cyclic)
     if not has_cycle:
-        order = _topological_order(g)
-        witnesses.append(("has_cycle", tuple(names[v] for v in order)))
+        witnesses.append(("has_cycle", tuple(names[v] for v in reversed(closed))))
 
     cofinal = True
-    if on_cycle:
-        witness = _cofinal_witness(g, on_cycle)
+    if has_cycle:
+        witness = _cofinal_witness(g, cyclic)
         if witness is not None:
             cofinal = False
             u, missing = witness

@@ -307,6 +307,46 @@ canonical: NONE
             "canonical": None,
         },
     ),
+    # v0 -> v1 with a loop at v1, and a loop at v2: the least cycle vertex,
+    # v1, misses v2, so the cofinal witness starts at v1, not at v0
+    "cofinal witness from the least cycle vertex": (
+        graph_from_pairs(3, [(0, 1), (1, 1), (2, 2)]),
+        """\
+graph: 3 vertices, 3 edges
+adjacency: [[0, 1, 0], [0, 1, 0], [0, 0, 1]]
+b_matrix: [[1, 0, 0], [-1, 0, 0], [0, 0, 0]]
+snf_diagonal: [1, 0, 0]
+k0_factors: (0,0)
+vertex_images: [[1, 0], [1, 0], [0, 1]]
+distinguished: [2, 1]
+det: 0  (ZERO)
+pis: sink_free=True condition_L=False cofinal=False has_cycle=True purely_infinite_simple=False
+  witness condition_L: ['v1']
+  witness cofinal: ['v1', 'v2']
+canonical: NONE
+""",
+        {
+            "schema": 1,
+            "graph": {"vertices": 3, "edges": 3},
+            "adjacency": [[0, 1, 0], [0, 1, 0], [0, 0, 1]],
+            "b_matrix": [[1, 0, 0], [-1, 0, 0], [0, 0, 0]],
+            "snf_diagonal": [1, 0, 0],
+            "k0_factors": [0, 0],
+            "vertex_images": [[1, 0], [1, 0], [0, 1]],
+            "distinguished": [2, 1],
+            "det": 0,
+            "det_sign": "ZERO",
+            "pis": {
+                "sink_free": True,
+                "condition_L": False,
+                "cofinal": False,
+                "has_cycle": True,
+                "purely_infinite_simple": False,
+                "witnesses": [["condition_L", ["v1"]], ["cofinal", ["v1", "v2"]]],
+            },
+            "canonical": None,
+        },
+    ),
 }
 
 

@@ -10,12 +10,12 @@ from graph_strategies import NAMED_GRAPHS, graph_from_pairs, multigraphs
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lpa_invariants import graphs
 from lpa_invariants.graphs import (
     Edge,
     Graph,
     PISReport,
     _reachable,
-    _topological_order,
     adjacency_matrix,
     cayley_graph,
     graph_from_dict,
@@ -312,43 +312,58 @@ class TestPISReport:
         "g", [LONE_VERTEX, TWO_CYCLE, SPLIT, PATH], ids=["sink", "2cyc", "split", "path"]
     )
     def test_witnesses_verify(self, g):
-        report = pis_report(g)
-        assert (not report.purely_infinite_simple) == bool(report.witnesses)
-        flags = {
-            "sink_free": report.sink_free,
-            "condition_L": report.condition_L,
-            "cofinal": report.cofinal,
-            "has_cycle": report.has_cycle,
-        }
-        witnessed = {kind for kind, _ in report.witnesses}
-        for flag, value in flags.items():
-            if not value:
-                assert flag in witnessed
-        index = g.vertex_index
-        for kind, payload in report.witnesses:
-            if kind == "sink_free":
-                assert g.out_degrees[index[payload]] == 0
-            elif kind == "condition_L":
-                cycle = [index[name] for name in payload]
-                for pos, v in enumerate(cycle):
-                    assert g.out_degrees[v] == 1
-                    assert g.successors[v][0] == cycle[(pos + 1) % len(cycle)]
-            elif kind == "cofinal":
-                u, w = (index[name] for name in payload)
-                assert not reaches(g, u, w)
-                # w really lies on a cycle
-                assert any(reaches(g, s, w) for s in g.successors[w])
-            elif kind == "has_cycle":
-                order = [index[name] for name in payload]
-                assert sorted(order) == list(range(g.n_vertices))
-                position = {v: i for i, v in enumerate(order)}
-                for e in g.edges:
-                    assert position[e.source] < position[e.range]
+        assert_witnesses_verify(g, pis_report(g))
+
+
+def assert_witnesses_verify(g, report):
+    """Each False flag has a witness of its kind, and each witness holds
+    on `g` itself, with no reference implementation."""
+    assert (not report.purely_infinite_simple) == bool(report.witnesses)
+    flags = {
+        "sink_free": report.sink_free,
+        "condition_L": report.condition_L,
+        "cofinal": report.cofinal,
+        "has_cycle": report.has_cycle,
+    }
+    witnessed = {kind for kind, _ in report.witnesses}
+    for flag, value in flags.items():
+        if not value:
+            assert flag in witnessed
+    index = g.vertex_index
+    for kind, payload in report.witnesses:
+        if kind == "sink_free":
+            assert g.out_degrees[index[payload]] == 0
+        elif kind == "condition_L":
+            cycle = [index[name] for name in payload]
+            assert len(set(cycle)) == len(cycle)
+            for pos, v in enumerate(cycle):
+                assert g.out_degrees[v] == 1
+                assert g.successors[v][0] == cycle[(pos + 1) % len(cycle)]
+        elif kind == "cofinal":
+            u, w = (index[name] for name in payload)
+            assert not reaches(g, u, w)
+            # w really lies on a cycle
+            assert any(reaches(g, s, w) for s in g.successors[w])
+        elif kind == "has_cycle":
+            order = [index[name] for name in payload]
+            assert sorted(order) == list(range(g.n_vertices))
+            position = {v: i for i, v in enumerate(order)}
+            for e in g.edges:
+                assert position[e.source] < position[e.range]
+
+
+@settings(deadline=None, max_examples=300)
+@given(multigraphs(max_vertices=10, max_mult=2))
+@example(NAMED_GRAPHS["two_loops_apart"])
+def test_witnesses_verify_on_random_graphs(g):
+    assert_witnesses_verify(g, pis_report(g))
 
 
 def networkx_pis(g):
     """pis_report's flags and cofinal witness, from networkx and a search
-    from every vertex."""
+    from every vertex: (c, the least cycle vertex c misses) when the least
+    cycle vertex c misses one, else the first vertex that misses a cycle
+    vertex, with the first one it misses."""
     multi = nx.MultiDiGraph()
     multi.add_nodes_from(range(g.n_vertices))
     multi.add_edges_from((e.source, e.range) for e in g.edges)
@@ -359,7 +374,7 @@ def networkx_pis(g):
     cycles = list(nx.simple_cycles(nx.DiGraph(multi)))
     assert bool(cycles) == bool(on_cycle)
     witness = None
-    for u in range(g.n_vertices):
+    for u in sorted(on_cycle)[:1] + list(range(g.n_vertices)):
         reach = nx.descendants(multi, u) | {u}
         missing = [w for w in sorted(on_cycle) if w not in reach]
         if missing:
@@ -400,9 +415,48 @@ def test_cofinal_witness_is_first_failing_vertex():
     assert ("cofinal", ("v1", "v2")) in report.witnesses
 
 
+def path_into_two_cycles(m: int) -> Graph:
+    """v_0 -> ... -> v_{m-1}, whose last vertex feeds the two 2-cycles
+    {v_m, v_{m+1}} and {v_{m+2}, v_{m+3}}."""
+    pairs = [(v, v + 1) for v in range(m - 1)]
+    pairs += [(m - 1, m), (m - 1, m + 2), (m, m + 1), (m + 1, m)]
+    pairs += [(m + 2, m + 3), (m + 3, m + 2)]
+    return graph_from_pairs(m + 4, pairs)
+
+
+def counting_searches(monkeypatch) -> list[int]:
+    """Patch `graphs._reachable` to note each call's start vertex."""
+    starts: list[int] = []
+    real = graphs._reachable
+
+    def counted(adjacent, start):
+        starts.append(start)
+        return real(adjacent, start)
+
+    monkeypatch.setattr(graphs, "_reachable", counted)
+    return starts
+
+
+@pytest.mark.parametrize("m", [500, 4000])
+def test_pis_report_searches_at_most_twice_on_a_long_path(monkeypatch, m):
+    starts = counting_searches(monkeypatch)
+    report = pis_report(path_into_two_cycles(m))
+    assert len(starts) <= 2
+    assert dict(report.witnesses)["cofinal"] == (f"v{m}", f"v{m + 2}")
+
+
+@settings(deadline=None, max_examples=200)
+@given(multigraphs(max_vertices=10, max_mult=2))
+def test_pis_report_searches_at_most_twice(g):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        starts = counting_searches(monkeypatch)
+        pis_report(g)
+    assert len(starts) <= 2
+
+
 # Reference PIS search: a frame-list Tarjan that lists the strong
-# components, a walk that keeps each vertex's position on its path, and a
-# cofinality fallback that may search from every vertex.
+# components, read for the cycle vertices, the exit-less cycles and the
+# acyclic order, and a cofinality search from every vertex.
 
 
 def _reference_strongly_connected_components(succ) -> list[list[int]]:
@@ -453,58 +507,48 @@ def _reference_strongly_connected_components(succ) -> list[list[int]]:
     return comps
 
 
-def _reference_cycle_vertices(g: Graph) -> set[int]:
-    on_cycle: set[int] = set()
-    for comp in _reference_strongly_connected_components(g.successors):
-        if len(comp) > 1:
-            on_cycle.update(comp)
-    for v, succ in enumerate(g.successors):
-        if v in succ:
-            on_cycle.add(v)
-    return on_cycle
+def _reference_cyclic_components(g: Graph) -> list[list[int]]:
+    """Components with two or more vertices or a loop, in closing order."""
+    return [
+        comp
+        for comp in _reference_strongly_connected_components(g.successors)
+        if len(comp) > 1 or comp[0] in g.successors[comp[0]]
+    ]
 
 
 def _reference_cofinal_witness(g: Graph, on_cycle: set[int]):
+    """(c, the first cycle vertex c misses) if the least cycle vertex c
+    misses one, else the first vertex that misses a cycle vertex, with the
+    first one it misses; None when every vertex reaches every cycle
+    vertex."""
     targets = sorted(on_cycle)
-    c = targets[0]
-    forward = _reachable(g.successors, c)
-    if all(forward[w] for w in targets):
-        predecessors: list[list[int]] = [[] for _ in g.vertices]
-        for e in g.edges:
-            predecessors[e.range].append(e.source)
-        backward = _reachable(predecessors, c)
-        u = next((u for u, ok in enumerate(backward) if not ok), None)
-        return None if u is None else (u, c)
+    misses = {}
     for u in range(g.n_vertices):
         seen = _reachable(g.successors, u)
-        missing = next((w for w in targets if not seen[w]), None)
-        if missing is not None:
-            return u, missing
-    return None
+        missing = [w for w in targets if not seen[w]]
+        if missing:
+            misses[u] = missing[0]
+    if not misses:
+        return None
+    u = targets[0] if targets[0] in misses else min(misses)
+    return u, misses[u]
 
 
 def _reference_cycle_without_exit(g: Graph):
+    """The exit-less cyclic component with the least vertex, listed from
+    that vertex along the single out-edges; None if there is none."""
     deg = g.out_degrees
-    succ = g.successors
-    colour = [0] * g.n_vertices  # 0 unvisited, 1 on current walk, 2 done
-    for start in range(g.n_vertices):
-        if deg[start] != 1 or colour[start]:
-            continue
-        path: list[int] = []
-        pos: dict[int, int] = {}
-        cur = start
-        while True:
-            if deg[cur] != 1 or colour[cur] == 2:
-                break
-            if colour[cur] == 1:
-                return tuple(path[pos[cur] :])
-            colour[cur] = 1
-            pos[cur] = len(path)
-            path.append(cur)
-            cur = succ[cur][0]
-        for v in path:
-            colour[v] = 2
-    return None
+    exitless = [
+        comp
+        for comp in _reference_cyclic_components(g)
+        if all(deg[v] == 1 for v in comp)
+    ]
+    if not exitless:
+        return None
+    cycle = [min(min(comp) for comp in exitless)]
+    while g.successors[cycle[-1]][0] != cycle[0]:
+        cycle.append(g.successors[cycle[-1]][0])
+    return tuple(cycle)
 
 
 def reference_pis_report(g: Graph) -> PISReport:
@@ -515,10 +559,11 @@ def reference_pis_report(g: Graph) -> PISReport:
     bad_cycle = _reference_cycle_without_exit(g)
     if bad_cycle is not None:
         witnesses.append(("condition_L", tuple(names[v] for v in bad_cycle)))
-    on_cycle = _reference_cycle_vertices(g)
+    on_cycle = {v for comp in _reference_cyclic_components(g) for v in comp}
     if not on_cycle:
-        order = _topological_order(g)
-        witnesses.append(("has_cycle", tuple(names[v] for v in order)))
+        # acyclic: the one-vertex components close in reverse topological order
+        comps = _reference_strongly_connected_components(g.successors)
+        witnesses.append(("has_cycle", tuple(names[c[0]] for c in reversed(comps))))
     witness = _reference_cofinal_witness(g, on_cycle) if on_cycle else None
     if witness is not None:
         u, missing = witness
