@@ -3,12 +3,14 @@
 Shows a Smith normal form with its unimodular transforms, the
 fraction-free determinant, the determinant of a Cayley graph from its
 module Z[x]/(x^n - 1, x^2 - x + 1) on a 2 x 2 companion power, the
-circulant determinant formula cross-checking the exact value, and the
+circulant determinant formula cross-checking the exact value, the
 Smith form of that companion power read off gcd(a, b) and a^2 + ab + b^2
-for x^n - 1 = a + bx.
+for x^n - 1 = a + bx, and a dense graph whose B the elimination's core
+phase takes whole.
 """
 
 import math
+import random
 
 from lpa_invariants import (
     CirculantRow,
@@ -20,6 +22,7 @@ from lpa_invariants import (
     circulant_det_product,
     circulant_k0,
     det_exact,
+    graph_from_dict,
     smith_normal_form,
 )
 from lpa_invariants.intlinalg import diagonal_matrix
@@ -91,3 +94,30 @@ for n in range(1, 7):
         f"  gcd(a, b) = {d1}"
         f"  a^2 + ab + b^2 = {norm}  K0 = {factors}, as `analyse` finds"
     )
+
+print("\nA dense graph: `sparse_smith` keeps rows as dicts while the active")
+print("block is under half full, and hands a denser block to its core phase,")
+print("which keeps one list per row and pivots on the least |entry|, first")
+print("row then first column.  This B is more than half full from the start,")
+print("so the core eliminates all of it; d and det are checked against the")
+print("independent Bareiss determinant.")
+rng = random.Random(20)
+vertices = [f"v{i}" for i in range(1, 21)]
+edges = [
+    {"id": f"e{k}", "source": s, "range": r}
+    for k, (s, r) in enumerate(
+        (s, r) for s in vertices for r in vertices for _ in range(rng.choice((0, 1, 2)))
+    )
+]
+g = graph_from_dict({"vertices": vertices, "edges": edges})
+b = b_matrix(g)
+nonzero = sum(1 for row in b.entries for x in row if x)
+assert 2 * nonzero >= 20 * 20
+analysis = analyse(g)
+exact = det_exact(b)
+assert analysis.det == exact
+assert math.prod(analysis.snf_diagonal) == abs(exact)
+print(
+    f"  20 vertices, {g.n_edges} edges, {nonzero} of 400 entries of B nonzero:"
+    f" det = {analysis.det} (Bareiss: {exact}), K0 = {analysis.k0.group.factors}"
+)

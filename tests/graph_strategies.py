@@ -5,7 +5,9 @@ Shared by the differential and metamorphic tests.  Drawn graphs have
 0 to `max_mult` parallel edges, so sinks, sources, isolated vertices,
 parallel edges and singular B = I - A^t (a vertex whose only edge is one
 loop gives a zero row) all turn up.  `NAMED_GRAPHS` pins each of those
-cases down as an explicit example.
+cases down as an explicit example.  `random_multigraph` draws larger
+graphs from a seeded `random.Random`, as the benchmark's dense workload
+does.
 """
 
 from hypothesis import strategies as st
@@ -16,6 +18,18 @@ from lpa_invariants.graphs import Edge, Graph
 def graph_from_pairs(n: int, pairs) -> Graph:
     edges = tuple(Edge(f"e{k}", s, r) for k, (s, r) in enumerate(pairs))
     return Graph(tuple(f"v{i}" for i in range(n)), edges)
+
+
+def random_multigraph(rng, n: int, density: float, max_mult: int = 2) -> Graph:
+    """Each ordered pair, loops included, gets 1..max_mult parallel edges
+    with probability `density`, as the benchmark's dense workload draws
+    its graphs."""
+    pairs = []
+    for s in range(n):
+        for r in range(n):
+            if rng.random() < density:
+                pairs += [(s, r)] * rng.randint(1, max_mult)
+    return graph_from_pairs(n, pairs)
 
 
 @st.composite

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from graph_strategies import graph_from_pairs, permute
+from graph_strategies import graph_from_pairs, permute, random_multigraph
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -1062,20 +1063,27 @@ class TestParserReuse:
         assert cli._build_parser() is cli._build_parser()
 
 
-def test_import_leaves_heavy_dependencies_unloaded(c_files):
+def test_import_leaves_heavy_dependencies_unloaded(c_files, tmp_path):
     """The package needs numpy alone, and only the monoid box uses it:
     the CLI's other commands run without importing it, and `monoid`
     imports it.  The package serves the monoid names from `.monoid` on
     first access.  sympy, networkx and scipy serve tests only and never
-    load, not even when the CLI runs the monoid box."""
+    load, not even when the CLI runs the monoid box.  `invariants` on a
+    dense 28-vertex graph, whose B the elimination's core phase takes,
+    keeps numpy unloaded too."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(root / "src"), env.get("PYTHONPATH")])
     )
+    graph = random_multigraph(random.Random(28), 28, 0.6)
+    assert 2 * sum(map(len, ktheory._b_rows(graph))) >= 28 * 28
+    dense = tmp_path / "dense28.json"
+    dense.write_text(json.dumps(graph_to_dict(graph)))
     numpy_free = [
         ["validate", c_files[3]],
         ["invariants", c_files[6], "--json"],
+        ["invariants", str(dense), "--json"],
         ["classify", c_files[3], c_files[7]],
         ["table", "--max", "12"],
     ]

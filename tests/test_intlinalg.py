@@ -1,7 +1,9 @@
+import heapq
 import random
+from unittest import mock
 
 import pytest
-from graph_strategies import NAMED_GRAPHS, multigraphs
+from graph_strategies import NAMED_GRAPHS, multigraphs, random_multigraph
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ
@@ -14,11 +16,13 @@ from lpa_invariants.intlinalg import (
     circulant_det_product,
     det_exact,
     diagonal_matrix,
+    _smith_from_pivots,
     smith_normal_form,
     sparse_smith,
 )
+from lpa_invariants import intlinalg, ktheory
 from lpa_invariants.graphs import cayley_graph
-from lpa_invariants.ktheory import _b_rows, analyse, b_matrix
+from lpa_invariants.ktheory import _b_rows, analyse, b_matrix, pointed_iso_exists
 
 
 def mat(rows):
@@ -357,38 +361,56 @@ class TestSparseSmith:
         assert repr(u_rows) == "({0: 1}, {1: 1})"
 
     def test_pivot_order_is_pinned(self):
-        # Every entry has |x| = 2; rows 1-3 tie on Markowitz cost 9, so
-        # row 1 wins, and in row 1 columns 0 and 2 tie, so column 0 wins.
-        rows = [
+        # Sparse phase.  Every entry has |x| = 2; rows 1-3 tie on Markowitz
+        # cost 9, so row 1 wins, and in row 1 columns 0 and 2 tie, so
+        # column 0 wins.  Four zero rows and columns keep the active block
+        # under half full, so the whole pass stays in the sparse phase.
+        four = [
             {0: 2, 1: 2, 2: -2, 3: 4},
             {0: 2, 2: 2, 3: -2},
             {1: -2, 2: 2, 3: 2},
             {0: 4, 1: 2, 3: 2},
         ]
-        result = sparse_smith(rows, 4)
-        assert result.d == (2, 2, 2, 0)
+        padding = tuple({k: 1} for k in range(4, 8))
+        sparse_only = mock.patch.object(
+            intlinalg, "_core_phase", side_effect=AssertionError("entered the core")
+        )
+        with sparse_only:
+            result = sparse_smith(four + [{}] * 4, 8)
+        assert result.d == (2, 2, 2, 0, 0, 0, 0, 0)
         assert result.u_rows == (
             {1: 1},
             {0: 1, 1: -1},
             {2: -1, 0: -1, 1: 1},
             {3: 1, 1: -1, 0: -1},
-        )
+        ) + padding
         assert result.v_cols == (
             {0: 1},
             {1: 1},
             {2: 1, 0: -1, 1: 2},
             {3: 1, 0: -3, 1: 5, 2: 4},
-        )
+        ) + padding
         # The pivot (1, 1) clears column 0 of row 1 by a column operation,
         # which lowers column 0's count; row 2 must be re-keyed, and then
         # its tie between columns 0 and 2 goes to column 0.
-        result = sparse_smith([{}, {0: 1, 1: 1}, {0: 1, 2: -1}], 3)
-        assert result.d == (1, 1, 0)
-        assert result.u_rows == ({1: 1}, {2: 1}, {0: 1})
-        assert result.v_cols == ({1: 1}, {0: 1, 1: -1}, {2: 1, 0: 1, 1: -1})
-        # B of C_6: each pivot changes column counts, so rows are re-keyed
-        result = sparse_smith(_b_rows(cayley_graph(6)), 6)
-        assert result.d == (1, 1, 1, 1, 0, 0)
+        with sparse_only:
+            result = sparse_smith([{}, {0: 1, 1: 1}, {0: 1, 2: -1}, {}, {}, {}], 6)
+        assert result.d == (1, 1, 0, 0, 0, 0)
+        assert result.u_rows == ({1: 1}, {2: 1}, {0: 1}, {3: 1}, {4: 1}, {5: 1})
+        assert result.v_cols == (
+            {1: 1},
+            {0: 1, 1: -1},
+            {2: 1, 0: 1, 1: -1},
+            {3: 1},
+            {4: 1},
+            {5: 1},
+        )
+        # B of C_6 beside six zero rows and columns: each pivot changes
+        # column counts, so rows are re-keyed
+        padding = tuple({k: 1} for k in range(6, 12))
+        with sparse_only:
+            result = sparse_smith(_b_rows(cayley_graph(6)) + [{}] * 6, 12)
+        assert result.d == (1, 1, 1, 1) + (0,) * 8
         assert result.u_rows == (
             {0: 1},
             {1: -1, 0: -1},
@@ -396,7 +418,7 @@ class TestSparseSmith:
             {2: 1, 5: -1, 0: -1},
             {3: 1, 2: 1, 5: -1, 0: -1},
             {4: 1, 1: -1, 2: -1, 5: 1},
-        )
+        ) + padding
         assert result.v_cols == (
             {0: 1},
             {5: 1, 0: 1},
@@ -404,6 +426,69 @@ class TestSparseSmith:
             {2: 1, 5: -1, 0: -1},
             {3: 1, 2: 1, 5: -1, 0: -1},
             {4: 1, 1: -1, 2: -1, 5: 1},
+        ) + padding
+
+    def test_core_pivot_order_is_pinned(self):
+        # The same 4 x 4 block alone is at least half full, so the core
+        # takes it from the start: every entry ties at |x| = 2, so row 0
+        # wins, and in row 0 columns 0, 1 and 2 tie, so column 0 wins.
+        four = [
+            {0: 2, 1: 2, 2: -2, 3: 4},
+            {0: 2, 2: 2, 3: -2},
+            {1: -2, 2: 2, 3: 2},
+            {0: 4, 1: 2, 3: 2},
+        ]
+        result = sparse_smith(four, 4)
+        assert result.d == (2, 2, 2, 0)
+        assert result.u_rows == (
+            {0: 1},
+            {1: -1, 0: 1},
+            {2: -1, 1: 1, 0: -1},
+            {3: 1, 1: -1, 0: -1},
+        )
+        assert result.v_cols == (
+            {0: 1},
+            {1: 1, 0: -1},
+            {2: 1, 1: 2, 0: -1},
+            {3: 1, 2: 4, 1: 5, 0: -3},
+        )
+        # A tie between rows: rows 0 and 1 hold a 1, and row 0 wins though
+        # row 1 has the lower Markowitz cost (2 against 6).
+        result = sparse_smith([{0: 5, 1: 1, 2: 3}, {0: 1}, {1: 2, 2: 4}], 3)
+        assert (result.d, result.det) == ((1, 1, 2), 2)
+        assert result.u_rows == ({0: 1}, {1: 1}, {2: -1, 1: -10, 0: 2})
+        assert result.v_cols == ({1: 1}, {0: 1, 1: -5}, {2: 1, 1: -3})
+        # A tie within a row: row 0 holds 1 and -1, and column 1 wins though
+        # column 2 has fewer entries.
+        result = sparse_smith([{0: 3, 1: 1, 2: -1}, {0: 4, 1: 5}, {1: 6, 2: 7}], 3)
+        assert (result.d, result.det) == ((1, 1, 53), 53)
+        assert result.u_rows == ({0: 1}, {1: 8, 2: -3, 0: -22}, {2: 5, 1: -13, 0: 35})
+        assert result.v_cols == ({1: 1}, {2: 1, 1: 1}, {0: 1, 2: 34, 1: 31})
+        # A non-unit pivot: 4 leaves the remainder 2 in its column, then 2
+        # clears that column and leaves the remainder 1 in its row, which
+        # becomes the last pivot of the round.
+        result = sparse_smith([{0: 4, 1: 7}, {0: 6, 1: 10}], 2)
+        assert (result.d, result.det) == ((1, 2), -2)
+        assert result.u_rows == ({1: 1, 0: -1}, {0: -4, 1: 3})
+        assert result.v_cols == ({1: 1, 0: -1}, {0: 3, 1: -2})
+        # B of C_6 is half full: the core takes it from the start
+        result = sparse_smith(_b_rows(cayley_graph(6)), 6)
+        assert result.d == (1, 1, 1, 1, 0, 0)
+        assert result.u_rows == (
+            {0: 1},
+            {1: -1, 0: -1},
+            {2: -1, 1: -1, 0: -1},
+            {3: 1, 1: -1, 0: -1},
+            {4: 1, 3: 1, 1: -1, 0: -1},
+            {5: 1, 3: -1, 2: -1, 0: 1},
+        )
+        assert result.v_cols == (
+            {0: 1},
+            {2: 1},
+            {1: 1, 0: 1},
+            {3: 1, 1: -1, 0: -1},
+            {4: 1, 3: 1, 1: -1, 0: -1},
+            {5: 1, 3: -1, 2: -1, 0: 1},
         )
 
     def test_rejects_column_out_of_range(self):
@@ -509,13 +594,17 @@ def _extended_gcd(a, b):
 def full_scan_smith(m):
     """Reference for `sparse_smith`: (d, u, v) with u, v dense, from the
     same elimination with every pivot found by a full scan of the active
-    block, as documented: smallest |entry|, then Markowitz cost (row nnz x
-    column nnz), then lowest row, then the first entry in row order.
+    block, as documented.  Until the active block is at least half full
+    (nonzeros counted afresh before each pivot) the rule is the sparse
+    phase's: smallest |entry|, then Markowitz cost (row nnz x column nnz),
+    then lowest row, then the first entry in row order.  From then on it
+    is the core's: smallest |entry|, then lowest row, then lowest column.
 
-    The steps after each choice copy `sparse_smith` dict for dict and set
-    for set, so that ties inside a clearing round fall the same way; the
-    row and column operations go straight into dense u and v instead of
-    a log.
+    The sparse steps after each choice copy `sparse_smith` dict for dict
+    and set for set, so that ties inside a clearing round fall the same
+    way; the core's rounds take the remainder in the lowest row or column
+    on a tie.  The row and column operations go straight into dense u and
+    v instead of a log.
     """
     nr, nc = m.rows, m.cols
     a = [{j: x for j, x in enumerate(row) if x} for row in m.entries]
@@ -546,30 +635,37 @@ def full_scan_smith(m):
                 best = (abs(x), key)
         return None if best is None else best[1]
 
+    def in_order(keys):
+        return sorted(keys) if core else list(keys)
+
     pivots = []
     done = set()
+    core = False
     while True:
         active = [(i, j) for i in range(nr) if i not in done for j in a[i]]
         if not active:
             break
+        size = (nr - len(done)) * (nc - len(done))
+        core = core or 2 * len(active) >= size
         r, c = min(
             active,
             key=lambda ij: (
                 abs(a[ij[0]][ij[1]]),
-                len(a[ij[0]]) * len(col_rows[ij[1]]),
+                0 if core else len(a[ij[0]]) * len(col_rows[ij[1]]),
                 ij[0],
+                ij[1] if core else 0,
             ),
         )
         while True:
             p = a[r][c]
             for i in [i for i in col_rows[c] if i != r]:
                 row_sub(i, r, _nearest_quotient(a[i][c], p))
-            rest = smallest((i, a[i][c]) for i in col_rows[c] if i != r)
+            rest = smallest((i, a[i][c]) for i in in_order(col_rows[c]) if i != r)
             if rest is not None:
                 r = rest
                 continue
             row = a[r]
-            for j in [j for j in row if j != c]:
+            for j in [j for j in in_order(row) if j != c]:
                 q = _nearest_quotient(row[j], p)
                 y = row[j] - q * p
                 if y:
@@ -579,7 +675,7 @@ def full_scan_smith(m):
                     col_rows[j].discard(r)
                 for vrow in v:
                     vrow[j] -= q * vrow[c]
-            rest = smallest((j, x) for j, x in row.items() if j != c)
+            rest = smallest((j, row[j]) for j in in_order(row) if j != c)
             if rest is None:
                 break
             c = rest
@@ -616,6 +712,8 @@ def full_scan_smith(m):
 @example(mat([[0, 2, 0], [0, 0, 0]]))
 @example(mat([[2, 2, -2, 4], [2, 0, 2, -2], [0, -2, 2, 2], [4, 2, 0, 2]]))
 @example(b_matrix(cayley_graph(6)))
+@example(mat([[0, 0, 0], [1, 1, 0], [1, 0, -1]]))
+@example(mat([[4, 7], [6, 10]]))
 def test_heap_pivots_match_a_full_scan(m):
     """The heap with lazy re-keying picks the pivot a full scan of the
     active block picks, so d, u and v come out the same; det is the one
@@ -626,6 +724,206 @@ def test_heap_pivots_match_a_full_scan(m):
     assert [[row.get(j, 0) for j in range(m.rows)] for row in result.u_rows] == rows_u
     assert [[col.get(i, 0) for i in range(m.cols)] for col in result.v_cols] == cols_v
     assert result.det == (det_exact(m) if m.is_square else None)
+
+
+def one_phase_smith(rows, cols):
+    """The elimination as one phase: the sparse phase's Markowitz loop,
+    heap and lazy re-keying run to the end with no switch to the core.
+    It is the oracle for the two-phase `sparse_smith`, which must give the
+    same d and det, and a u and v that present the same pointed cokernel."""
+    nr = len(rows)
+    a = [{j: x for j, x in row.items() if x} for row in rows]
+    col_rows = [set() for _ in range(cols)]
+    for i, row in enumerate(a):
+        for j in row:
+            col_rows[j].add(i)
+    row_ops, col_ops = [], []
+    changed_rows, changed_cols = set(), set()
+
+    def row_sub(i, r, q):
+        if not q:
+            return
+        target = a[i]
+        for j, x in a[r].items():
+            y = target.get(j, 0) - q * x
+            if y:
+                if j not in target:
+                    col_rows[j].add(i)
+                    changed_cols.add(j)
+                target[j] = y
+            else:
+                del target[j]
+                col_rows[j].discard(i)
+                changed_cols.add(j)
+        changed_rows.add(i)
+        row_ops.append((i, r, q))
+
+    def smallest(entries):
+        best = None
+        for key, x in entries:
+            if best is None or abs(x) < best[0]:
+                best = (abs(x), key)
+        return None if best is None else best[1]
+
+    key_of, heap = {}, []
+
+    def rekey(i):
+        row = a[i]
+        if not row:
+            key_of.pop(i, None)
+            return
+        least = None
+        for j, x in row.items():
+            x = abs(x)
+            if least is None or x < least:
+                least, count, c = x, len(col_rows[j]), j
+            elif x == least and len(col_rows[j]) < count:
+                count, c = len(col_rows[j]), j
+        key = (least, len(row) * count, i, c)
+        if key_of.get(i) != key:
+            key_of[i] = key
+            heapq.heappush(heap, key)
+
+    for i in range(nr):
+        rekey(i)
+    pivots = []
+    while True:
+        while heap and key_of.get(heap[0][2]) != heap[0]:
+            heapq.heappop(heap)
+        if not heap:
+            break
+        _, _, r, c = heap[0]
+        while True:
+            p = a[r][c]
+            for i in [i for i in col_rows[c] if i != r]:
+                row_sub(i, r, _nearest_quotient(a[i][c], p))
+            rest = smallest((i, a[i][c]) for i in col_rows[c] if i != r)
+            if rest is not None:
+                r = rest
+                continue
+            row = a[r]
+            for j in [j for j in row if j != c]:
+                q = _nearest_quotient(row[j], p)
+                y = row[j] - q * p
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+                    col_rows[j].discard(r)
+                    changed_cols.add(j)
+                if q:
+                    col_ops.append((j, c, q))
+            rest = smallest((j, x) for j, x in row.items() if j != c)
+            if rest is None:
+                break
+            c = rest
+        pivots.append((r, c, p))
+        col_rows[c].clear()
+        key_of.pop(r, None)
+        for j in changed_cols:
+            changed_rows.update(col_rows[j])
+        changed_rows.discard(r)
+        for i in changed_rows:
+            rekey(i)
+        changed_rows.clear()
+        changed_cols.clear()
+    return _smith_from_pivots(nr, cols, pivots, row_ops, col_ops)
+
+
+@st.composite
+def switching_matrices(draw, max_dim=30):
+    """Integer matrices of up to `max_dim` rows that cross the switch to
+    the core phase: dense from the start; a quarter full with a full
+    corner, so dense after some pivots; or block-diagonal with cokernel
+    Z/a + Z/b, such as Z/2 + Z/4.  Some are square, some rectangular,
+    some rank-deficient (a row replaced by a combination of two others),
+    some with a zero row; drawn entries are at most 50 in size."""
+    entry = st.integers(-50, 50)
+    kind = draw(st.sampled_from(["dense", "tail", "blocks"]))
+    if kind == "blocks":
+        # Each block is a dense unimodular mix of diag(factor, 1, ..., 1),
+        # so the cokernel is Z/a + Z/b.
+        blocks = []
+        for factor in draw(st.sampled_from([(2, 4), (3, 9), (2, 6), (4, 8)])):
+            size = draw(st.integers(1, 8))
+            block = [[int(i == j) for j in range(size)] for i in range(size)]
+            block[0][0] = factor
+            op = st.tuples(
+                st.integers(0, size - 1), st.integers(0, size - 1), st.integers(-2, 2)
+            )
+            for i, j, c in draw(st.lists(op, max_size=3 * size)):
+                if i != j:
+                    block[i] = [x + c * y for x, y in zip(block[i], block[j])]
+            for i, j, c in draw(st.lists(op, max_size=3 * size)):
+                if i != j:
+                    for row in block:
+                        row[i] += c * row[j]
+            blocks.append(block)
+        rows = cols = sum(map(len, blocks))
+        entries = []
+        offset = 0
+        for block in blocks:
+            for row in block:
+                entries.append([0] * offset + row + [0] * (cols - offset - len(row)))
+            offset += len(block)
+    else:
+        rows = draw(st.integers(1, max_dim))
+        cols = rows if draw(st.booleans()) else draw(st.integers(1, max_dim))
+        if kind == "dense":
+            fill = st.one_of(st.just(0), entry, entry)
+        else:
+            fill = st.one_of(st.just(0), st.just(0), st.just(0), entry)
+        entries = [
+            draw(st.lists(fill, min_size=cols, max_size=cols)) for _ in range(rows)
+        ]
+        if kind == "tail":
+            corner = draw(st.integers(1, min(rows, cols)))
+            for i in range(rows - corner, rows):
+                for j in range(cols - corner, cols):
+                    entries[i][j] = draw(entry)
+    if rows >= 2 and draw(st.booleans()):
+        entries[-1] = [x + 2 * y for x, y in zip(entries[0], entries[1])]
+    if draw(st.booleans()):
+        entries.insert(draw(st.integers(0, len(entries))), [0] * cols)
+    return mat(entries)
+
+
+@settings(deadline=None, max_examples=120)
+@given(switching_matrices())
+@example(mat([[3, 1, 0, 0], [1, 1, 0, 0], [0, 0, 5, 1], [0, 0, 1, 1]]))
+@example(mat([[4, 7], [6, 10]]))
+def test_two_phases_match_one_phase_and_sympy(m):
+    """d and det equal those of the one-phase loop, d equals sympy's
+    invariant factors, and u @ B @ v == diag(d) with u and v unimodular."""
+    rows = [dict(enumerate(row)) for row in m.entries]
+    result = sparse_smith(rows, m.cols)
+    oracle = one_phase_smith(rows, m.cols)
+    assert (result.d, result.det) == (oracle.d, oracle.det)
+    reference = DomainMatrix(
+        [[ZZ(x) for x in row] for row in m.entries], (m.rows, m.cols), ZZ
+    )
+    factors = tuple(int(x) for x in invariant_factors(reference))
+    assert result.d == factors + (0,) * (min(m.rows, m.cols) - len(factors))
+    u, v = full_transforms(result, m.rows, m.cols)
+    assert (u @ m @ v).entries == diagonal_matrix(result.d, m.rows, m.cols).entries
+    assert abs(det_exact(u)) == abs(det_exact(v)) == 1
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_two_phases_present_the_one_phase_pointed_cokernel(seed):
+    """On dense multigraphs the core picks other pivots than the one-phase
+    loop, so the vertex images may differ; the pointed K0 may not."""
+    rng = random.Random(seed)
+    g = random_multigraph(rng, rng.randint(12, 28), rng.uniform(0.2, 0.8))
+    new = analyse(g)
+    with mock.patch.object(ktheory, "sparse_smith", one_phase_smith):
+        old = analyse(g)
+    assert (new.snf_diagonal, new.det) == (old.snf_diagonal, old.det)
+    assert new.k0.group == old.k0.group
+    verdict = pointed_iso_exists(
+        old.k0.group, old.k0.distinguished, new.k0.group, new.k0.distinguished
+    )
+    assert verdict == "YES"
 
 
 class TestCirculant:

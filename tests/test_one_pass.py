@@ -1,7 +1,9 @@
 """Each graph is eliminated once: K0, vertex images and det come from one
 `sparse_smith` call, and Bareiss stays off the command paths.  The work
 of that call on C_n grows linearly in n, and K0 builds only the rows of
-u it reads.  The module of C_n is read from x^n alone, and x^n =
+u it reads.  A dense B enters the elimination's core phase before its
+first pivot and pushes no heap key, and no elimination switches phase
+more than once.  The module of C_n is read from x^n alone, and x^n =
 x^(n mod 6): `circulant_k0` takes at most five ring steps for any n.  A
 `table` builds no graph: it reads the rows of the residues 1..6 once per
 call, each by `circulant_k0`, that is by the closed form of x^n - 1 =
@@ -19,11 +21,12 @@ once, for that level alone."""
 
 import io
 import json
+import random
 import sys
 
 import pytest
 
-from graph_strategies import permute
+from graph_strategies import graph_from_pairs, permute, random_multigraph
 
 from lpa_invariants.classify import canonical_form, det_sign, kp_decide
 from lpa_invariants import classify, graphs, intlinalg, ktheory, monoid
@@ -189,6 +192,59 @@ def test_k0_builds_at_most_two_rows_of_u(monkeypatch, n):
     k0 = analyse(cayley_graph(n)).k0
     assert replays["_replay"] <= 2
     assert replays["_replay"] >= len(k0.group.factors)
+
+
+def core_entries(monkeypatch):
+    """The number of pivots taken before each entry into the core phase;
+    `sparse_smith` looks `_core_phase` up in its module."""
+    entries = []
+    original = intlinalg._core_phase
+
+    def recorded(a, pivots, *logs):
+        entries.append(len(pivots))
+        return original(a, pivots, *logs)
+
+    monkeypatch.setattr(intlinalg, "_core_phase", recorded)
+    return entries
+
+
+def out_degree_graph(n, k):
+    """k out-edges per vertex to targets drawn uniformly, loops allowed."""
+    rng = random.Random(n)
+    pairs = [(s, rng.randrange(n)) for s in range(n) for _ in range(k)]
+    return graph_from_pairs(n, pairs)
+
+
+def test_dense_graph_enters_the_core_before_its_first_pivot(monkeypatch):
+    # A dense B never builds column sets or heap keys.
+    g = random_multigraph(random.Random(28), 28, 0.6)
+    rows = ktheory._b_rows(g)
+    assert 2 * sum(map(len, rows)) >= 28 * 28
+    entries = core_entries(monkeypatch)
+    pushes = counting(monkeypatch, intlinalg.heapq, "heappush")
+    sparse = counting(monkeypatch, intlinalg, "_sparse_phase")
+    analyse(g)
+    assert entries == [0]
+    assert pushes == {"heappush": 0}
+    assert sparse == {"_sparse_phase": 0}
+
+
+def test_no_elimination_switches_phase_more_than_once(monkeypatch):
+    entries = core_entries(monkeypatch)
+    calls = counting(monkeypatch, intlinalg, "_sparse_phase")
+    inputs = [cayley_graph(n) for n in range(1, 41)]
+    inputs += [
+        random_multigraph(random.Random(seed), 12 + seed, 0.2 + seed / 25)
+        for seed in range(16)
+    ]
+    inputs += [out_degree_graph(300, 2), out_degree_graph(300, 3)]
+    for g in inputs:
+        entries.clear()
+        calls["_sparse_phase"] = 0
+        analyse(g)
+        assert len(entries) <= 1 and calls["_sparse_phase"] <= 1, g.n_vertices
+    # The sparse out-degree graphs switch once, after most of their pivots.
+    assert 150 < entries[0] < 300
 
 
 @pytest.fixture
