@@ -9,8 +9,10 @@ verdict); `table` tabulates the cyclic-Cayley-graph invariants;
 Exit codes: 0 success/Isomorphic, 2 malformed input or flags,
 3 NotIsomorphic, 4 Unknown, 5 NotApplicable, 6 a `table` row whose
 computed K0 factors, det, det sign or canonical form contradict the
-closed form of `cayley_class`.  All errors go to the error stream as one
-line prefixed `error:`.
+closed form of `cayley_class`, 141 stdout closed by its reader before
+the command finished, the code a shell gives a process ended by SIGPIPE
+(128 + 13), with no `error:` line.  All other errors go to the error
+stream as one line prefixed `error:`.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 from typing import IO
 
@@ -36,6 +39,7 @@ from .graphs import (
 from .ktheory import analyse, circulant_k0
 
 SCHEMA_VERSION = 1
+_EXIT_BROKEN_PIPE = 141
 _TABLE_CAP = 10_000
 _MAX_PRINTED_CLASSES = 100
 
@@ -440,13 +444,24 @@ def run(argv, stdout: IO[str] | None = None, stderr: IO[str] | None = None) -> i
     except _CliError as exc:
         err.write(f"error: {exc}\n")
         return exc.exit_code
+    except BrokenPipeError:
+        return _EXIT_BROKEN_PIPE
     except (ValueError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return 2
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = _EXIT_BROKEN_PIPE
+    if code == _EXIT_BROKEN_PIPE:
+        # So that the flush at exit does not raise again (see the note on
+        # SIGPIPE in the documentation of `signal`)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

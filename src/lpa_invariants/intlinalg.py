@@ -10,10 +10,12 @@ again, so no step rescans the active block.  Once the active block is at
 least half full, the core phase takes it over as one Python list per row
 and pivots on its least nonzero |entry|, the first row and then the first
 column winning a tie; every row changes at every pivot there, so keying
-rows would buy nothing.  The transforms are kept as a log of row and
-column operations, and a row of u or a column of v is built by replaying
-the log backwards only when something reads it.  On the sparse B of a
-Cayley graph both make the pass near-linear in the size of the graph.
+rows would buy nothing.  Both phases finish a pivot only once it divides
+every active entry, so the pivots' sizes, in the order taken, are the
+Smith diagonal.  u and v are exactly the logs of row and column
+operations: a row of u or a column of v is built by replaying its log
+backwards only when something reads it.  On the sparse B of a Cayley
+graph both make the pass near-linear in the size of the graph.
 `det_exact` is an independent determinant to check it against: a sparse
 fraction-free (Bareiss) elimination on rows kept as {column: value}
 dicts, which updates at each step only the rows that meet the pivot
@@ -246,21 +248,6 @@ class SmithDecomposition:
     v: IntMatrix
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b == g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 class SparseSmith(NamedTuple):
     """u @ B @ v == diag(d) from one sparse elimination, plus det B.
 
@@ -280,18 +267,6 @@ def _quotient(x: int, p: int) -> int:
     """Nearest-integer quotient: |x - q*p| <= |p|/2."""
     q, r = divmod(x, p)
     return q + 1 if 2 * abs(r) > abs(p) else q
-
-
-def _axpy(target: dict[int, int], source: dict[int, int], q: int) -> None:
-    """target -= q * source, dropping entries that cancel."""
-    if not q:
-        return
-    for j, x in source.items():
-        y = target.get(j, 0) - q * x
-        if y:
-            target[j] = y
-        else:
-            del target[j]
 
 
 def _replay(log: list[tuple[int, int, int]], vector: dict[int, int]) -> dict[int, int]:
@@ -338,9 +313,6 @@ class _Replayed(Sequence):
             index, sign = item
             item = self._items[k] = _replay(self._log, {index: sign})
         return item
-
-    def __setitem__(self, k: int, vector: dict[int, int]) -> None:
-        self._items[k] = vector
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (tuple, _Replayed)):
@@ -507,9 +479,17 @@ def _sparse_phase(
                 if q:
                     col_ops.append((j, c, q))
             rest = smallest((j, x) for j, x in row.items() if j != c)
-            if rest is None:
+            if rest is not None:
+                c = rest
+                continue
+            # The divisibility step of `sparse_smith`.  The keyed rows are
+            # the active ones, in index order; row r holds p alone.
+            if abs(p) == abs(pivots[-1][2] if pivots else 1):
                 break
-            c = rest
+            i = next((i for i in key_of if any(x % p for x in a[i].values())), None)
+            if i is None:
+                break
+            row_sub(r, i, -1)
         pivots.append((r, c, p))
         col_rows[c].clear()
         key_of.pop(r, None)
@@ -591,9 +571,18 @@ def _core_phase(
                         col_ops.append((col_at[j], col_at[c], q))
                     if x and (rest is None or abs(x) < rest[0]):
                         rest = (abs(x), j)
-            if rest is None:
+            if rest is not None:
+                c = rest[1]
+                continue
+            # The divisibility step of `sparse_smith`; row r holds p alone.
+            if abs(p) == abs(pivots[-1][2] if pivots else 1):
                 break
-            c = rest[1]
+            undivided = (k for k, row in enumerate(block) if any(x % p for x in row))
+            k = next(undivided, None)
+            if k is None:
+                break
+            block[r] = [y + z for y, z in zip(pivot, block[k])]
+            row_ops.append((row_at[r], row_at[k], -1))
         pivots.append((row_at[r], col_at[c], p))
         del block[r], row_at[r]
         for row in block:
@@ -613,6 +602,21 @@ def sparse_smith(rows: Sequence[Mapping[int, int]], cols: int) -> SparseSmith:
     block (the pivoting against coefficient growth of Havas, Majewski and
     Matthews, 1998); they break ties differently.
 
+    The divisibility step (Cohen, A Course in Computational Algebraic
+    Number Theory, section 2.4): once the pivot p alone is left in its row
+    and column, the active rows are scanned for an entry that p does not
+    divide.  The first row holding one is added to
+    the pivot's row, as one logged row operation, and the clearing of
+    that row goes on.  So p is finished only once it divides every entry
+    of the active block, and row and column operations keep every active
+    entry a multiple of every finished pivot: each pivot divides the next,
+    and d is the pivots' absolute values in the order they are taken,
+    zeros trailing.  So a pivot of the same size as the last one (or +-1,
+    before any other) divides every active entry already, and the scan is
+    skipped for it.  On the B of a sparse graph nearly every pivot is +-1,
+    and where d repeats a factor n times, as diag(2, ..., 2) does, one
+    scan serves all n pivots, not one per pivot.
+
     - The sparse phase (`_sparse_phase`) keeps rows as dicts and breaks a
       tie by the Markowitz cost (row nnz x column nnz), then by the lowest
       row, then by the first entry in that row's order.  A heap of one
@@ -630,23 +634,25 @@ def sparse_smith(rows: Sequence[Mapping[int, int]], cols: int) -> SparseSmith:
 
     u and v are not built during the pass.  Each row operation
     (row i -= q * row k) and column operation is logged as (i, k, q), and
-    a row of u or a column of v is built on first read by replaying its
-    log backwards (`_replay`), in time linear in the log.  Callers that
-    read a few rows, like the K0 of a graph, pay for those rows only.
+    u and v are exactly the two logs: row k of u is the pivot row of the
+    k-th pivot, or a row without a pivot, carried through the row log,
+    times the sign of that pivot, and column k of v likewise through the
+    column log.  Each is built on first read by replaying its log
+    backwards (`_replay`), in time linear in the log.  Callers that read
+    a few rows, like the K0 of a graph, pay for those rows only and never
+    replay the column log.
 
     Every operation in the pass adds a multiple of one row or column to
     another, which has determinant 1; the pass leaves one pivot p_k in
     row r_k and column c_k.  So det B is the sign of the permutation
     r_k -> c_k times the product of the pivots, or 0 when some row has no
-    pivot.  The pivots, made nonnegative and sorted, are then repaired
-    into a divisibility chain by pairwise (gcd, lcm) steps, which build
-    the rows and columns they combine; zeros trail.
+    pivot.
 
     d is the Smith form of B and det its determinant, so neither depends
-    on which pivots the pass takes.  u and v do: where the phases switch
-    and how each breaks ties decide them, so a change of either rule may
-    change the vertex images read off u, though they present the same
-    pointed cokernel.
+    on which pivots the pass takes.  u and v do: where the phases switch,
+    how each breaks ties and which row the divisibility step adds decide
+    them, so a change of any of these rules may change the vertex images
+    read off u, though they present the same pointed cokernel.
     """
     cols = _as_size(cols, "column count cols")
     nr = len(rows)
@@ -687,8 +693,10 @@ def _smith_from_pivots(
     col_ops: list[tuple[int, int, int]],
 ) -> SparseSmith:
     """d, u, v and det of an nr x cols matrix from a finished elimination:
-    its (row, column, pivot) triples and its two logs, as `sparse_smith`
-    describes."""
+    its (row, column, pivot) triples, a divisibility chain in the order
+    taken, and its two logs, as `sparse_smith` describes.  det is the
+    product of the pivots times the sign of the permutation they take
+    rows to columns by; u and v wrap the logs, unchanged."""
     det = None
     if nr == cols:
         det = 0
@@ -700,7 +708,6 @@ def _smith_from_pivots(
                 det *= p
             det *= _permutation_sign(perm)
 
-    pivots.sort(key=lambda t: abs(t[2]))
     pivot_rows = {r for r, _, _ in pivots}
     pivot_cols = {c for _, c, _ in pivots}
     u_out = _Replayed(
@@ -713,33 +720,8 @@ def _smith_from_pivots(
         [(c, 1) for _, c, _ in pivots]
         + [(j, 1) for j in range(cols) if j not in pivot_cols],
     )
-    d = [abs(p) for _, _, p in pivots]
-
-    # Repair the divisibility chain: replace a violating adjacent pair
-    # (x, y) by (gcd, x*y/gcd).  Each fix strictly shrinks the earlier
-    # entry, so the loop terminates.
-    while True:
-        t = next((t for t in range(len(d) - 1) if d[t + 1] % d[t]), None)
-        if t is None:
-            break
-        x, y = d[t], d[t + 1]
-        g, s, w = _xgcd(x, y)
-        _axpy(v_out[t], v_out[t + 1], -1)
-        ut, ut1 = u_out[t], u_out[t + 1]
-        u_out[t] = _combine(s, ut, w, ut1)
-        u_out[t + 1] = _combine(-(y // g), ut, x // g, ut1)
-        _axpy(v_out[t + 1], v_out[t], (w * y) // g)
-        d[t], d[t + 1] = g, x * y // g
-
-    d += [0] * (min(nr, cols) - len(d))
+    d = [abs(p) for _, _, p in pivots] + [0] * (min(nr, cols) - len(pivots))
     return SparseSmith(tuple(d), u_out, v_out, det)
-
-
-def _combine(p: int, x: dict[int, int], q: int, y: dict[int, int]) -> dict[int, int]:
-    """p*x + q*y for sparse vectors."""
-    out = {j: p * c for j, c in x.items()} if p else {}
-    _axpy(out, y, -q)
-    return out
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:

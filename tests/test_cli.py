@@ -959,6 +959,53 @@ class TestArgumentErrors:
         assert capsys.readouterr() == ("", "")
 
 
+class ClosedPipe(io.StringIO):
+    """An output stream whose reader has gone: every write fails."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["table", "--max", "12"], ["cayley", "--n", "3"]],
+)
+def test_closed_output_is_not_an_input_error(argv):
+    # No `error:` line, and not exit 2, which means malformed input
+    err = io.StringIO()
+    assert run(argv, stdout=ClosedPipe(), stderr=err) == 141
+    assert err.getvalue() == ""
+
+
+@pytest.mark.parametrize("table_max, lines_read", [(10_000, 1), (12, 0)])
+def test_reader_closing_early_ends_the_process_quietly(table_max, lines_read):
+    """The reader takes one line of a long table and closes the pipe, or
+    closes it before the command starts, so that a short table fails only
+    when stdout is flushed at exit.  Either way the process exits 141 and
+    writes nothing to stderr, not even from the interpreter's last flush."""
+    root = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    read, write = os.pipe()
+    if not lines_read:
+        os.close(read)
+    process = subprocess.Popen(
+        [sys.executable, "-m", "lpa_invariants.cli", "table", "--max", str(table_max)],
+        env=env,
+        stdout=write,
+        stderr=subprocess.PIPE,
+    )
+    os.close(write)
+    if lines_read:
+        with open(read, "rb") as reader:
+            assert reader.readline().startswith(b"| n | k0_factors |")
+    _, err = process.communicate(timeout=120)
+    assert process.returncode == 141
+    assert err == b""
+
+
 WRITER_HELP = {
     "cayley": (
         "usage: lpainv cayley [-h] --n N [--out OUT]\n"
@@ -999,8 +1046,10 @@ the verdict); `table` tabulates the cyclic-Cayley-graph invariants; `monoid`
 runs the box-monoid oracle; `validate` checks graph JSON. Exit codes: 0
 success/Isomorphic, 2 malformed input or flags, 3 NotIsomorphic, 4 Unknown, 5
 NotApplicable, 6 a `table` row whose computed K0 factors, det, det sign or
-canonical form contradict the closed form of `cayley_class`. All errors go to
-the error stream as one line prefixed `error:`.
+canonical form contradict the closed form of `cayley_class`, 141 stdout closed
+by its reader before the command finished, the code a shell gives a process
+ended by SIGPIPE (128 + 13), with no `error:` line. All other errors go to the
+error stream as one line prefixed `error:`.
 
 positional arguments:
   {cayley,rose,stemmed-rose,invariants,classify,table,monoid,validate}

@@ -579,18 +579,6 @@ def _nearest_quotient(x, p):
     return q + 1 if 2 * abs(r) > abs(p) else q
 
 
-def _extended_gcd(a, b):
-    old_r, r, old_s, s, old_t, t = a, b, 1, 0, 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def full_scan_smith(m):
     """Reference for `sparse_smith`: (d, u, v) with u, v dense, from the
     same elimination with every pivot found by a full scan of the active
@@ -603,8 +591,13 @@ def full_scan_smith(m):
     The sparse steps after each choice copy `sparse_smith` dict for dict
     and set for set, so that ties inside a clearing round fall the same
     way; the core's rounds take the remainder in the lowest row or column
-    on a tie.  The row and column operations go straight into dense u and
-    v instead of a log.
+    on a tie.  A pivot that alone is left in its row and column is
+    finished only when it divides every active entry, which the scan here
+    checks at every pivot; until then the lowest active row holding an
+    entry it does not divide is added to its row and the round goes on.
+    The row and column operations go straight into dense u and v instead
+    of a log, and no pass follows the elimination: the pivots are d in
+    the order they are taken.
     """
     nr, nc = m.rows, m.cols
     a = [{j: x for j, x in enumerate(row) if x} for row in m.entries]
@@ -676,32 +669,27 @@ def full_scan_smith(m):
                 for vrow in v:
                     vrow[j] -= q * vrow[c]
             rest = smallest((j, row[j]) for j in in_order(row) if j != c)
-            if rest is None:
+            if rest is not None:
+                c = rest
+                continue
+            undivided = [
+                i
+                for i in range(nr)
+                if i not in done and any(x % p for x in a[i].values())
+            ]
+            if not undivided:
                 break
-            c = rest
+            row_sub(r, undivided[0], -1)
         pivots.append((r, c, p))
         col_rows[c].clear()
         done.add(r)
 
-    pivots.sort(key=lambda t: abs(t[2]))
     rows_u = [[x if p > 0 else -x for x in u[r]] for r, _, p in pivots]
     rows_u += [u[i] for i in range(nr) if i not in done]
     pivot_cols = [c for _, c, _ in pivots]
     cols_v = [[vrow[c] for vrow in v] for c in pivot_cols]
     cols_v += [[vrow[j] for vrow in v] for j in range(nc) if j not in pivot_cols]
     d = [abs(p) for _, _, p in pivots]
-    while True:
-        t = next((t for t in range(len(d) - 1) if d[t + 1] % d[t]), None)
-        if t is None:
-            break
-        x, y = d[t], d[t + 1]
-        g, s, w = _extended_gcd(x, y)
-        cols_v[t] = [a + b for a, b in zip(cols_v[t], cols_v[t + 1])]
-        ut, ut1 = rows_u[t], rows_u[t + 1]
-        rows_u[t] = [s * a + w * b for a, b in zip(ut, ut1)]
-        rows_u[t + 1] = [-(y // g) * a + (x // g) * b for a, b in zip(ut, ut1)]
-        cols_v[t + 1] = [b - (w * y // g) * a for a, b in zip(cols_v[t], cols_v[t + 1])]
-        d[t], d[t + 1] = g, x * y // g
     d += [0] * (min(nr, nc) - len(d))
     return tuple(d), rows_u, cols_v
 
@@ -728,9 +716,10 @@ def test_heap_pivots_match_a_full_scan(m):
 
 def one_phase_smith(rows, cols):
     """The elimination as one phase: the sparse phase's Markowitz loop,
-    heap and lazy re-keying run to the end with no switch to the core.
-    It is the oracle for the two-phase `sparse_smith`, which must give the
-    same d and det, and a u and v that present the same pointed cokernel."""
+    heap, lazy re-keying and divisibility step run to the end with no
+    switch to the core.  It is the oracle for the two-phase `sparse_smith`,
+    which must give the same d and det, and a u and v that present the
+    same pointed cokernel."""
     nr = len(rows)
     a = [{j: x for j, x in row.items() if x} for row in rows]
     col_rows = [set() for _ in range(cols)]
@@ -814,9 +803,15 @@ def one_phase_smith(rows, cols):
                 if q:
                     col_ops.append((j, c, q))
             rest = smallest((j, x) for j, x in row.items() if j != c)
-            if rest is None:
+            if rest is not None:
+                c = rest
+                continue
+            if abs(p) == 1:
                 break
-            c = rest
+            i = next((i for i in key_of if any(x % p for x in a[i].values())), None)
+            if i is None:
+                break
+            row_sub(r, i, -1)
         pivots.append((r, c, p))
         col_rows[c].clear()
         key_of.pop(r, None)
@@ -888,6 +883,14 @@ def switching_matrices(draw, max_dim=30):
     return mat(entries)
 
 
+def sympy_factors(m):
+    reference = DomainMatrix(
+        [[ZZ(x) for x in row] for row in m.entries], (m.rows, m.cols), ZZ
+    )
+    factors = tuple(int(x) for x in invariant_factors(reference))
+    return factors + (0,) * (min(m.rows, m.cols) - len(factors))
+
+
 @settings(deadline=None, max_examples=120)
 @given(switching_matrices())
 @example(mat([[3, 1, 0, 0], [1, 1, 0, 0], [0, 0, 5, 1], [0, 0, 1, 1]]))
@@ -899,11 +902,7 @@ def test_two_phases_match_one_phase_and_sympy(m):
     result = sparse_smith(rows, m.cols)
     oracle = one_phase_smith(rows, m.cols)
     assert (result.d, result.det) == (oracle.d, oracle.det)
-    reference = DomainMatrix(
-        [[ZZ(x) for x in row] for row in m.entries], (m.rows, m.cols), ZZ
-    )
-    factors = tuple(int(x) for x in invariant_factors(reference))
-    assert result.d == factors + (0,) * (min(m.rows, m.cols) - len(factors))
+    assert result.d == sympy_factors(m)
     u, v = full_transforms(result, m.rows, m.cols)
     assert (u @ m @ v).entries == diagonal_matrix(result.d, m.rows, m.cols).entries
     assert abs(det_exact(u)) == abs(det_exact(v)) == 1
@@ -924,6 +923,38 @@ def test_two_phases_present_the_one_phase_pointed_cokernel(seed):
         old.k0.group, old.k0.distinguished, new.k0.group, new.k0.distinguished
     )
     assert verdict == "YES"
+
+
+@pytest.mark.parametrize(
+    "factors, torsion",
+    [((4, 2), (2, 4)), ((2, 3), (6,)), ((6, 4, 9), (6, 36))],
+)
+def test_sparse_phase_takes_a_divisibility_chain(factors, torsion):
+    """A 40 x 40 identity with `factors` down part of its diagonal, row 36
+    the sum of the first two factor rows and rows 37-39 zero, so the
+    active block never reaches half full.  The least |entry| pivots on
+    the factors in increasing order, and where one does not divide the
+    next, the sparse phase's divisibility step must fuse them; the pivots
+    are read as d in the order taken."""
+    entries = [[int(i == j) for j in range(40)] for i in range(36)]
+    at = [5 + 12 * k for k in range(len(factors))]
+    for i, f in zip(at, factors):
+        entries[i][i] = f
+    entries.append([x + y for x, y in zip(entries[at[0]], entries[at[1]])])
+    entries += [[0] * 40 for _ in range(3)]
+    m = mat(entries)
+    assert 4 * sum(x != 0 for row in entries for x in row) < 40 * 40
+    sparse_only = mock.patch.object(
+        intlinalg, "_core_phase", side_effect=AssertionError("entered the core")
+    )
+    with sparse_only:
+        result = sparse_smith([dict(enumerate(row)) for row in entries], 40)
+    assert result.d == (1,) * (36 - len(torsion)) + torsion + (0,) * 4
+    assert result.d == sympy_factors(m)
+    assert result.det == det_exact(m) == 0
+    u, v = full_transforms(result, 40, 40)
+    assert (u @ m @ v).entries == diagonal_matrix(result.d, 40, 40).entries
+    assert abs(det_exact(u)) == abs(det_exact(v)) == 1
 
 
 class TestCirculant:

@@ -1,7 +1,9 @@
 """Each graph is eliminated once: K0, vertex images and det come from one
 `sparse_smith` call, and Bareiss stays off the command paths.  The work
 of that call on C_n grows linearly in n, and K0 builds only the rows of
-u it reads.  A dense B enters the elimination's core phase before its
+u it reads, from the row log alone.  The elimination scans the active
+rows for an entry its pivot does not divide only when the pivot's size
+is new.  A dense B enters the elimination's core phase before its
 first pivot and pushes no heap key, and no elimination switches phase
 more than once.  The module of C_n is read from x^n alone, and x^n =
 x^(n mod 6): `circulant_k0` takes at most five ring steps for any n.  A
@@ -192,6 +194,64 @@ def test_k0_builds_at_most_two_rows_of_u(monkeypatch, n):
     k0 = analyse(cayley_graph(n)).k0
     assert replays["_replay"] <= 2
     assert replays["_replay"] >= len(k0.group.factors)
+
+
+@pytest.mark.parametrize("single_loops", [0, 40])
+def test_k0_replays_the_row_log_once_per_kept_row(monkeypatch, single_loops):
+    # The roses with 3 and 4 petals side by side: B = diag(-2, -3), whose
+    # first pivot does not divide the second, so the elimination fuses
+    # them into d = (1, 6).  Vertices with one loop add zero rows and
+    # columns, which keep the block sparse to the end.
+    pairs = [(0, 0)] * 3 + [(1, 1)] * 4 + [(v, v) for v in range(2, 2 + single_loops)]
+    g = graph_from_pairs(2 + single_loops, pairs)
+    logs = {}
+    smith_from_pivots = intlinalg._smith_from_pivots
+    replay = intlinalg._replay
+
+    def recorded(nr, cols, pivots, row_ops, col_ops):
+        logs.update(rows=row_ops, cols=col_ops)
+        return smith_from_pivots(nr, cols, pivots, row_ops, col_ops)
+
+    replayed = []
+
+    def counted(log, vector):
+        replayed.append("rows" if log is logs["rows"] else "cols")
+        return replay(log, vector)
+
+    monkeypatch.setattr(intlinalg, "_smith_from_pivots", recorded)
+    monkeypatch.setattr(intlinalg, "_replay", counted)
+    entries = core_entries(monkeypatch)
+    result = analyse(g)
+    assert entries == ([] if single_loops else [0])
+    assert result.snf_diagonal == (1, 6) + (0,) * single_loops
+    assert result.k0.group.factors == (6,) + (0,) * single_loops
+    assert replayed == ["rows"] * (1 + single_loops)
+
+
+@pytest.mark.parametrize("n, loops, edges", [(300, 3, 0), (40, 5, 2)])
+def test_divisibility_step_scans_once_per_new_pivot_size(monkeypatch, n, loops, edges):
+    # Each vertex has `loops` loops and `edges` edges to each other vertex:
+    # B = -2I, sparse, with d = (2, ..., 2), or B = -2I - 2J, dense, with
+    # d = (2, ..., 2, 2n + 2).  A pivot of the last one's size divides
+    # every active entry already, so only the first pivot and the last
+    # of the dense B scan the active rows, one `any` call per row;
+    # `sparse_smith` finds `any` in its module before the builtins.
+    scanned = {"any": 0}
+
+    def counted(iterable):
+        scanned["any"] += 1
+        return any(iterable)
+
+    monkeypatch.setattr(intlinalg, "any", counted, raising=False)
+    pairs = [
+        (s, r)
+        for s in range(n)
+        for r in range(n)
+        for _ in range(loops if s == r else edges)
+    ]
+    factors = analyse(graph_from_pairs(n, pairs)).k0.group.factors
+    assert factors == (2,) * (n - 1) + ((2 * n + 2) if edges else 2,)
+    assert 0 < scanned["any"] < 2 * n
 
 
 def core_entries(monkeypatch):
