@@ -56,6 +56,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _CliError(message)
 
+    def _print_message(self, message: str, file: IO[str] | None = None) -> None:
+        # argparse's own drops write errors, so `--help` into a closed
+        # stdout would exit 0
+        if message:
+            (file or sys.stderr).write(message)
+
 
 def _load_graph(path: str) -> Graph:
     try:
@@ -434,16 +440,12 @@ def run(argv, stdout: IO[str] | None = None, stderr: IO[str] | None = None) -> i
     try:
         with contextlib.redirect_stdout(out):
             args = parser.parse_args(argv)
-    except _CliError as exc:
-        err.write(f"error: {exc}\n")
-        return 2
-    except SystemExit as exc:  # --help and argparse-internal exits
-        return int(exc.code or 0)
-    try:
         return args.func(args, out)
     except _CliError as exc:
         err.write(f"error: {exc}\n")
         return exc.exit_code
+    except SystemExit as exc:  # --help and argparse-internal exits
+        return int(exc.code or 0)
     except BrokenPipeError:
         return _EXIT_BROKEN_PIPE
     except (ValueError, OSError) as exc:

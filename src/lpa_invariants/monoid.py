@@ -6,14 +6,13 @@ decided inside a box: all vectors of N^n with coordinate sum <= bound,
 in lexicographic order, are partitioned by the congruence generated by
 single-relation rewrites (both directions) plus translation closure.
 The rewrites are contracted into class labels by a hook-and-compress
-union-find.  The translation closure makes one sorted pass over the box
-per level, after which it works on the classes alone: rounds of
-congruence closure on the quotient, each contracting its violating
-pairs into the same labels.  Conclusions therefore carry the bound, and a
-stabilisation flag (nonzero class counts unchanged over the last two
-bound increments) gates everything downstream.  The three levels are
-swept in order of coordinate sum: each starts from the closure of the
-level below.
+union-find.  The translation closure runs rounds of one rule: sort the
+members by class, join the images of consecutive members of a class,
+and keep one member per class.  Conclusions therefore carry the bound,
+and a stabilisation flag (nonzero class counts unchanged over the last
+two bound increments) gates everything downstream.  The three levels
+are swept in order of coordinate sum: each starts from the closure of
+the level below and from the members it kept, one per class.
 
 `saturate` returns one `CongruenceClasses`: the box, its labels and the
 presentation.  It keeps no rewrite edges; `rewrite_path` rebuilds them
@@ -260,70 +259,47 @@ def _merge(labels, left, right):
     return parent[labels].astype(labels.dtype, copy=False)
 
 
-def _close_under_translation(labels, sub, subpos, images):
-    """Join (x + e_k, y + e_k) for x ~ y until no violations remain.
+def _close_under_translation(labels, sub, pos, images):
+    """Join (x + e_k, y + e_k) for x ~ y until no violations remain, over
+    the members `sub[pos]`.
 
     Closure under adding one generator at a time implies closure under
     adding any vector, since partial translates stay inside the box.
-    `images[k][i]` is the rank of sub[i] + e_k; `subpos` selects the part
-    of `sub` whose translates stay within the effective bound.
+    `images[k][i]` is the rank of sub[i] + e_k.
 
-    One sorted pass joins the images of consecutive members of each
-    class under each +e_k, so afterwards each class C of the old labels
-    has all its images under +e_k in one class, that of rows[k][C] (the
-    image of one member).  The rest is congruence closure on the
-    quotient, one round at a time: old classes that now share a class
-    must have equal image classes, so each is joined, generator by
-    generator, to the one old class that stands for its class, and is
-    then dropped, since it can never differ from that one again.  A
-    round costs old classes x n, not box size x n.  Returns the labels
-    and the number of pairs joined.
+    Each round sorts the members by class, stably, joins under every
+    +e_k the images of each two consecutive members of a class whose
+    images' classes differ, and keeps only the first member of each
+    class.  A dropped member's images are joined to those of the member
+    kept for its class, and labels only ever merge, so it can never
+    violate a pair that the kept member does not.  The loop ends when no
+    two members share a class or a round joins nothing.  Returns the
+    labels, the kept positions (one per class of the members, in class
+    order) and the number of pairs joined.
     """
-    lab = labels[sub[subpos]]
-    order = np.argsort(lab, kind="stable")
-    lab = lab[order]
-    pos = subpos[order]
-    same = lab[1:] == lab[:-1]
-    if not same.any():
-        return labels, 0
     joins = 0
-    out_a, out_b = [], []
-    for img in images:
-        ranked = img[pos]
-        left = ranked[:-1][same]
-        right = ranked[1:][same]
-        bad = labels[left] != labels[right]
-        out_a.append(left[bad])
-        out_b.append(right[bad])
-    firsts = np.flatnonzero(np.concatenate(([True], ~same)))
-    owners = lab[firsts]  # old class ids
-    rows = [img[pos[firsts]] for img in images]
-    stand_in = np.empty(len(labels), dtype=np.int32)
     while True:
+        lab = labels[sub[pos]]
+        order = np.argsort(lab, kind="stable")
+        lab = lab[order]
+        pos = pos[order]
+        same = lab[1:] == lab[:-1]
+        if not same.any():
+            return labels, pos, joins
+        out_a, out_b = [], []
+        for img in images:
+            ranked = img[pos]
+            left = ranked[:-1][same]
+            right = ranked[1:][same]
+            bad = labels[left] != labels[right]
+            out_a.append(left[bad])
+            out_b.append(right[bad])
+        pos = pos[np.concatenate(([True], ~same))]
         left = np.concatenate(out_a)
         if left.size == 0:
-            break
+            return labels, pos, joins
         joins += int(left.size)
         labels = _merge(labels, left, np.concatenate(out_b))
-        cls = labels[owners]
-        own = np.arange(cls.size, dtype=np.int32)
-        stand_in[cls] = own  # one of the old classes in each class
-        head = stand_in[cls]
-        dup = head != own
-        if not dup.any():
-            break
-        others, heads = own[dup], head[dup]
-        out_a, out_b = [], []
-        for row in rows:
-            a = labels[row[others]]
-            b = labels[row[heads]]
-            bad = a != b
-            out_a.append(a[bad])
-            out_b.append(b[bad])
-        keep = ~dup
-        owners = owners[keep]
-        rows = [row[keep] for row in rows]
-    return labels, joins
 
 
 def _saturate_box(p: MonoidPresentation, bound: int) -> CongruenceClasses:
@@ -334,8 +310,11 @@ def _saturate_box(p: MonoidPresentation, bound: int) -> CongruenceClasses:
     from the previous level's labels and adds only the elementary edges
     whose larger endpoint sum is b (the first level all those up to b),
     built for that level alone and dropped once merged, then closes
-    under translation with one sorted pass and class-level rounds
-    (`_close_under_translation`).
+    under translation (`_close_under_translation`).  The closure's
+    members are the ones the level below kept, one per class, plus the
+    sub-box vectors new to the level, those of sum b - 1 (the first
+    level all those up to b - 1): every other vector of sum <= b - 1 is
+    tied, images included, to a kept member.
     No vector is ranked by formula: the shift w -> w + e_k maps `sub`
     (sum <= bound - 1, in rank order) in order onto the box vectors with
     v_k >= 1, so the ranks of the shifts are the list of those
@@ -367,14 +346,16 @@ def _saturate_box(p: MonoidPresentation, bound: int) -> CongruenceClasses:
 
     ranks = np.arange(total, dtype=np.int32)
     labels = ranks
+    pos = np.zeros(0, dtype=np.intp)  # the members the closure keeps
     joins = 0
     counts: dict[int, int] = {}  # nonzero classes at bound-2 and bound-1
     for lo, b in ((-1, bound - 2), (bound - 2, bound - 1), (bound - 1, bound)):
         if b < 0:
             continue
         labels = _merge(labels, *_elementary_edges(p, vectors, sums, lo, b))
-        subpos = np.flatnonzero(sub_sums <= b - 1)
-        labels, joins = _close_under_translation(labels, sub, subpos, images)
+        new = np.flatnonzero((sub_sums >= lo) & (sub_sums < b))
+        pos = np.concatenate((pos, new))
+        labels, pos, joins = _close_under_translation(labels, sub, pos, images)
         if b < bound:
             # classes at level b hold only vectors of sum <= b
             counts[b] = int(np.count_nonzero((labels == ranks) & (sums <= b))) - 1
@@ -413,12 +394,12 @@ class CongruenceClasses:
     order (`vectors[r]`); class 0 is always the singleton {zero vector}.
     `stabilized` records whether the nonzero class count was unchanged at
     bounds bound-2, bound-1 and bound.  `translation_joins` counts the
-    pairs the translation closure joined at the final bound, starting from
-    the bound-1 closure plus the rewrites that reach sum `bound`: the
-    pairs of image vectors its sorted pass joined plus the pairs of image
-    classes its class-level rounds joined.  Joins made at the lower
-    levels are not counted again.  The rewrite edges are
-    not kept: `rewrite_path` rebuilds them from the presentation.
+    pairs of classes the translation closure joined at the final bound,
+    starting from the bound-1 closure plus the rewrites that reach sum
+    `bound`, over the members the bound-1 closure kept (one per class)
+    and the vectors of sum bound-1.  Joins made at the lower levels are
+    not counted again.  The rewrite edges are not kept: `rewrite_path`
+    rebuilds them from the presentation.
     """
 
     generator_count: int
@@ -526,8 +507,8 @@ def saturate(p: MonoidPresentation, bound: int) -> CongruenceClasses:
     Every vector is rewritten through every relation in both directions
     (endpoints staying in the box), the resulting pairs are closed into
     equivalence classes, and the partition is then closed under
-    translation: one sorted pass over the box, then rounds on the classes
-    alone, each merging class labels.  The stabilisation flag
+    translation, in rounds that each merge class labels and keep one
+    vector per class for the next round.  The stabilisation flag
     compares nonzero class counts at bound-2, bound-1 and bound; the
     levels are computed in that order, each one from the closure of the
     one before plus the rewrites whose larger endpoint sum is the new

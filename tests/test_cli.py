@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import io
 import itertools
 import json
@@ -899,6 +900,63 @@ class TestMonoid:
         }
 
 
+# sha256 of the `monoid --json` stdout on C_n at `--bound b`, for every box
+# of C_3..C_12 at bounds 8..12 with at most 200,000 vectors.  The
+# saturation may change how it reaches its classes, not a byte of this.
+MONOID_JSON_SHA256 = {
+    (3, 8): "fc8757056d3c431ebb4253079ecdbfaf35fe0bf987ca8f895aff3132217af011",
+    (3, 9): "f3f4731e184daaf84e2563da2c4acc2006c72fd513f07367b70190691544ac78",
+    (3, 10): "ceb1005bba80ed9e02fe0d8ab961985de644fa6c074a2cb033c2e9c06df0a2a0",
+    (3, 11): "7beba6a1277d98b6f0b73513cac984b5a47ae6ee01fab380f2bdb9292d73571c",
+    (3, 12): "4290100db6fe527799cfff8a2c1b6e2f9df3335846de9ebc9bc99fb3d0b14c3d",
+    (4, 8): "9f340b81e92cceeafe7e133d23a114233aabb42c04bb4af46c1fb07d19af981b",
+    (4, 9): "ffbf093108b874b8d5c965df077dbd8d9866ccafca581bd2f1431b04608cd369",
+    (4, 10): "34f22b132c6344ff41a7379d7249dd18f61f08c38cfcfd2a387be2b8c3b97aaa",
+    (4, 11): "1006b2a3039385b8ecea17d516508c4227ba223b6a2a21b8933b46fbd3631cca",
+    (4, 12): "1ea63f364fa9f4ee9985e3d5dc66d466b5c3d47a0ee862b7d32c66e3e4670b19",
+    (5, 8): "c0877877683c2a49b07046645d9044d89372829ec49d7c6d47b665196ef7de3e",
+    (5, 9): "7c0a7ccc40f91e26bd1ea8dba16c0a8cd76c5c9e21954037550785cba105ce48",
+    (5, 10): "bdf5775d45523083acbcf69fe365518221278d254aec72b508c1eac8b32dc666",
+    (5, 11): "9df006a0b312574b88fbd859c1dd5ff65e248851aa38010ded01a64cae126363",
+    (5, 12): "a8cf4340c7b9c0eeba5471cc56c9c75454bc8e70f41c20d3f49a345effbb0c5f",
+    (6, 8): "a6107a59bf5f203812caf4eb95d07607fc7fb455327d15eb9113867928612097",
+    (6, 9): "107974d877bff9ef29ac1b1178862c9dd32bcdbb5ab3ac8aac2537f7d6075823",
+    (6, 10): "19db79f19a624f46c2daa6ce7754067830951623f0940de1977d1d920f4fc859",
+    (6, 11): "b09c8ed9332b8bd18b488045a59e3cd474b991a41db6090432beda88d1de610a",
+    (6, 12): "6e68a305a2b572382f0113f2d2484f5ffcd22ab8ae38bc134068a475a620e9d9",
+    (7, 8): "508f46ff593f40ab04adf6869bf68ea6092ce4cd3dea60666af969bcf4c8d931",
+    (7, 9): "38bfceef4e35c79bc51dfc68c964a8bc92c61204b41c44cc59e9e2f20a65141b",
+    (7, 10): "1efc638d751bbdd292d7bd19a035bb8ae6772952f55982afbfb6594851d76ac5",
+    (7, 11): "bba0bc8fc8ad6e49487809ec21b9431043bd50335fd9007517e9e530362a6b8d",
+    (7, 12): "25e410f95e7c771ff4c4b8626b26fab26c8e85cb8246d538249f496e87683ec3",
+    (8, 8): "eb61ad89b56bac9ea929ccb804f2e0adbaefa24f206a6036978d43db2cf9f7e7",
+    (8, 9): "b450e02bc564d89bc6caf2245083058f6509033099b2ed65015ce6c3b676f8a8",
+    (8, 10): "b3aa2855cc135bcb54bba662c23edc586e83062e9c7d3ab6ad72b0cd5075107e",
+    (8, 11): "aff96ba5f0e778b367baeb6572b7283e8e4bd11d5a7cb304918f2812774c8c88",
+    (8, 12): "9410b8ada09a2a67718c38745f15182c3fd4820d7cb6d267e9272be9d6c69e95",
+    (9, 8): "0ec1eaf33fe2b1e35e3d55e983b04fddf0391836f671a5a95e1aa23367669754",
+    (9, 9): "55af31551904d6cc6168cd99d27b786a997cdae34563a4856fa20a8fb0fe02b6",
+    (9, 10): "b3646e1e7a663fc4a496e198907d7633d9d3b727c7f5eb25f871cba244328092",
+    (9, 11): "0d6760bf368b9171a156368c0368070053566510c67744e1091caf5f65ce1039",
+    (10, 8): "93e6b391ccad87cc63a945213d704a30203e44cd1174e011e22590500a143ece",
+    (10, 9): "a8ef245fe6e015cbada8181d88eb5c9e774817aedc365a80f9d4a75ecf8b1e21",
+    (10, 10): "ff5e911851711cd40af2b25e10560446cfb18cac2f0154152213ac621f175db3",
+    (11, 8): "245585d5dbb4c763756adfa15c593d878ac03aee410029774da33ac36e61424a",
+    (11, 9): "a86395d4b58d1ed2eeb86a419a8a67e2acd1373a1357652cf6b0e68b4594a7f1",
+    (12, 8): "6afcc40f25032da0a08508df6173d99422a5e293cb54b1991168b36ec5765299",
+}
+
+
+@pytest.mark.parametrize("n, bound", sorted(MONOID_JSON_SHA256))
+def test_monoid_json_bytes_pinned(tmp_path, n, bound):
+    assert math.comb(n + bound, n) <= 200_000
+    path = tmp_path / f"c{n}.json"
+    assert invoke(["cayley", "--n", str(n), "--out", str(path)])[0] == 0
+    code, out, err = invoke(["monoid", str(path), "--bound", str(bound), "--json"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == MONOID_JSON_SHA256[n, bound]
+
+
 def _monoid_summary(g, bound, path):
     path.write_text(json.dumps(graph_to_dict(g)))
     code, out, err = invoke(["monoid", str(path), "--bound", str(bound), "--json"])
@@ -968,7 +1026,7 @@ class ClosedPipe(io.StringIO):
 
 @pytest.mark.parametrize(
     "argv",
-    [["table", "--max", "12"], ["cayley", "--n", "3"]],
+    [["table", "--max", "12"], ["cayley", "--n", "3"], ["--help"], ["table", "--help"]],
 )
 def test_closed_output_is_not_an_input_error(argv):
     # No `error:` line, and not exit 2, which means malformed input

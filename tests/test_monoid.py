@@ -736,26 +736,47 @@ def _canonical(labels):
     return np.argsort(np.argsort(first))[inverse]
 
 
+def _reference_levels(p, bound):
+    """A stand-in for `_close_under_translation` that ignores the members
+    it is given: at each level b (bound-2, bound-1, bound, the negative
+    ones skipped) it runs `_closure_reference` on the level's whole
+    sub-box, the vectors of sum <= b - 1, and returns all of it as the
+    members kept."""
+    sums = monoid._box_vectors(p.generator_count, bound).sum(axis=1)
+    levels = iter([b for b in (bound - 2, bound - 1, bound) if b >= 0])
+
+    def reference(labels, sub, pos, images):
+        subpos = np.flatnonzero(sums[sub] <= next(levels) - 1)
+        labels, joins = _closure_reference(labels, sub, subpos, images)
+        return labels, subpos, joins
+
+    return reference
+
+
 def assert_closures_agree(p, bound):
     """Run one `saturate` sweep in which every level's closure runs both
-    `_closure_reference` and `_close_under_translation` on the same
-    labels, and require the same canonical labels from both; then the
+    `_closure_reference` on the level's whole sub-box and
+    `_close_under_translation` on the members it is given, from the same
+    labels, and require the same canonical labels from both, and kept
+    members that hold one vector of each class of the sub-box; then the
     whole saturation with the reference alone against the new closure.
     Returns the number of levels compared."""
     closure = monoid._close_under_translation
+    reference = _reference_levels(p, bound)
     levels = []
 
-    def both(labels, sub, subpos, images):
-        want, _ = _closure_reference(labels, sub, subpos, images)
-        got, joins = closure(labels, sub, subpos, images)
+    def both(labels, sub, pos, images):
+        want, subpos, _ = reference(labels, sub, pos, images)
+        got, kept, joins = closure(labels, sub, pos, images)
         assert np.array_equal(_canonical(got), _canonical(want))
+        assert np.array_equal(np.sort(got[sub[kept]]), np.unique(got[sub[subpos]]))
         levels.append(joins)
-        return got, joins
+        return got, kept, joins
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(monoid, "_close_under_translation", both)
         fast = saturate(p, bound)
-        mp.setattr(monoid, "_close_under_translation", _closure_reference)
+        mp.setattr(monoid, "_close_under_translation", _reference_levels(p, bound))
         slow = saturate(p, bound)
     assert np.array_equal(fast.labels, slow.labels)
     assert np.array_equal(fast.class_sizes, slow.class_sizes)
@@ -834,8 +855,9 @@ def _whole_box_edges(p, bound, vectors, sums):
 
 def _sweep_reference(p, bound):
     """The level sweep on one whole-box edge list, masked per level by
-    edge sum.  Returns the canonical labels, `translation_joins`,
-    `stabilized` and the class count."""
+    edge sum, carrying the closure's members from level to level.
+    Returns the canonical labels, `translation_joins`, `stabilized` and
+    the class count."""
     vectors = monoid._box_vectors(p.generator_count, bound)
     sums = vectors.sum(axis=1, dtype=np.int32)
     src, dst, esum = _whole_box_edges(p, bound, vectors, sums)
@@ -843,15 +865,18 @@ def _sweep_reference(p, bound):
     sub_sums = sums[sub]
     images = monoid._shift_images(vectors)
     ranks = np.arange(len(vectors), dtype=np.int32)
-    labels, joins, counts, done = ranks, 0, {}, -1
+    labels, pos, joins, counts, done = ranks, np.zeros(0, dtype=np.intp), 0, {}, -1
     for b in (bound - 2, bound - 1, bound):
         if b < 0:
             continue
         new = (esum > done) & (esum <= b)
-        done = b
         labels = monoid._merge(labels, src[new], dst[new])
-        subpos = np.flatnonzero(sub_sums <= b - 1)
-        labels, joins = monoid._close_under_translation(labels, sub, subpos, images)
+        # the members kept by the level below, and the sub-box vectors
+        # new to this level
+        fresh = np.flatnonzero((sub_sums >= done) & (sub_sums < b))
+        done = b
+        pos = np.concatenate((pos, fresh))
+        labels, pos, joins = monoid._close_under_translation(labels, sub, pos, images)
         if b < bound:
             counts[b] = int(np.count_nonzero((labels == ranks) & (sums <= b))) - 1
     first_member = np.flatnonzero(labels == ranks)

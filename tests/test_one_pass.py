@@ -19,7 +19,9 @@ module; other graphs get one PIS test and, when both are purely
 infinite simple, one elimination each.  Each `lpainv monoid` call and each crosscheck saturates its box
 once, and the saturation ranks its translates off the box's lex order,
 never by the ranking formula, and builds each level's rewrite edges
-once, for that level alone."""
+once, for that level alone.  Each level's translation closure works on
+one vector per class the level below kept, plus the vectors new to the
+level."""
 
 import io
 import json
@@ -358,3 +360,22 @@ def test_saturation_builds_each_levels_edges_once(monkeypatch, g, bound, windows
     monkeypatch.setattr(monoid, "_elementary_edges", recorded)
     monoid.saturate(monoid.presentation(g), bound)
     assert built == windows
+
+
+def test_each_level_closes_over_the_members_the_level_below_kept(monkeypatch):
+    # On C_11 at bound 8 the top level's closure gets one vector per class
+    # the level below closed, plus the 19,448 vectors of sum 7, not the
+    # whole sub-box of sum <= 7 (31,824 vectors).
+    received, classes = [], []
+    original = monoid._close_under_translation
+
+    def recorded(labels, sub, pos, images):
+        received.append(len(pos))
+        result = original(labels, sub, pos, images)
+        classes.append(len(set(result[0][sub[pos]].tolist())))
+        return result
+
+    monkeypatch.setattr(monoid, "_close_under_translation", recorded)
+    assert monoid.saturate(monoid.presentation(cayley_graph(11)), 8).stabilized
+    assert len(received) == 3
+    assert received[2] <= classes[1] + 19_448
