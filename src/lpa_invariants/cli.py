@@ -64,9 +64,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_graph(path: str) -> Graph:
+    # One read and one decode.  CR and CRLF become LF, as in text mode, so a
+    # JSON fault's offset is the same on a CRLF file.
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+        with open(path, "rb", buffering=0) as handle:
+            text = handle.read().decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        data = json.loads(text)
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:

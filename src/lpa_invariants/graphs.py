@@ -5,8 +5,10 @@ each of its two neighbours), roses (one vertex, n loops) and stemmed
 roses (a stem vertex feeding a rose), along with adjacency matrices, a
 strict JSON (de)serialisation, and the graph-theoretic conditions under
 which the associated Leavitt path algebra is purely infinite simple.
-`Graph` checks its edges in one pass, and `graph_from_dict` each wire
-edge in one loop; both raise ValueError for the first fault.
+`Graph` checks its edges in one pass.  A wire graph is checked once, by
+`graph_from_dict`: one loop over its wire edges and one test of their
+ids, then the `Graph` is built without `Graph`'s pass.  Both raise
+ValueError for the first fault.
 """
 
 from __future__ import annotations
@@ -348,7 +350,8 @@ def pis_report(g: Graph) -> PISReport:
 
     One Tarjan pass gives the strong components, and every flag and
     witness is read off it, plus at most one forward and one backward
-    search from c, the least cycle vertex.  O(V + E) on every graph.
+    search from c, the least cycle vertex, and none when one strong
+    component holds every vertex.  O(V + E) on every graph.
     Witnesses, in this order:
 
     - sink_free: each sink, in vertex order.
@@ -391,7 +394,8 @@ def pis_report(g: Graph) -> PISReport:
         witnesses.append(("has_cycle", tuple(names[v] for v in reversed(closed))))
 
     cofinal = True
-    if has_cycle:
+    # A cyclic component that holds every vertex: strongly connected, cofinal
+    if has_cycle and len(cyclic[0]) < len(names):
         witness = _cofinal_witness(g, cyclic)
         if witness is not None:
             cofinal = False
@@ -426,6 +430,8 @@ def graph_to_dict(g: Graph) -> dict:
 
 
 def graph_from_dict(data) -> Graph:
+    """The `Graph` of a wire dict, whose one check this is: each edge as it
+    is read, then the edge ids, so faults come in the order `Graph` gives."""
     if not isinstance(data, dict):
         raise ValueError("graph JSON must be an object")
     unknown = set(data) - {"vertices", "edges"}
@@ -436,7 +442,7 @@ def graph_from_dict(data) -> Graph:
     vertices = data["vertices"]
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise ValueError("'vertices' must be a list of strings")
-    index = {name: i for i, name in enumerate(vertices)}
+    index = dict(zip(vertices, range(len(vertices))))
     if len(index) != len(vertices):
         raise ValueError("vertex identifiers must be pairwise distinct")
     raw_edges = data["edges"]
@@ -476,4 +482,13 @@ def graph_from_dict(data) -> Graph:
         if r is None:
             raise ValueError(f"edge {eid!r} references unknown vertex {rng!r}")
         edges.append(make(Edge, (eid, s, r)))
-    return Graph(tuple(vertices), tuple(edges))
+    if len({e[0] for e in edges}) != len(edges):
+        raise ValueError("edge ids must be pairwise distinct")
+    return _checked_graph(tuple(vertices), tuple(edges))
+
+
+def _checked_graph(vertices: tuple[str, ...], edges: tuple[Edge, ...]) -> Graph:
+    """A `Graph` of fields that pass its checks, built without them."""
+    g = object.__new__(Graph)
+    g.__dict__.update(vertices=vertices, edges=edges)
+    return g

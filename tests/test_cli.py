@@ -123,6 +123,105 @@ def test_non_utf8_file_is_named_in_the_error(tmp_path, command):
     )
 
 
+def _big_graph_text() -> bytes:
+    """A valid graph file of 2,000 vertices, longer than 8 KiB."""
+    names = ", ".join(f'"v{i}"' for i in range(2000))
+    return f'{{"vertices": [{names}], "edges": []}}'.encode()
+
+
+def _bad_byte_past_8_kib() -> bytes:
+    text = _big_graph_text()
+    at = text.index(b'"v1500"') + 2
+    assert at > 8192
+    return text[:at] + b"\xff" + text[at:]
+
+
+MALFORMED = '{\n  "vertices": ["v1"],\n  "edges": [\n    {"id": "e"\n  ]\n}\n'
+# Each file's `error:` line after "error: ", with {path} for its path.
+LOAD_FAULTS = {
+    "crlf": (
+        MALFORMED.replace("\n", "\r\n").encode(),
+        "{path} is not valid JSON: Expecting ',' delimiter: line 5 column 3 (char 54)",
+    ),
+    "lone-cr": (
+        MALFORMED.replace("\n", "\r").encode(),
+        "{path} is not valid JSON: Expecting ',' delimiter: line 5 column 3 (char 54)",
+    ),
+    "bom": (
+        '\ufeff{"vertices": ["v1"], "edges": []}'.encode(),
+        "{path} is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+        "line 1 column 1 (char 0)",
+    ),
+    "bad-byte-past-8-KiB": (
+        _bad_byte_past_8_kib(),
+        "{path} is not valid JSON: 'utf-8' codec can't decode byte 0xff in "
+        "position 12406: invalid start byte",
+    ),
+    "directory": (None, "cannot read {path}: [Errno 21] Is a directory: '{path}'"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "invariants", "classify"])
+@pytest.mark.parametrize("fault", sorted(LOAD_FAULTS))
+def test_loading_faults_pinned(c_files, tmp_path, command, fault):
+    """Reading a file gives the same `error:` line and exit 2 as a text-mode
+    `json.load`: newlines are translated before parsing, a BOM is a JSON
+    fault, a bad byte's position counts from the start of the file, and a
+    directory is an OS error.  `classify` meets the fault in either file."""
+    data, message = LOAD_FAULTS[fault]
+    path = tmp_path / "faulty"
+    if data is None:
+        path.mkdir()
+    else:
+        path.write_bytes(data)
+    want = (2, "", f"error: {message.format(path=path)}\n")
+    if command == "classify":
+        assert invoke([command, c_files[7], str(path)]) == want
+        assert invoke([command, str(path), c_files[7]]) == want
+    else:
+        assert invoke([command, str(path)]) == want
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_and_cr_files_load_as_their_lf_text(c_files, tmp_path, newline):
+    lf = Path(c_files[7]).read_text()
+    other = tmp_path / "c7-other-newlines.json"
+    other.write_bytes(lf.replace("\n", newline).encode())
+    assert "\r" in other.read_bytes().decode()
+    for argv in (["invariants", "--json"], ["classify", c_files[11]]):
+        assert invoke([*argv, str(other)]) == invoke([*argv, c_files[7]])
+    big = tmp_path / "big.json"
+    big.write_bytes(_big_graph_text())
+    assert invoke(["validate", str(big)]) == (0, "ok: 2000 vertices, 0 edges\n", "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_validate_reads_a_pipe_through_dev_stdin():
+    """A path that is not a regular file still loads: `validate /dev/stdin`
+    reads what another process writes into the pipe."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    command = [sys.executable, "-m", "lpa_invariants.cli"]
+    writer = subprocess.Popen([*command, "cayley", "--n", "7"], env=env, stdout=subprocess.PIPE)
+    reader = subprocess.run(
+        [*command, "validate", "/dev/stdin"],
+        env=env,
+        stdin=writer.stdout,
+        capture_output=True,
+        timeout=120,
+    )
+    writer.stdout.close()
+    assert writer.wait(timeout=120) == 0
+    assert (reader.returncode, reader.stdout, reader.stderr) == (
+        0,
+        b"ok: 7 vertices, 14 edges\n",
+        b"",
+    )
+
+
 class TestInvariants:
     def test_json_c3(self, c_files):
         code, out, _ = invoke(["invariants", c_files[3], "--json"])

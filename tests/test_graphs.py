@@ -454,6 +454,34 @@ def test_pis_report_searches_at_most_twice(g):
     assert len(starts) <= 2
 
 
+@settings(deadline=None, max_examples=200)
+@given(multigraphs(max_vertices=10, max_mult=2))
+@example(cayley_graph(5))
+@example(rose_graph(2))
+@example(TWO_CYCLE)
+@example(LONE_VERTEX)
+@example(SPLIT)
+@example(NAMED_GRAPHS["source_into_rose"])
+def test_pis_report_searches_no_strongly_connected_graph(g):
+    """A graph whose one strong component holds every vertex and a cycle
+    is cofinal with no search; every other graph with a cycle takes the
+    searches `_cofinal_witness` makes, and a graph with none takes none."""
+    digraph = nx.MultiDiGraph()
+    digraph.add_nodes_from(range(g.n_vertices))
+    digraph.add_edges_from((e.source, e.range) for e in g.edges)
+    strongly_connected = g.n_edges > 0 and nx.is_strongly_connected(digraph)
+    cyclic, _ = graphs._strong_components(g.successors)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        starts = counting_searches(monkeypatch)
+        pis_report(g)
+        in_report = starts[:]
+        del starts[:]
+        if cyclic and not strongly_connected:
+            graphs._cofinal_witness(g, cyclic)
+            assert starts
+    assert in_report == starts
+
+
 # Reference PIS search: a frame-list Tarjan that lists the strong
 # components, read for the cycle vertices, the exit-less cycles and the
 # acyclic order, and a cofinality search from every vertex.
@@ -717,6 +745,40 @@ class TestGraphJSON:
         with pytest.raises(ValueError) as excinfo:
             graph_from_dict(data)
         assert str(excinfo.value) == message
+
+
+@settings(deadline=None, max_examples=100)
+@given(multigraphs(max_vertices=6, max_mult=2))
+@example(cayley_graph(5))
+@example(stemmed_rose_graph(4, 3))
+@example(LONE_VERTEX)
+@example(Graph((), ()))
+def test_graph_from_dict_checks_a_wire_graph_once(g):
+    """`graph_from_dict` is the one check of a wire graph: it runs neither
+    `Graph.__post_init__` nor `_checked_edges`, and returns the graph that
+    `Graph` builds, with all its checks, from the same vertices and edges."""
+    data = graph_to_dict(g)
+    index = {name: i for i, name in enumerate(data["vertices"])}
+    triples = [(e["id"], index[e["source"]], index[e["range"]]) for e in data["edges"]]
+    calls = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for owner, name in ((Graph, "__post_init__"), (graphs, "_checked_edges")):
+
+            def counted(*args, real=getattr(owner, name), name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        loaded = graph_from_dict(data)
+        assert calls == []
+        built = Graph(data["vertices"], triples)
+        assert calls == ["__post_init__", "_checked_edges"]
+    assert loaded == built == g
+    assert hash(loaded) == hash(built)
+    assert type(loaded.vertices) is tuple and type(loaded.edges) is tuple
+    assert all(type(e) is Edge for e in loaded.edges)
+    assert all(type(e.source) is int and type(e.range) is int for e in loaded.edges)
+    assert loaded.successors == built.successors
 
 
 # ---------------------------------------------------------------------------
