@@ -7,7 +7,8 @@ strict JSON (de)serialisation, and the graph-theoretic conditions under
 which the associated Leavitt path algebra is purely infinite simple.
 `Graph` checks its edges in one pass.  A wire graph is checked once, by
 `graph_from_dict`: one loop over its wire edges and one test of their
-ids, then the `Graph` is built without `Graph`'s pass.  Both raise
+ids, then the `Graph` is built by the record's trusted constructor
+(`Graph._trusted`, see `_record`), without `Graph`'s pass.  Both raise
 ValueError for the first fault.
 """
 
@@ -484,11 +485,4 @@ def graph_from_dict(data) -> Graph:
         edges.append(make(Edge, (eid, s, r)))
     if len({e[0] for e in edges}) != len(edges):
         raise ValueError("edge ids must be pairwise distinct")
-    return _checked_graph(tuple(vertices), tuple(edges))
-
-
-def _checked_graph(vertices: tuple[str, ...], edges: tuple[Edge, ...]) -> Graph:
-    """A `Graph` of fields that pass its checks, built without them."""
-    g = object.__new__(Graph)
-    g.__dict__.update(vertices=vertices, edges=edges)
-    return g
+    return Graph._trusted(tuple(vertices), tuple(edges))

@@ -2,8 +2,11 @@
 
 One elimination (`sparse_smith`) gives the Smith normal form with its
 unimodular row/column transforms and, from the same pivots, the
-determinant.  It runs in two phases over one operation log.  The sparse
-phase keeps rows as {column: value} dicts, and its pivot search is a heap
+determinant.  `sparse_smith` checks its input and hands it to
+`_eliminate`, the elimination itself, which `ktheory.analyse` calls
+directly on the B it builds from a checked graph.  The elimination
+runs in two phases over one operation log.  The sparse phase keeps rows
+as {column: value} dicts, and its pivot search is a heap
 holding each active row's best candidate, keyed (|entry|, Markowitz cost,
 row); after a pivot only the rows whose key may have moved are keyed
 again, so no step rescans the active block.  Once the active block is at
@@ -653,11 +656,15 @@ def sparse_smith(rows: Sequence[Mapping[int, int]], cols: int) -> SparseSmith:
     how each breaks ties and which row the divisibility step adds decide
     them, so a change of any of these rules may change the vertex images
     read off u, though they present the same pointed cokernel.
+
+    This is the checked entry: it rejects a column count that is not a
+    nonnegative integer, a column index that is not an integer or not in
+    range, and an entry that is not an integer, and it copies the rows
+    without their zeros.  The elimination itself is `_eliminate`, which
+    `analyse` calls directly on the B it has just built.
     """
     cols = _as_size(cols, "column count cols")
-    nr = len(rows)
     a: list[dict[int, int]] = []
-    nnz = 0
     for row in rows:
         entries = {}
         for j, x in row.items():
@@ -675,8 +682,16 @@ def sparse_smith(rows: Sequence[Mapping[int, int]], cols: int) -> SparseSmith:
                     raise ValueError(f"entry {x!r} is not an integer") from None
             if x:
                 entries[j] = x
-        nnz += len(entries)
         a.append(entries)
+    return _eliminate(a, cols)
+
+
+def _eliminate(a: list[dict[int, int]], cols: int) -> SparseSmith:
+    """`sparse_smith` of the rows `a`, which it does not check: each row
+    a {column: value} dict of nonzero ints, every column in range(cols).
+    The pass works on `a` in place and leaves it in no useful state."""
+    nr = len(a)
+    nnz = sum(map(len, a))
     row_ops: list[tuple[int, int, int]] = []
     col_ops: list[tuple[int, int, int]] = []
     pivots: list[tuple[int, int, int]] = []

@@ -24,7 +24,7 @@ from typing import Iterator, Literal, NamedTuple
 
 from ._record import record
 from .graphs import Graph
-from .intlinalg import IntMatrix, _as_index, _as_positive, sparse_smith
+from .intlinalg import IntMatrix, _as_index, _as_positive, _eliminate, sparse_smith
 
 __all__ = [
     "INFINITE",
@@ -111,7 +111,7 @@ class AbelianGroup:
         )
 
     def zero(self) -> GroupElement:
-        return GroupElement((0,) * len(self.factors))
+        return GroupElement._trusted((0,) * len(self.factors))
 
     def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
         self._check(a)
@@ -188,26 +188,91 @@ def analyse(g: Graph) -> GraphAnalysis:
     Only the rows of u with d_i != 1 are read, so only they are built
     (for C_n at most two).  The determinant comes off the same
     elimination.
+
+    Nothing built here is checked again.  B comes from a `Graph`, whose
+    edges were checked when it was built, so it goes straight to the
+    elimination (`intlinalg._eliminate`), past `sparse_smith`'s input
+    check.  The elimination leaves d as a divisibility chain with zeros
+    last, so the group and the reduced coordinates are built by the
+    records' `_trusted` constructors, past `AbelianGroup`'s and
+    `GroupElement`'s checks.  `_check_pointed` is the check of the
+    result, for the tests.
     """
     n = g.n_vertices
-    result = sparse_smith(_b_rows(g), n)
+    result = _eliminate(_b_rows(g), n)
     keep = [i for i, di in enumerate(result.d) if di != 1]
-    group = AbelianGroup(tuple(result.d[i] for i in keep))
+    group = AbelianGroup._trusted(tuple(result.d[i] for i in keep))
     rows = [result.u_rows[i] for i in keep]
     # Row i of u gives coordinate i of every vertex image and, summed, of
-    # the distinguished element: each is reduced mod d_i once here and
-    # coerced once by GroupElement.
+    # the distinguished element: each is reduced mod d_i once, here.
     coords = []
     for row, d in zip(rows, group.factors):
         values = [row.get(j, 0) for j in range(n)]
         values.append(sum(row.values()))
         coords.append([x % d for x in values] if d else values)
     columns = list(zip(*coords)) if coords else [()] * (n + 1)
-    images = tuple(map(GroupElement, columns[:n]))
-    k0 = PointedK0(
-        group=group, vertex_images=images, distinguished=GroupElement(columns[n])
-    )
+    element = GroupElement._trusted
+    images = tuple(map(element, columns[:n]))
+    k0 = PointedK0(group=group, vertex_images=images, distinguished=element(columns[n]))
     return GraphAnalysis(snf_diagonal=result.d, k0=k0, det=result.det)
+
+
+def _check_pointed(g: Graph, analysis: GraphAnalysis) -> str | None:
+    """Check that `analysis` presents the pointed K0 of g; None if it does.
+
+    With phi: Z^n -> G the map e_i -> vertex image i, the steps are, in
+    order: "form", G in invariant-factor form (as `AbelianGroup` checks
+    it) and every element a tuple of len(G.factors) ints, reduced;
+    "relations", phi(B e_j) = 0 for every column j of B = I - A^t;
+    "onto", phi onto G; "unit", the distinguished element equal to
+    phi(sum of all e_i); "order", |G| = |det B| when G is finite, det B =
+    0 when it is not.  The first step that fails is returned by name.
+    The first three make phi induce a map from Z^n / Im(B) onto G, and
+    for a finite G equal orders make it an isomorphism.  An onto map of an
+    infinite G may still have a finite kernel, which no order shows, so
+    for an infinite G that passes every step the result is "unchecked".
+    det is read off the same elimination as the images, so the order step
+    trusts it.  The tests run this on `analyse`'s results, whose group
+    and elements are not checked as they are built.
+    """
+    k0 = analysis.k0
+    group, images, unit = k0.group, k0.vertex_images, k0.distinguished
+    factors = group.factors
+    n = g.n_vertices
+    try:
+        if AbelianGroup(factors).factors != factors or len(images) != n:
+            return "form"
+        for x in (*images, unit):
+            if GroupElement(x.coords).coords != x.coords:
+                return "form"
+            group._check(x)
+    except ValueError:
+        return "form"
+
+    def reduced(vector) -> tuple[int, ...]:
+        return tuple(c % d if d else c for c, d in zip(vector, factors))
+
+    # phi(B e_j), column by column, from the rows of B
+    totals = [[0] * len(factors) for _ in range(n)]
+    for i, row in enumerate(_b_rows(g)):
+        for j, x in row.items():
+            totals[j] = [t + x * c for t, c in zip(totals[j], images[i].coords)]
+    zero = (0,) * len(factors)
+    if any(reduced(t) != zero for t in totals):
+        return "relations"
+    # phi is onto iff the images and the relations d_t e_t span Z^k.
+    span = [
+        {**{j: x.coords[t] for j, x in enumerate(images)}, n + t: d}
+        for t, d in enumerate(factors)
+    ]
+    if any(d != 1 for d in sparse_smith(span, n + len(factors)).d):
+        return "onto"
+    sums = [sum(x.coords[t] for x in images) for t in range(len(factors))]
+    if reduced(sums) != unit.coords:
+        return "unit"
+    if group.is_finite:
+        return None if group.order == abs(analysis.det) else "order"
+    return "unchecked" if analysis.det == 0 else "order"
 
 
 def cokernel_pointed(g: Graph) -> PointedK0:
@@ -285,7 +350,9 @@ def _circulant_read(power: tuple[int, int]) -> CirculantK0:
     a, b = power[0] - 1, power[1]
     d1, det = math.gcd(a, b), a * a + a * b + b * b
     factors = (d1, det // d1) if d1 else (0, 0)
-    group = AbelianGroup(tuple(d for d in factors if d != 1))
+    # d1^2 divides the det, a quadratic form in a and b, so d1 divides
+    # det / d1: the factors are a divisibility chain as they stand.
+    group = AbelianGroup._trusted(tuple(d for d in factors if d != 1))
     return CirculantK0(group, -det)
 
 

@@ -7,8 +7,10 @@ parallel edges and singular B = I - A^t (a vertex whose only edge is one
 loop gives a zero row) all turn up.  `NAMED_GRAPHS` pins each of those
 cases down as an explicit example.  `random_multigraph` draws larger
 graphs from a seeded `random.Random`, as the benchmark's dense workload
-does.
+does, and `out_degree_graph` sparse ones with k out-edges per vertex.
 """
+
+import random
 
 from hypothesis import strategies as st
 
@@ -29,6 +31,15 @@ def random_multigraph(rng, n: int, density: float, max_mult: int = 2) -> Graph:
         for r in range(n):
             if rng.random() < density:
                 pairs += [(s, r)] * rng.randint(1, max_mult)
+    return graph_from_pairs(n, pairs)
+
+
+def out_degree_graph(n: int, k: int) -> Graph:
+    """k out-edges per vertex to targets drawn uniformly by
+    `random.Random(n)`, loops allowed: the sparse graphs of the
+    elimination's stall baselines."""
+    rng = random.Random(n)
+    pairs = [(s, rng.randrange(n)) for s in range(n) for _ in range(k)]
     return graph_from_pairs(n, pairs)
 
 

@@ -20,7 +20,12 @@ from hypothesis import strategies as st
 from lpa_invariants import cli, ktheory
 from lpa_invariants.classify import CanonicalAlgebra, CayleyClass, cayley_class
 from lpa_invariants.cli import invariant_report, run
-from lpa_invariants.graphs import cayley_graph, graph_to_dict, stemmed_rose_graph
+from lpa_invariants.graphs import (
+    cayley_graph,
+    graph_to_dict,
+    pis_report,
+    stemmed_rose_graph,
+)
 from lpa_invariants.ktheory import AbelianGroup, analyse
 from lpa_invariants.monoid import crosscheck_cokernel, mstar_group, presentation, saturate
 
@@ -1054,6 +1059,129 @@ def test_monoid_json_bytes_pinned(tmp_path, n, bound):
     code, out, err = invoke(["monoid", str(path), "--bound", str(bound), "--json"])
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == MONOID_JSON_SHA256[n, bound]
+
+
+def _invariants_cases():
+    """(id, graph) for the pinned `invariants --json` outputs: C_1..C_24,
+    40 seeded dense multigraphs drawn as the `invariants-dense` workload
+    draws them, and the first 20 purely infinite simple 3-6-vertex
+    multigraphs of seeds 0, 1, ..."""
+    cases = [(f"cayley-{n}", cayley_graph(n)) for n in range(1, 25)]
+    for seed in range(40):
+        rng = random.Random(seed)
+        g = random_multigraph(rng, rng.randint(12, 28), rng.uniform(0.2, 0.8))
+        cases.append((f"dense-{seed}", g))
+    for seed in itertools.count():
+        rng = random.Random(seed)
+        g = random_multigraph(rng, rng.randint(3, 6), rng.uniform(0.2, 0.6))
+        if pis_report(g).purely_infinite_simple:
+            cases.append((f"pis-{seed}", g))
+            if len(cases) == 84:
+                return cases
+
+
+INVARIANTS_CASES = _invariants_cases()
+# sha256 of the JSON list [exit code, stdout, stderr] of `invariants --json`
+# on each case.  The vertex images and the distinguished element are read
+# off the elimination's row log, so a change to its pivots changes them
+# (and these hashes) on purpose; nothing else may.
+INVARIANTS_JSON_SHA256 = {
+    "cayley-1": "2a473584f61a2547587ffc186c93c7ccbbf693a2c41bef6f503cc01aabfd0d88",
+    "cayley-2": "fc078bf5c183b9d03d024a881fd3c19453a0649bb0dcd359670de33e4dd18fe3",
+    "cayley-3": "1883d716cafb2e75da624f4b78c063ad3e5579adad45d4f5440a230ac0672f52",
+    "cayley-4": "45418e47d6596bf10b769b903212d431ee1c7c6cfc45825bbd092cb4cddce730",
+    "cayley-5": "e3649d398a7144ee8f4b1c8554bbefc2f46b3e8851585dcef041e361fb773288",
+    "cayley-6": "b38ba1ad51bf029e91fd86ccabed7602574e1b5115b48b7386d4ebb6aaacd1b2",
+    "cayley-7": "f60012f28058dba1e8699406c2513d09e1d551ef4d45ccff819387d98bd79613",
+    "cayley-8": "123c46c6cae5fdf532332f64e422a0f50c27c5b30a92961df0d1f833cc614684",
+    "cayley-9": "1404876ecbf9d5e2cabcdbdcb2aa9fe32729a5bb53c6d52fbbbdac7d92672597",
+    "cayley-10": "7cd0929c6ef63236022ef7fdc568ebe82d83f40618aa90bd3fe1af5d27d8d685",
+    "cayley-11": "56f2f1d1f81e1022bf9a848ad84c44e2c3589c3f368b3058a994feb91da56f57",
+    "cayley-12": "f37620c4348770b903b381a45fcd7acd25a54e467cb74e3b61d822ff37dc5719",
+    "cayley-13": "2263ed14b5362c82cfeb14c67d9ec051349c94e7683cb93b20bb975e8c2f864a",
+    "cayley-14": "018692d9d63e58f8a8e6aeaca12e2cfdb99819390a67f475515960a0a540ea9d",
+    "cayley-15": "250886f70e5a9bbd4fd22493900fb134dcc60ddb65e7e827b46b505f795bc27a",
+    "cayley-16": "a1c000a602bc9933c9851523f99bfd2748af50b1d1be86abb2961b40aca6a9a2",
+    "cayley-17": "cdb14f91a6b85617923bb7b648dfd01ea7760a213c4c51dbf2280788387f75d4",
+    "cayley-18": "d31d85d1a7765cc42e973e5d7bc1ee4273c1996bf5bdbcbab7f4cba935b90b89",
+    "cayley-19": "f7cae0bb0d92f4f21cb9ae1d91101ff43a4ff653c02dfd0a0b8097ed2f662428",
+    "cayley-20": "780b2c6246d5e8eb6a391061eae347f705cd2c39fe20f9c642456bc74b419a2e",
+    "cayley-21": "0c4d7fd1ba1d47388bb638293226dd4c1ceac07e0c75a09440cfafb26e066b53",
+    "cayley-22": "ae20c5b6356cee599c75d9165b3069595e20d589cbca7d9739b02564cdc07ef4",
+    "cayley-23": "814984962a823c97ed29ae2613ee9ef227dbfcdf1a1c2afb13c6963a661e40b4",
+    "cayley-24": "ee9e65479989db4b41a4a3dec3a6d51da4e6ee6595f4c31461cd6160d8edc7a6",
+    "dense-0": "a7de01f927d81c79379e8e80ba05150f725cb3c639a652a706eee0216bc499a5",
+    "dense-1": "6c41dd4c05e565a7fafd6ef310789a88b6d37108787dae011b0543c86224a08b",
+    "dense-2": "8785076fea0219a3550c02ec17923e6e118a85ae12f2d8d4d26ad625a2d4b449",
+    "dense-3": "8d419b2a4e58833636104f5f94ddef56584b4caaf964f3ac98d6b8cd1a333497",
+    "dense-4": "a955d5f55d0783516da43b647decc98a81f80e2cee9bff6a1d3758c1cb395566",
+    "dense-5": "b10394cf8ce2b07da759e5cdd3dc91ffea6662e8d3eb9af6b36150abed7accf5",
+    "dense-6": "f52e3aedd7e033d66a5772c64eee4c055d9287da0d1a6f0acf7735660ba54265",
+    "dense-7": "0a8f992b8a40c5867ee4b0eb4f7612d1566a60a900d83438fcd3d488f4fa0f44",
+    "dense-8": "39e27f11b9d2a9b6824edc30ee5853d0580b54df64c953db42d793fd5a27a57e",
+    "dense-9": "d56e7eed869a8ecdd55a9d06158eb3ab7be9bbf04ad07e988e60f14c1ba73de5",
+    "dense-10": "1f702fd96dd05eb049a00b650b18993dbe22199f2a5ade8992508d2a13040a62",
+    "dense-11": "b1120171f852300c8b751015e107b40d439ed9bc200c1896d0e86cc5c356cea4",
+    "dense-12": "46803811aef0163c5fa978c3c536fe3478fa53619d1667cf11719bc830f6955b",
+    "dense-13": "f14ad005879fe94c0d0778c66cae73fd08c521a62e7ec327253751c47ddc617e",
+    "dense-14": "a659244ceb322bfa2d87be89139ef7d91037c14a45b4ba04ffe9718af53e1373",
+    "dense-15": "b7e25e9bfce6447f34176883499b68e1eea8956cfbdf43a0ed054de6bf0475c1",
+    "dense-16": "63213f10f009d2f4b5fa23053409d1f22019d026c32afb501f9b30039f645be3",
+    "dense-17": "44a83bade5a0c7bf267db476239110fc02be0c5f4ca04e9531dd688b9f0c4da4",
+    "dense-18": "96b1ecbdd26b547e28f033fa0040dc20edcf55674d97dfc9b0bfa2a31781a123",
+    "dense-19": "f9c6493944ee486ba87dfff5bdb3b9734b692340adf123553ee56644f5c82b8b",
+    "dense-20": "6743bfba006d64102f10e53d93d61d071d82593858c28d0b606d372fc8a0c7be",
+    "dense-21": "6a8c720568db480bf36cea7280845323c70d8c3d4e92e49c73f952135fe3f23e",
+    "dense-22": "5b92a447cb72e00ba96ad6cb3825a47f294e7941fec7472403eceda1e8cd129b",
+    "dense-23": "73683fa3799258be1d4631fa1da1a7586cd3719036973e712414124292641c00",
+    "dense-24": "5091c4dca438137c9c280201a2f9fd2f5f5893d9649b7699f2052a0a911b0b05",
+    "dense-25": "b9f5c77f5787299e44984b545ab4291abd7753b387162ea13ec1677d4093695a",
+    "dense-26": "8d163c0000f21a7e7bff216148ac88c9817e7ca1f7a16e7fc76070535eba6378",
+    "dense-27": "03a7690255882d452d8ed2f992d6a5e24ecbad84f357a50bcff15a7577a6f3b4",
+    "dense-28": "6d6fbdace6faf081251e250e044c60a744aa8c74428c91a670e7838d0b978750",
+    "dense-29": "c692babf64e5b65aaae9fc65fd3c0eba5b443a086395dc53d6a979d1c40443fa",
+    "dense-30": "86a639a56c6d6bb00f506764ce9b4231ceecaf9b7d510520677fc82241b72f08",
+    "dense-31": "32c3954b08a7efa15d065b916abf42d19737892e5bbcec0705382a2f9cbef3c2",
+    "dense-32": "465e0f941565e4d09aea7f911052f071e25293df80c036408bccc470d662a811",
+    "dense-33": "05ffd8519347ac6dd207e190be47446542c758e3c010e4c33771193778a34bc6",
+    "dense-34": "ba1ee2c1fd0aef2faf00fea1dbdb964a16b2300bcaafeaa26f1b81df0d3ff86b",
+    "dense-35": "49b37df88ff6aedbec8fcc5d875ec33e305774b9bd65f8b3298491ba3c08c6a8",
+    "dense-36": "7dc4a995b4e6f36a717b03766e2198a8de57f4879c7b9dc8c76ad9fb413584d8",
+    "dense-37": "de311845340158904a2b1250c90deba50e33ecf689cea02f4fd271f61adf0a8f",
+    "dense-38": "0ba308a7ab776c825741facc5c43489071b0b0aec52a2d823be24178e8d251ae",
+    "dense-39": "4a9a888a172c4feef7a5a652be5a23d04a22e4107822950a91a4c18ff11ffca7",
+    "pis-0": "8391b065b5c1f663a3e560d2cbb19abb16501f146baca00b16a82441bca74c60",
+    "pis-5": "d13b5ac9a0f5e61880df6698d406216a2633e1aa142602f839256f778d3bcfcf",
+    "pis-7": "1f97a134ffa59f1569272b247ba8f41a76570b3edee64fc1988e7a32580a1105",
+    "pis-9": "278ec270f602b6b8b38f547e718936f5d49c1b165736d7c9be83cc2154a8b6c7",
+    "pis-11": "6d16455a6cc9a89eda3cf49b3440b6b463fd3c8976ffdb300e6da96096183807",
+    "pis-14": "47f168d575ca3a72bfb76b121996a5da1267d0a9e1cac968eedad897ae17a05d",
+    "pis-16": "010ee303d5c4b14c9c9be9c51fd3464121a821a14882ae15c6689d2880df1aa9",
+    "pis-17": "f3ab82bbe35a98b4c7f6eb298461f314277ef7da69f53dfb13ae13d0385bd959",
+    "pis-19": "55384c9c324f986baf136990954275e27f4df3b13350035a053dc3dce65935e7",
+    "pis-24": "83f0a2263a1bf5aecc3e11f621f90f82bef2f7e6c079b18ce99ca3448c8d7274",
+    "pis-27": "f9472d125062cab82768332bebebf08ec8d321fcc59203d6301c255a082132a6",
+    "pis-28": "6650ee4707842a5355d72baa0f9a296fb34635ed5076ffa028b0bc085f657a4b",
+    "pis-30": "8edcca7efa1f38c27b1649367dd005df03038da2bf93178ef7ca1d4b70ddb1b1",
+    "pis-31": "3004aedbc0e4da41aee10abbc24e6d20b2c1b90286f2e58adb12cf55adfb3319",
+    "pis-32": "213ce7f504ecfc0f5f9b1e13c03285e920e6ce6fea9f512f3e56ea56b5ead48b",
+    "pis-34": "574fc27f1c5ae3f0715535f609f7a4d2f68c6bb37e2b35f7813e2d2ff13f8869",
+    "pis-35": "bac1184eb71aa0903ebe135b6adb34b89f6a86d3cb3b2e393a38498983291fcb",
+    "pis-38": "563b60092d57b70966ece0094a87557c915167d032a559656e425777c2ad2248",
+    "pis-40": "76550012b608f3665f4a1b2e379581a3f5db1e2172a335383100b9a9ff3bb8a8",
+    "pis-50": "5db34ebc3b8f5acc18285141f045b499d130113b0d46c71e1eb7e1d14e2769f8",
+}
+
+
+@pytest.mark.parametrize(
+    "name, g", INVARIANTS_CASES, ids=[name for name, _ in INVARIANTS_CASES]
+)
+def test_invariants_json_bytes_pinned(tmp_path, name, g):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph_to_dict(g)))
+    result = invoke(["invariants", str(path), "--json"])
+    digest = hashlib.sha256(json.dumps(result).encode()).hexdigest()
+    assert digest == INVARIANTS_JSON_SHA256[name]
 
 
 def _monoid_summary(g, bound, path):

@@ -1,5 +1,6 @@
 import heapq
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -503,6 +504,32 @@ class TestSparseSmith:
     def test_integer_like_column_is_coerced(self):
         assert sparse_smith([{True: 2}, {False: 3}], 2).det == -6
 
+    @pytest.mark.parametrize(
+        "rows, cols, message",
+        [
+            ([{0.0: 1}], 1, "column index 0.0 is not an integer"),
+            ([{0: 1}, {"a": 1}], 2, "column index 'a' is not an integer"),
+            ([{2: 1}], 2, "column index 2 out of range for 2 columns"),
+            ([{0: 1, -1: 1}], 2, "column index -1 out of range for 2 columns"),
+            ([{0: 1.5}], 1, "entry 1.5 is not an integer"),
+            ([{0: 1}, {1: "1"}], 2, "entry '1' is not an integer"),
+            ([{0: None}], 1, "entry None is not an integer"),
+        ],
+        ids=[
+            "float-column",
+            "str-column",
+            "column-past-end",
+            "negative-column",
+            "float-entry",
+            "str-entry",
+            "none-entry",
+        ],
+    )
+    def test_rejections_pinned(self, rows, cols, message):
+        # `analyse` eliminates past this check; `sparse_smith` keeps it.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sparse_smith(rows, cols)
+
     def test_dense_coefficient_growth_stays_cheap(self):
         # On dense input the pivot order decides how large u and v grow.
         rng = random.Random(40)
@@ -915,7 +942,7 @@ def test_two_phases_present_the_one_phase_pointed_cokernel(seed):
     rng = random.Random(seed)
     g = random_multigraph(rng, rng.randint(12, 28), rng.uniform(0.2, 0.8))
     new = analyse(g)
-    with mock.patch.object(ktheory, "sparse_smith", one_phase_smith):
+    with mock.patch.object(ktheory, "_eliminate", one_phase_smith):
         old = analyse(g)
     assert (new.snf_diagonal, new.det) == (old.snf_diagonal, old.det)
     assert new.k0.group == old.k0.group

@@ -1,11 +1,17 @@
 import ast
 import itertools
 import math
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
-from graph_strategies import NAMED_GRAPHS, multigraphs
+from graph_strategies import (
+    NAMED_GRAPHS,
+    multigraphs,
+    out_degree_graph,
+    random_multigraph,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ as INTEGERS
@@ -16,6 +22,7 @@ import lpa_invariants
 from lpa_invariants.graphs import (
     adjacency_matrix,
     cayley_graph,
+    pis_report,
     rose_graph,
     stemmed_rose_graph,
 )
@@ -29,7 +36,10 @@ from lpa_invariants.intlinalg import (
 from lpa_invariants.ktheory import (
     INFINITE,
     AbelianGroup,
+    GraphAnalysis,
     GroupElement,
+    PointedK0,
+    _check_pointed,
     analyse,
     b_matrix,
     cokernel_pointed,
@@ -508,3 +518,129 @@ def test_library_imports_no_benchmark_code():
                 continue
             for name in names:
                 assert name.split(".")[0] not in ("perfbench", "oracle"), (path.name, name)
+
+
+# ---------------------------------------------------------------------------
+# `_check_pointed`: `analyse` builds its group and elements without
+# re-checking them, so every result over these graphs is checked here,
+# and the check must catch a result that is off in any one way.
+
+
+def assert_pointed(g):
+    analysis = analyse(g)
+    expected = None if analysis.k0.group.is_finite else "unchecked"
+    assert _check_pointed(g, analysis) == expected
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    multigraphs(max_vertices=6, min_vertices=3).filter(
+        lambda g: pis_report(g).purely_infinite_simple
+    )
+)
+def test_check_pointed_passes_small_pis_graphs(g):
+    assert_pointed(g)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_check_pointed_passes_dense_multigraphs(seed):
+    rng = random.Random(seed)
+    assert_pointed(random_multigraph(rng, rng.randint(12, 28), rng.uniform(0.2, 0.8)))
+
+
+def test_check_pointed_passes_cayley_and_out_degree_graphs():
+    for n in range(1, 41):
+        assert_pointed(cayley_graph(n))
+    for k in (2, 3):
+        assert_pointed(out_degree_graph(300, k))
+
+
+def test_check_pointed_reports_an_infinite_group_unchecked():
+    for name in ("one_loop_singular", "rank_one", "two_loops_apart"):
+        g = NAMED_GRAPHS[name]
+        assert not analyse(g).k0.group.is_finite
+        assert _check_pointed(g, analyse(g)) == "unchecked"
+
+
+def _altered(analysis, factors=None, images=None, unit=None):
+    """`analysis` with its group, vertex images or unit class replaced,
+    built past every check."""
+    k0 = analysis.k0
+    group = AbelianGroup._trusted(k0.group.factors if factors is None else factors)
+    coords = [x.coords for x in k0.vertex_images] if images is None else images
+    return GraphAnalysis(
+        analysis.snf_diagonal,
+        PointedK0(
+            group,
+            tuple(map(GroupElement._trusted, coords)),
+            GroupElement._trusted(k0.distinguished.coords if unit is None else unit),
+        ),
+        analysis.det,
+    )
+
+
+def _coprime_split(d):
+    """(a, b) with a * b = d, gcd(a, b) = 1 and a, b > 1, by trial
+    division, or None."""
+    for p in range(2, 1000):
+        if d % p == 0:
+            a = p
+            while d % (a * p) == 0:
+                a *= p
+            return (a, d // a) if d > a else None
+    return None
+
+
+# K0 = Z/6, Z/6, Z/2 + Z/2, Z/3, Z/5, then cyclic groups of orders 7,805
+# to 148,116 and Z/2 + Z/5,056,068: seven of the eleven have a factor that
+# splits into two coprime ones.
+MUTANT_GRAPHS = [
+    rose_graph(7),
+    stemmed_rose_graph(7, 2),
+    cayley_graph(3),
+    cayley_graph(4),
+    NAMED_GRAPHS["parallel_edges"],
+] + [random_multigraph(random.Random(seed), 12 + seed, 0.5) for seed in range(6)]
+
+
+@pytest.mark.parametrize("g", MUTANT_GRAPHS, ids=lambda g: f"{g.n_vertices}v")
+def test_check_pointed_catches_every_mutant(g):
+    analysis = analyse(g)
+    factors = analysis.k0.group.factors
+    assert analysis.k0.group.is_finite and factors
+    assert _check_pointed(g, analysis) is None
+    images = [x.coords for x in analysis.k0.vertex_images]
+    unit = analysis.k0.distinguished.coords
+
+    def bumped(coords, t):
+        return coords[:t] + ((coords[t] + 1) % factors[t],) + coords[t + 1 :]
+
+    def refactored(t, moduli):
+        # factor t replaced by `moduli`, coordinate t by its residues
+        def carry(coords):
+            return coords[:t] + tuple(coords[t] % m for m in moduli) + coords[t + 1 :]
+
+        new = factors[:t] + moduli + factors[t + 1 :]
+        return _altered(analysis, new, [carry(c) for c in images], carry(unit))
+
+    mutants = []
+    for t, d in enumerate(factors):
+        for i in range(len(images)):
+            moved = images[:i] + [bumped(images[i], t)] + images[i + 1 :]
+            mutants.append(_altered(analysis, images=moved))
+            # the unit class moved along, so that it still sums the images
+            mutants.append(_altered(analysis, images=moved, unit=bumped(unit, t)))
+        mutants.append(_altered(analysis, unit=bumped(unit, t)))
+        mutants.append(refactored(t, (2 * d,)))
+        # Z/d split into Z/a + Z/b with ab = d, gcd(a, b) = 1
+        if split := _coprime_split(d):
+            mutants.append(refactored(t, split))
+        # every element times a prime q | d, so the images span a proper
+        # subgroup; Z/d taken to its proper quotient Z/(d/q)
+        q = next(q for q in range(2, d + 1) if d % q == 0)
+        scaled = [tuple(q * c for c in x) for x in (*images, unit)]
+        mutants.append(_altered(analysis, images=scaled[:-1], unit=scaled[-1]))
+        mutants.append(refactored(t, () if d == q else (d // q,)))
+    steps = ("form", "relations", "onto", "unit", "order")
+    for mutant in mutants:
+        assert _check_pointed(g, mutant) in steps

@@ -1,16 +1,20 @@
 """Each graph is eliminated once: K0, vertex images and det come from one
-`sparse_smith` call, and Bareiss stays off the command paths.  The work
-of that call on C_n grows linearly in n, and K0 builds only the rows of
-u it reads, from the row log alone.  The elimination scans the active
-rows for an entry its pivot does not divide only when the pivot's size
-is new.  A dense B enters the elimination's core phase before its
-first pivot and pushes no heap key, and no elimination switches phase
-more than once.  The module of C_n is read from x^n alone, and x^n =
-x^(n mod 6): `circulant_k0` takes at most five ring steps for any n.  A
-`table` builds no graph: it reads the rows of the residues 1..6 once per
+call of the elimination, and Bareiss stays off the command paths.  The
+elimination is `intlinalg._eliminate`; `sparse_smith` checks its input
+and calls it, and `analyse` calls it directly, so the counters count
+`_eliminate`; nor does `analyse` run the checks of `AbelianGroup` or
+`GroupElement` on what it builds.  The work of that call on C_n grows
+linearly in n, and K0 builds only the rows of u it reads, from the row
+log alone.  The elimination scans the active rows for an entry its
+pivot does not divide only when the pivot's size is new.  A dense B
+enters the elimination's core phase before its first pivot and pushes
+no heap key, and no elimination switches phase more than once.  The
+module of C_n is read from x^n alone, and x^n = x^(n mod 6):
+`circulant_k0` takes at most five ring steps for any n.  A `table`
+builds no graph: it reads the rows of the residues 1..6 once per
 call, each by `circulant_k0`, that is by the closed form of x^n - 1 =
 a + bx (gcd(a, b) and a^2 + ab + b^2, no ring step) and with no
-`sparse_smith`, `analyse` or PIS test; each is checked against
+elimination, `analyse` or PIS test; each is checked against
 `cayley_class` and written once, and every other row reuses the text of
 its residue; nothing is kept between calls.
 Nor is a copy of C_n eliminated or searched in `classify`
@@ -30,7 +34,12 @@ import sys
 
 import pytest
 
-from graph_strategies import graph_from_pairs, permute, random_multigraph
+from graph_strategies import (
+    graph_from_pairs,
+    out_degree_graph,
+    permute,
+    random_multigraph,
+)
 
 from lpa_invariants.classify import canonical_form, det_sign, kp_decide
 from lpa_invariants import classify, graphs, intlinalg, ktheory, monoid
@@ -68,13 +77,46 @@ def counting_everywhere(monkeypatch, *functions):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts calls of the elimination and of Bareiss."""
-    return counting_everywhere(monkeypatch, intlinalg.sparse_smith, intlinalg.det_exact)
+    """Counts calls of the elimination, wherever it is entered from, and
+    of Bareiss."""
+    return counting_everywhere(monkeypatch, intlinalg._eliminate, intlinalg.det_exact)
 
 
 def test_invariant_report_eliminates_once(calls):
     invariant_report(stemmed_rose_graph(4, 3))
-    assert calls == {"sparse_smith": 1, "det_exact": 0}
+    assert calls == {"_eliminate": 1, "det_exact": 0}
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        stemmed_rose_graph(4, 3),
+        cayley_graph(12),
+        random_multigraph(random.Random(3), 20, 0.5),
+    ],
+    ids=["stemmed-rose", "cayley-12", "dense-20"],
+)
+def test_analyse_checks_nothing_it_built(monkeypatch, g):
+    # B goes to the elimination past `sparse_smith`'s input check, and the
+    # group and elements are built past their classes' checks.
+    eliminations = (intlinalg.sparse_smith, intlinalg._eliminate)
+    calls = counting_everywhere(monkeypatch, *eliminations)
+    classes = (ktheory.AbelianGroup, ktheory.GroupElement)
+    checks = {cls.__name__: 0 for cls in classes}
+    for cls in classes:
+
+        def counted(self, _name=cls.__name__, _original=cls.__post_init__):
+            checks[_name] += 1
+            _original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    analysis = analyse(g)
+    assert calls == {"sparse_smith": 0, "_eliminate": 1}
+    k0 = ktheory.circulant_k0(g.n_vertices)
+    k0.group.zero()
+    assert checks == {"AbelianGroup": 0, "GroupElement": 0}
+    assert ktheory.AbelianGroup(analysis.k0.group.factors) == analysis.k0.group
+    assert checks == {"AbelianGroup": 1, "GroupElement": 0}
 
 
 def test_table_rows_eliminate_once_per_companion_power(monkeypatch, calls):
@@ -85,7 +127,7 @@ def test_table_rows_eliminate_once_per_companion_power(monkeypatch, calls):
         reads["_circulant_read"] = 0
         _table_rows(k)
         assert reads == {"_circulant_read": min(k, 6)}, k
-        assert calls == {"sparse_smith": 0, "det_exact": 0}, k
+        assert calls == {"_eliminate": 0, "det_exact": 0}, k
 
 
 def test_table_rows_keep_no_eliminations_across_calls(monkeypatch, calls):
@@ -93,7 +135,7 @@ def test_table_rows_keep_no_eliminations_across_calls(monkeypatch, calls):
     _table_rows(12)
     _table_rows(12)
     assert reads == {"_circulant_read": 12}
-    assert calls == {"sparse_smith": 0, "det_exact": 0}
+    assert calls == {"_eliminate": 0, "det_exact": 0}
 
 
 def test_table_rows_take_at_most_fifteen_ring_steps(monkeypatch):
@@ -135,9 +177,9 @@ def test_kp_decide_eliminates_each_graph_once(calls):
     # Copies of C_n are read off their module, with no elimination; other
     # purely infinite simple graphs are eliminated once each.
     assert kp_decide(cayley_graph(2), cayley_graph(8)).outcome == "Isomorphic"
-    assert calls == {"sparse_smith": 0, "det_exact": 0}
+    assert calls == {"_eliminate": 0, "det_exact": 0}
     assert kp_decide(stemmed_rose_graph(4, 3), rose_graph(4)).outcome == "NotIsomorphic"
-    assert calls == {"sparse_smith": 2, "det_exact": 0}
+    assert calls == {"_eliminate": 2, "det_exact": 0}
 
 
 @pytest.fixture
@@ -180,7 +222,7 @@ def counting(monkeypatch, module, name):
 
 
 def test_elimination_work_is_linear_on_cayley_graphs(monkeypatch):
-    # One rounded quotient per row or column operation; sparse_smith
+    # One rounded quotient per row or column operation; the elimination
     # looks `_quotient` up in its module.
     divisions = counting(monkeypatch, intlinalg, "_quotient")
     analyse(cayley_graph(200))
@@ -237,7 +279,7 @@ def test_divisibility_step_scans_once_per_new_pivot_size(monkeypatch, n, loops, 
     # d = (2, ..., 2, 2n + 2).  A pivot of the last one's size divides
     # every active entry already, so only the first pivot and the last
     # of the dense B scan the active rows, one `any` call per row;
-    # `sparse_smith` finds `any` in its module before the builtins.
+    # the elimination finds `any` in its module before the builtins.
     scanned = {"any": 0}
 
     def counted(iterable):
@@ -258,7 +300,7 @@ def test_divisibility_step_scans_once_per_new_pivot_size(monkeypatch, n, loops, 
 
 def core_entries(monkeypatch):
     """The number of pivots taken before each entry into the core phase;
-    `sparse_smith` looks `_core_phase` up in its module."""
+    `_eliminate` looks `_core_phase` up in its module."""
     entries = []
     original = intlinalg._core_phase
 
@@ -268,13 +310,6 @@ def core_entries(monkeypatch):
 
     monkeypatch.setattr(intlinalg, "_core_phase", recorded)
     return entries
-
-
-def out_degree_graph(n, k):
-    """k out-edges per vertex to targets drawn uniformly, loops allowed."""
-    rng = random.Random(n)
-    pairs = [(s, rng.randrange(n)) for s in range(n) for _ in range(k)]
-    return graph_from_pairs(n, pairs)
 
 
 def test_dense_graph_enters_the_core_before_its_first_pivot(monkeypatch):

@@ -6,20 +6,34 @@ keyword; TypeError for a missing or an extra argument; validation at
 construction; equality within the very same class only, with a matching
 hash (identity for `CongruenceClasses` and `FiniteGroupTable`);
 assignment and deletion refused; the same repr; and `copy` and `pickle`
-round trips.
+round trips.  Each class with checks (a `__post_init__`) also has the
+private `_trusted` constructor, which skips them: on values that pass
+the public checks it builds the object the class builds.
 """
 
 import copy
+import operator
 import pickle
 import re
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from graph_strategies import multigraphs
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpa_invariants.classify import CanonicalAlgebra, CayleyClass, KPVerdict
 from lpa_invariants.graphs import Edge, Graph, PISReport, cayley_graph
 from lpa_invariants.intlinalg import CirculantRow, IntMatrix, SmithDecomposition
-from lpa_invariants.ktheory import AbelianGroup, GraphAnalysis, GroupElement, PointedK0
+from lpa_invariants.ktheory import (
+    AbelianGroup,
+    GraphAnalysis,
+    GroupElement,
+    PointedK0,
+    analyse,
+    circulant_k0,
+)
 from lpa_invariants.monoid import (
     CongruenceClasses,
     FiniteGroupTable,
@@ -214,6 +228,16 @@ class TestValueClass:
             a.not_a_field = 1
         assert repr(a) == before
 
+    def test_trusted_constructor_builds_the_same_object(self, cls):
+        if not hasattr(cls, "__post_init__"):
+            assert not hasattr(cls, "_trusted")
+            return
+        a = build(cls)
+        b = cls._trusted(*(getattr(a, name) for name in FIELDS[cls]))
+        assert type(b) is cls and repr(b) == repr(a)
+        if cls not in IDENTITY_EQUAL:
+            assert a == b and b == a and hash(a) == hash(b)
+
     @pytest.mark.parametrize(
         "round_trip",
         [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
@@ -284,3 +308,62 @@ class TestGraphCaches:
         h = pickle.loads(pickle.dumps(g))
         assert h == g and h.successors == successors
 
+
+class TestTrustedConstructor:
+    """`_trusted` sets the fields and skips `__post_init__`, so on values
+    that pass the public checks, as stored, both build equal objects."""
+
+    def test_skips_the_checks(self):
+        assert AbelianGroup._trusted((1, 3)).factors == (1, 3)
+        assert GroupElement._trusted([0.5]).coords == [0.5]
+        assert Graph._trusted(("a", "a"), ()).vertices == ("a", "a")
+
+    def test_subclass_builds_its_own_instances(self):
+        class Element(GroupElement):
+            pass
+
+        assert type(Element._trusted((1,))) is Element
+
+    @staticmethod
+    def assert_agree(cls, *values):
+        checked, trusted = cls(*values), cls._trusted(*values)
+        assert checked == trusted and trusted == checked
+        assert hash(checked) == hash(trusted)
+        assert repr(checked) == repr(trusted)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.none() | st.integers(2, 50),
+        st.lists(st.integers(1, 6), max_size=3),
+        st.integers(0, 2),
+    )
+    def test_abelian_groups(self, first, steps, zeros):
+        # a divisibility chain without 1s (empty for None), then zeros
+        chain = () if first is None else accumulate([first, *steps], operator.mul)
+        self.assert_agree(AbelianGroup, (*chain, *(0,) * zeros))
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.integers(-(10**30), 10**30), max_size=5))
+    def test_group_elements(self, coords):
+        self.assert_agree(GroupElement, tuple(coords))
+
+    @settings(deadline=None, max_examples=100)
+    @given(multigraphs(max_vertices=6))
+    def test_graphs(self, g):
+        self.assert_agree(Graph, g.vertices, g.edges)
+
+
+@settings(deadline=None, max_examples=150)
+@given(multigraphs())
+def test_public_constructors_accept_what_analyse_builds(g):
+    k0 = analyse(g).k0
+    assert AbelianGroup(k0.group.factors) == k0.group
+    for x in (*k0.vertex_images, k0.distinguished):
+        assert GroupElement(x.coords) == x
+
+
+def test_public_constructors_accept_what_circulant_k0_builds():
+    for n in range(1, 201):
+        group = circulant_k0(n).group
+        assert AbelianGroup(group.factors) == group
+        assert GroupElement(group.zero().coords) == group.zero()
