@@ -2,17 +2,21 @@
 
 The monoid is the free commutative monoid on the vertices modulo the
 relations v_i ~ sum_j a_ij v_j at non-sink vertices.  Equality is only
-decided inside a box: all vectors of N^n with coordinate sum <= bound,
-in lexicographic order, are partitioned by the congruence generated by
-single-relation rewrites (both directions) plus translation closure.
+decided inside a box: all vectors of N^n with coordinate sum <= bound
+are partitioned by the congruence generated by single-relation rewrites
+(both directions) plus translation closure.  The saturation stores the
+box in graded order, by coordinate sum and then lexicographically, so
+the vectors up to each sum are a prefix of it; the result lists the box
+in lexicographic order.
 The rewrites are contracted into class labels by a hook-and-compress
 union-find.  The translation closure runs rounds of one rule: sort the
 members by class, join the images of consecutive members of a class,
 and keep one member per class.  Conclusions therefore carry the bound,
 and a stabilisation flag (nonzero class counts unchanged over the last
 two bound increments) gates everything downstream.  The three levels
-are swept in order of coordinate sum: each starts from the closure of
-the level below and from the members it kept, one per class.
+are swept in order of coordinate sum, each on its prefix of the box:
+each starts from the closure of the level below and from the members it
+kept, one per class.
 
 `saturate` returns one `CongruenceClasses`: the box, its labels and the
 presentation.  It keeps no rewrite edges; `rewrite_path` rebuilds them
@@ -25,6 +29,7 @@ computation.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Literal, Union
 
 import numpy as np
@@ -63,10 +68,11 @@ def _box_bytes_per_vector(n: int) -> int:
     generators: 2n bytes of coordinates and at most 256 for the rest.
 
     The peak comes while the top level's rewrite edges are merged.
-    Measured with tracemalloc, it was 106-121 bytes per vector for
-    C_9..C_12 at bound 12 (95-102 in the closure), and 180 and 201 for
+    Measured with tracemalloc, it was 96-112 bytes per vector for
+    C_9..C_12 at bound 12 (71-81 in the closure), and 174 and 196 for
     cycles of 16 and 24 vertices at bounds 8 and 6, where each relation
-    has one term and so applies to the most vectors.
+    has one term and so applies to the most vectors.  A tier-1 test holds
+    the estimate on the 16-cycle at bound 6.
     """
     return 256 + 2 * n
 
@@ -116,89 +122,121 @@ def default_bound(p: MonoidPresentation) -> int:
 # ---------------------------------------------------------------------------
 # Box enumeration and ranking.
 #
-# Vectors of N^n with sum <= b are listed in lexicographic order (first
-# coordinate most significant).  With N(k, r) = C(r + k, k) counting the
-# k-coordinate vectors of sum <= r, the rank of w is
+# The saturation works on the box in graded order: by coordinate sum
+# first, then lexicographically (first coordinate most significant)
+# within each sum.  With N(r) = C(n + r, n) counting the vectors of sum
+# <= r, the vectors of sum <= r are the prefix [:N(r)], and those of sum
+# in (lo, hi] the slice [N(lo), N(hi)).  The public `vectors` are in lex
+# order; with N(k, r) = C(r + k, k) counting the k-coordinate vectors of
+# sum <= r, the lex rank of w is
 #     sum_i  N(n - i, b_i) - N(n - i, b_i - w_i),
 # where b_i is the budget left before coordinate i.  Only single lookups
 # use that formula: `CongruenceClasses.rank_of` computes it with
-# `math.comb`.
+# `math.comb`.  Listing the lex box stably by sum gives the graded box,
+# so a stable argsort of the lex box's sums maps graded ranks to lex
+# ranks (`_graded_to_lex`).
 #
-# Whole arrays of translates are ranked off the lex order instead.  Lex
-# order is translation-invariant: x < y iff x + d < y + d for any integer
-# vector d.  So a translation w -> w + d that maps a set S of box vectors
-# onto a set T of box vectors keeps their order, and the i-th member of S
-# (by rank) goes to the i-th member of T.  Both sets are read off the box
-# by a mask, and `np.flatnonzero` lists each in rank order:
-#   - w -> w + e_k maps {sum w <= b - 1} onto {v : v_k >= 1};
+# Whole arrays of translates are ranked off the graded order instead.
+# Graded order is translation-invariant: x < y iff x + d < y + d for any
+# integer vector d.  So a translation w -> w + d that maps a set S of box
+# vectors onto a set T of box vectors keeps their order, and the i-th
+# member of S (by rank) goes to the i-th member of T.  Both sets are read
+# off the box by a mask, and `np.flatnonzero` lists each in rank order:
+#   - w -> w + e_k maps the prefix of sum <= b - 1 onto {v : v_k >= 1};
 #   - w -> w - e_i + rhs maps {w_i >= 1, lo < sum w + sum rhs - 1 <= hi}
-#     onto {v : v >= rhs componentwise, lo < sum v <= hi}.
+#     onto {v : v >= rhs componentwise, lo < sum v <= hi}, and each sum
+#     window is one slice of the box.
 # ---------------------------------------------------------------------------
 
 
+def _box_size(n: int, r: int) -> int:
+    """Number of vectors of N^n with coordinate sum <= r (0 when r < 0)."""
+    return math.comb(n + r, n) if r >= 0 else 0
+
+
 def _box_vectors(n: int, bound: int) -> np.ndarray:
-    """The box in lex order, as an F-ordered (N, n) int16 array.
+    """The box in graded order, as an F-ordered (N, n) int16 array: the
+    vectors of sum r, in lex order, for r = 0..bound.
 
-    The box of k coordinates and sum <= r is, for c = 0..r in turn, c
-    followed by the box of k - 1 coordinates and sum <= r - c.  Each
-    block is written in place, column by column; a (k, r) block already
-    written is copied rather than rebuilt.  The last two columns are
-    written whole: with k = 1 the block is 0..r, and with k = 2 it is
-    (c, j) for j = 0..r - c, run by run.
+    The vectors of N^k with sum r are, in lex order, 0 followed by those
+    of (k - 1, r), then those of (k, r - 1) plus e_1.  So the shell of
+    sum r is written from its last column leftwards: the (k, r) block is
+    the shell's first C(r + k - 1, k - 1) rows in its last k columns; its
+    head is the (k - 1, r) block, just written, beside a column of zeros,
+    and its tail a copy of the (k, r - 1) block of the shell before.
     """
-    out = np.empty((math.comb(n + bound, n), n), dtype=np.int16, order="F")
-    written: dict[tuple[int, int], np.ndarray] = {}
-
-    def fill(block: np.ndarray, k: int, r: int) -> None:
-        if k == 0:
-            return
-        got = written.get((k, r))
-        if got is not None:
-            block[...] = got
-            return
-        if k == 1:
-            block[:, 0] = np.arange(r + 1)
-        elif k == 2:
-            runs = np.arange(r + 1, 0, -1)  # r - c + 1 rows start with c
-            block[:, 0] = np.repeat(np.arange(r + 1), runs)
-            block[:, 1] = np.arange(len(block)) - np.repeat(np.cumsum(runs) - runs, runs)
-        else:
-            start = 0
-            for c in range(r + 1):
-                size = math.comb(r - c + k - 1, k - 1)
-                block[start : start + size, 0] = c
-                fill(block[start : start + size, 1:], k - 1, r - c)
-                start += size
-        written[(k, r)] = block
-
-    fill(out, n, bound)
+    out = np.empty((_box_size(n, bound), n), dtype=np.int16, order="F")
+    below: list = [None] * (n + 1)  # below[k] is the (k, r - 1) block
+    for r in range(bound + 1):
+        start = _box_size(n, r - 1)
+        for k in range(1, n + 1):
+            block = out[start : start + math.comb(r + k - 1, k - 1), n - k :]
+            if k == 1:
+                block[0, 0] = r
+            else:
+                head = math.comb(r + k - 2, k - 2)
+                block[:head, 0] = 0
+                if r:
+                    block[head:] = below[k]
+                    block[head:, 0] += 1
+            below[k] = block
     return out
 
 
-def _elementary_edges(p, vectors, sums, lo, hi):
+def _lex_box(graded: np.ndarray, bound: int) -> np.ndarray:
+    """The box in lex order, from the graded box `graded`.
+
+    The vectors with first coordinate c are c followed by the box of
+    n - 1 coordinates and sum <= bound - c, in lex order, and those are
+    the first n - 1 coordinates of the graded box's vectors of sum
+    bound - c.  So each c takes one slice of `graded`.
+    """
+    n = graded.shape[1]
+    out = np.empty(graded.shape, dtype=np.int16, order="F")
+    if n:
+        start = 0
+        for c in range(bound + 1):
+            lo, hi = _box_size(n, bound - c - 1), _box_size(n, bound - c)
+            rows = slice(start, start + hi - lo)
+            out[rows, 0] = c
+            out[rows, 1:] = graded[lo:hi, :-1]
+            start = rows.stop
+    return out
+
+
+def _graded_to_lex(vectors: np.ndarray) -> np.ndarray:
+    """perm[g] is the lex rank of the g-th vector of the graded box, where
+    `vectors` is the lex box: listing it stably by sum gives the graded
+    box."""
+    return np.argsort(vectors.sum(axis=1, dtype=np.int16), kind="stable")
+
+
+def _elementary_edges(p, vectors, lo, hi):
     """Rank pairs (w, w - e_i + rhs_i) for the in-box rewrites whose
-    larger endpoint sum s has lo < s <= hi.
+    larger endpoint sum s has lo < s <= hi, on the graded box `vectors`.
 
     The rewrite is the translation by rhs_i - e_i, and it raises the sum
     by sum(rhs_i) - 1 >= 0, so s is the target's sum.  It maps its sources
     (w_i >= 1 and sum w + sum(rhs_i) - 1 in (lo, hi]) in rank order onto
     its targets, the box vectors v >= rhs_i with sum v in (lo, hi];
-    sources and targets pair up by position.
+    sources and targets pair up by position.  Each of the two sum windows
+    is one slice of the box, and only that slice is masked.
     """
-    window = (sums > lo) & (sums <= hi)
+    n = vectors.shape[1]
+    first, last = _box_size(n, lo), _box_size(n, hi)
     srcs, dsts = [], []
     for gi, rhs in p.relations:
         shift = sum(rhs) - 1
-        ok = (vectors[:, gi] >= 1) & (sums > lo - shift) & (sums <= hi - shift)
-        idx = np.flatnonzero(ok)
+        start = _box_size(n, lo - shift)
+        idx = np.flatnonzero(vectors[start : _box_size(n, hi - shift), gi] >= 1)
         if idx.size == 0:
             continue
-        covers = window.copy()
+        covers = np.ones(last - first, dtype=bool)
         for j, r in enumerate(rhs):
             if r:
-                covers &= vectors[:, j] >= r
-        srcs.append(idx.astype(np.int32))
-        dsts.append(np.flatnonzero(covers).astype(np.int32))
+                covers &= vectors[first:last, j] >= r
+        srcs.append(idx.astype(np.int32) + np.int32(start))
+        dsts.append(np.flatnonzero(covers).astype(np.int32) + np.int32(first))
     if not srcs:
         empty = np.zeros(0, dtype=np.int32)
         return empty, empty
@@ -206,11 +244,11 @@ def _elementary_edges(p, vectors, sums, lo, hi):
 
 
 def _shift_images(vectors):
-    """images[k][i] is the rank of sub[i] + e_k, where `sub` lists the box
-    vectors of sum <= bound - 1 in rank order.
+    """images[k][i] is the rank of vectors[i] + e_k, for the graded box
+    `vectors` and every i < N(bound - 1), the prefix of sum <= bound - 1.
 
-    The shift maps `sub` in rank order onto the box vectors with v_k >= 1,
-    so images[k] is just the list of those.
+    The shift maps that prefix in rank order onto the box vectors with
+    v_k >= 1, so images[k] is just the list of those.
     """
     return [
         np.flatnonzero(vectors[:, k] >= 1).astype(np.int32)
@@ -222,12 +260,12 @@ def _merge(labels, left, right):
     """Contract `labels` so that each left[i] and right[i] share a class.
 
     Hook-and-compress over the label graph, whose nodes are the current
-    class ids (Shiloach-Vishkin, 1982).  Each round maps the pairs onto
-    their roots and drops those already joined, hooks every remaining
-    root onto the smallest root it is paired with, and pointer-jumps
-    until nothing changes.  A root only ever hooks onto a smaller root,
-    so the pointers form a forest, and each round ends with every label
-    on a root.  The result has the dtype of `labels`.
+    class ids (Shiloach-Vishkin, 1982).  Each round drops the pairs
+    already joined, hooks every remaining root onto the smallest root it
+    is paired with, pointer-jumps until nothing changes, and maps the
+    pairs onto their new roots.  A root only ever hooks onto a smaller
+    root, so the pointers form a forest, and each round ends with every
+    label on a root.  The result has the dtype of `labels`.
 
     The saturation starts from labels[r] = r, so each class id is the
     least rank in its class, and labels[r] == r for every class id r:
@@ -242,7 +280,6 @@ def _merge(labels, left, right):
     ids = np.arange(int(labels.max()) + 1, dtype=np.int32)
     parent = ids.copy()
     while True:
-        a, b = parent[a], parent[b]
         apart = a != b
         if not apart.any():
             break
@@ -256,16 +293,17 @@ def _merge(labels, left, right):
             if np.array_equal(jumped, up):
                 break
             parent[hooked] = jumped
+        a, b = parent[a], parent[b]
     return parent[labels].astype(labels.dtype, copy=False)
 
 
-def _close_under_translation(labels, sub, pos, images):
+def _close_under_translation(labels, pos, images):
     """Join (x + e_k, y + e_k) for x ~ y until no violations remain, over
-    the members `sub[pos]`.
+    the members `pos`, ranks in the graded box.
 
     Closure under adding one generator at a time implies closure under
     adding any vector, since partial translates stay inside the box.
-    `images[k][i]` is the rank of sub[i] + e_k.
+    `images[k][i]` is the rank of the i-th vector + e_k.
 
     Each round sorts the members by class, stably, joins under every
     +e_k the images of each two consecutive members of a class whose
@@ -274,12 +312,12 @@ def _close_under_translation(labels, sub, pos, images):
     kept for its class, and labels only ever merge, so it can never
     violate a pair that the kept member does not.  The loop ends when no
     two members share a class or a round joins nothing.  Returns the
-    labels, the kept positions (one per class of the members, in class
+    labels, the kept members (one per class of the members, in class
     order) and the number of pairs joined.
     """
     joins = 0
     while True:
-        lab = labels[sub[pos]]
+        lab = labels[pos]
         order = np.argsort(lab, kind="stable")
         lab = lab[order]
         pos = pos[order]
@@ -306,30 +344,37 @@ def _saturate_box(p: MonoidPresentation, bound: int) -> CongruenceClasses:
     """Saturate the box at `bound`, also counting classes at the two
     smaller bounds for the stabilisation flag.
 
-    The closure at bound b-1 holds at bound b too, so each level starts
-    from the previous level's labels and adds only the elementary edges
-    whose larger endpoint sum is b (the first level all those up to b),
-    built for that level alone and dropped once merged, then closes
-    under translation (`_close_under_translation`).  The closure's
-    members are the ones the level below kept, one per class, plus the
-    sub-box vectors new to the level, those of sum b - 1 (the first
-    level all those up to b - 1): every other vector of sum <= b - 1 is
-    tied, images included, to a kept member.
-    No vector is ranked by formula: the shift w -> w + e_k maps `sub`
-    (sum <= bound - 1, in rank order) in order onto the box vectors with
-    v_k >= 1, so the ranks of the shifts are the list of those
-    (`_shift_images`), and the rewrite edges come off the lex order the
-    same way (`_elementary_edges`).  The box is column-major, so each of
-    those reads one contiguous column.  Every class id is the least rank
-    in its class (`_merge`), so the classes are listed, in order of
-    their least members, by the ranks r with labels[r] == r.
+    The levels run on the graded box, where level b is the prefix of
+    sum <= b.  The closure at bound b-1 holds at bound b too, so each
+    level extends the previous level's labels by the vectors new to it,
+    as singletons, and adds only the elementary edges whose larger
+    endpoint sum is b (the first level all those up to b), built for
+    that level alone and dropped once merged, then closes under
+    translation (`_close_under_translation`).  The closure's members are
+    the ones the level below kept, one per class, plus the vectors of
+    sum b - 1 (the first level all those up to b - 1): every other vector
+    of sum <= b - 1 is tied, images included, to a kept member.
+    No vector is ranked by formula: the shift w -> w + e_k maps the prefix
+    of sum <= bound - 1 in order onto the box vectors with v_k >= 1, so
+    the ranks of the shifts are the list of those (`_shift_images`), and
+    the rewrite edges come off the graded order the same way
+    (`_elementary_edges`).  The box is column-major, so each of those
+    reads one contiguous column, or a slice of one.  Every class id is
+    the least graded rank in its class (`_merge`), so the classes are
+    the ranks r with labels[r] == r.
+
+    Only then is the result put in lex order: the lex box is copied out
+    of the graded box (`_lex_box`), which is then dropped, and the labels
+    are moved through `_graded_to_lex`.  The classes are numbered in
+    order of their lex-least members, so the zero vector always lands in
+    class 0.
     """
     n = p.generator_count
     if n and bound > _MAX_COORDINATE:
         raise ValueError(
             f"bound {bound} exceeds the largest box coordinate {_MAX_COORDINATE}"
         )
-    total = math.comb(n + bound, n)
+    total = _box_size(n, bound)
     need = total * _box_bytes_per_vector(n)
     if need > _MAX_BOX_BYTES:
         raise ValueError(
@@ -338,38 +383,42 @@ def _saturate_box(p: MonoidPresentation, bound: int) -> CongruenceClasses:
             "pass a smaller bound"
         )
     vectors = _box_vectors(n, bound)
-    sums = vectors.sum(axis=1, dtype=np.int32)
-
-    sub = np.flatnonzero(sums <= bound - 1).astype(np.int32)
-    sub_sums = sums[sub]
     images = _shift_images(vectors)
 
     ranks = np.arange(total, dtype=np.int32)
-    labels = ranks
+    labels = np.zeros(0, dtype=np.int32)
     pos = np.zeros(0, dtype=np.intp)  # the members the closure keeps
     joins = 0
     counts: dict[int, int] = {}  # nonzero classes at bound-2 and bound-1
     for lo, b in ((-1, bound - 2), (bound - 2, bound - 1), (bound - 1, bound)):
         if b < 0:
             continue
-        labels = _merge(labels, *_elementary_edges(p, vectors, sums, lo, b))
-        new = np.flatnonzero((sub_sums >= lo) & (sub_sums < b))
+        size = _box_size(n, b)
+        labels = np.concatenate((labels, ranks[labels.size : size]))
+        labels = _merge(labels, *_elementary_edges(p, vectors, lo, b))
+        new = np.arange(_box_size(n, lo - 1), _box_size(n, b - 1))
         pos = np.concatenate((pos, new))
-        labels, pos, joins = _close_under_translation(labels, sub, pos, images)
+        labels, pos, joins = _close_under_translation(labels, pos, images)
         if b < bound:
-            # classes at level b hold only vectors of sum <= b
-            counts[b] = int(np.count_nonzero((labels == ranks) & (sums <= b))) - 1
+            counts[b] = int(np.count_nonzero(labels == ranks[:size])) - 1
+    del images, pos
 
-    # Canonical class ids: order classes by their lexicographically least
-    # member, so the zero vector always lands in class 0.
-    first_member = np.flatnonzero(labels == ranks)
-    ncomp = int(first_member.size)
-    relabel = np.empty(total, dtype=np.int64)
-    relabel[first_member] = np.arange(ncomp)
-    labels = relabel[labels]
-    sizes = np.bincount(labels, minlength=ncomp)
+    vectors = _lex_box(vectors, bound)
+    perm = _graded_to_lex(vectors)
+    least = np.full(total, total, dtype=np.intp)  # least[r]: class r's lex-least member
+    np.minimum.at(least, labels, perm)
+    roots = np.flatnonzero(labels == ranks)
+    roots = roots[np.argsort(least[roots])]
+    first_member = least[roots]
+    ncomp = int(roots.size)
+    del least
+    relabel = np.empty(total, dtype=np.int32)
+    relabel[roots] = np.arange(ncomp)
+    lex_labels = np.empty(total, dtype=np.int64)
+    lex_labels[perm] = relabel[labels]
+    sizes = np.bincount(lex_labels, minlength=ncomp)
 
-    for arr in (vectors, labels, first_member, sizes):
+    for arr in (vectors, lex_labels, first_member, sizes):
         arr.setflags(write=False)
     return CongruenceClasses(
         generator_count=n,
@@ -379,7 +428,7 @@ def _saturate_box(p: MonoidPresentation, bound: int) -> CongruenceClasses:
         nonzero_class_count=ncomp - 1,
         translation_joins=joins,
         vectors=vectors,
-        labels=labels,
+        labels=lex_labels,
         class_sizes=sizes,
         _first_member=first_member,
         _presentation=p,
@@ -398,8 +447,9 @@ class CongruenceClasses:
     starting from the bound-1 closure plus the rewrites that reach sum
     `bound`, over the members the bound-1 closure kept (one per class)
     and the vectors of sum bound-1.  Joins made at the lower levels are
-    not counted again.  The rewrite edges are not kept: `rewrite_path`
-    rebuilds them from the presentation.
+    not counted again.  The count depends on the order the closure meets
+    the members in, the box's graded order.  The rewrite edges are not
+    kept: `rewrite_path` rebuilds them from the presentation.
     """
 
     generator_count: int
@@ -469,17 +519,18 @@ class CongruenceClasses:
         Returns None when the two vectors are not connected by elementary
         rewrites (translation-closure joins carry no in-box chain).  Each
         call rebuilds the whole box's rewrite edges with
-        `_elementary_edges`, which the saturation calls once per level,
+        `_elementary_edges`, which the saturation calls once per level, on
+        the graded box, maps their ends to lex ranks (`_graded_to_lex`),
         and searches those inside x's class breadth first, both ways, one
         frontier array of ranks per level.
         """
         i, j = self.rank_of(x), self.rank_of(y)
         if self.labels[i] != self.labels[j]:
             return None  # every rewrite edge lies inside one class
-        sums = self.vectors.sum(axis=1, dtype=np.int32)
-        src, dst = _elementary_edges(
-            self._presentation, self.vectors, sums, -1, self.bound
-        )
+        graded = _box_vectors(self.generator_count, self.bound)
+        src, dst = _elementary_edges(self._presentation, graded, -1, self.bound)
+        perm = _graded_to_lex(self.vectors)
+        src, dst = perm[src], perm[dst]
         inside = self.labels[src] == self.labels[i]
         tails = np.concatenate([src[inside], dst[inside]])
         heads = np.concatenate([dst[inside], src[inside]])
@@ -548,8 +599,15 @@ class FiniteGroupTable:
     def order(self) -> int:
         return len(self.element_class_ids)
 
+    @cached_property
+    def _position(self) -> dict[int, int]:
+        """Index of each element's class id in `element_class_ids`, built
+        once per table: `invariant_factors` asks `order_of` once per
+        element, and the crosscheck once per vertex."""
+        return {c: i for i, c in enumerate(self.element_class_ids)}
+
     def order_of(self, class_id: int) -> int:
-        position = {c: i for i, c in enumerate(self.element_class_ids)}
+        position = self._position
         if class_id not in position:
             raise ValueError(f"class {class_id} is not an element of the group")
         idx = position[class_id]

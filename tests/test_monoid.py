@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import tracemalloc
+from functools import cached_property
 
 import networkx as nx
 import numpy as np
@@ -302,34 +304,31 @@ def test_rank_of_over_whole_box(g, extra):
 def test_rewrite_paths_on_rebuilt_edges(g, extra, rng):
     """Paths over the edges `rewrite_path` rebuilds per call: a single
     rewrite is one step, every path is a chain of single rewrites and a
-    shortest one in the networkx graph of `_elementary_edges`, None comes
-    exactly where networkx finds no path, and vectors in different
+    shortest one in the networkx graph of every in-box rewrite, None
+    comes exactly where networkx finds no path, and vectors in different
     classes have no path."""
     p = presentation(g)
     c = saturate(p, needed_bound(p) + extra)
     rows = [tuple(int(x) for x in v) for v in c.vectors]
-    sums = c.vectors.sum(axis=1, dtype=np.int32)
-    src, dst = monoid._elementary_edges(p, c.vectors, sums, -1, c.bound)
-    edges = nx.Graph()
-    edges.add_nodes_from(range(len(rows)))
-    edges.add_edges_from(zip(src.tolist(), dst.tolist()))
     rewrites = []
     for x in rows:
         for i, rhs in p.relations:
             y = tuple(a - (j == i) + r for j, (a, r) in enumerate(zip(x, rhs)))
             if x[i] >= 1 and sum(y) <= c.bound:
                 rewrites.append((x, y))
+    edges = nx.Graph()
+    edges.add_nodes_from(rows)
+    edges.add_edges_from(rewrites)
     for x, y in rng.sample(rewrites, min(15, len(rewrites))):
         assert c.rewrite_path(x, y) == ([x] if x == y else [x, y])
     for _ in range(15):
         x = rng.choice(rows)
         for y in (rng.choice(rows), rng.choice(c.members(c.class_of(x)))):
             path = c.rewrite_path(x, y)
-            i, j = c.rank_of(x), c.rank_of(y)
             if path is None:
-                assert not nx.has_path(edges, i, j)
+                assert not nx.has_path(edges, x, y)
             else:
-                assert len(path) - 1 == nx.shortest_path_length(edges, i, j)
+                assert len(path) - 1 == nx.shortest_path_length(edges, x, y)
             if c.class_of(x) != c.class_of(y):
                 assert path is None
             elif path is not None:
@@ -510,6 +509,25 @@ class TestMstarGroup:
         assert table.invariant_factors() == (60,)
         with pytest.raises(ValueError):
             table.order_of(60)
+
+    def test_order_of_builds_its_positions_once(self, monkeypatch):
+        """`invariant_factors` and every later `order_of` read one dict
+        from class id to position, built on the first call."""
+        builds = []
+        build = FiniteGroupTable._position.func
+
+        def counted(table):
+            builds.append(table)
+            return build(table)
+
+        position = cached_property(counted)
+        position.__set_name__(FiniteGroupTable, "_position")
+        monkeypatch.setattr(FiniteGroupTable, "_position", position)
+        table = mstar_group(saturate(presentation(C3), 8))
+        assert table.invariant_factors() == (2, 2)
+        for cid in table.element_class_ids:
+            assert table.order_of(cid) in (1, 2)
+        assert builds == [table]
 
     @pytest.mark.parametrize(
         "moduli, factors", [((3, 3, 3, 3), (3, 3, 3, 3)), ((2, 4, 8), (2, 4, 8))]
@@ -700,15 +718,14 @@ class TestAgainstNaiveReference:
         assert fast == naive_partition(p, bound)
 
 
-def _closure_reference(labels, sub, subpos, images):
+def _closure_reference(labels, members, images):
     """The translation closure with whole-box rounds: each round sorts the
-    labels of the sub-box stably and joins, under every +e_k, the images
+    labels of the members stably and joins, under every +e_k, the images
     of consecutive members of each class, until a round finds no
     violating pair."""
-    sub_b = sub[subpos]
     joins = 0
-    while sub_b.size >= 2:
-        lab = labels[sub_b]
+    while members.size >= 2:
+        lab = labels[members]
         order = np.argsort(lab, kind="stable")
         lab_sorted = lab[order]
         adjacent = lab_sorted[1:] == lab_sorted[:-1]
@@ -716,7 +733,7 @@ def _closure_reference(labels, sub, subpos, images):
             break
         out_a, out_b = [], []
         for img in images:
-            ranked = img[subpos][order]
+            ranked = img[members][order]
             left = ranked[:-1][adjacent]
             right = ranked[1:][adjacent]
             bad = labels[left] != labels[right]
@@ -736,19 +753,23 @@ def _canonical(labels):
     return np.argsort(np.argsort(first))[inverse]
 
 
+def _prefix(n, s):
+    """Number of vectors of N^n with sum <= s: the graded box's prefix."""
+    return math.comb(n + s, n) if s >= 0 else 0
+
+
 def _reference_levels(p, bound):
     """A stand-in for `_close_under_translation` that ignores the members
     it is given: at each level b (bound-2, bound-1, bound, the negative
     ones skipped) it runs `_closure_reference` on the level's whole
-    sub-box, the vectors of sum <= b - 1, and returns all of it as the
-    members kept."""
-    sums = monoid._box_vectors(p.generator_count, bound).sum(axis=1)
+    sub-box, the graded box's prefix of sum <= b - 1, and returns all of
+    it as the members kept."""
     levels = iter([b for b in (bound - 2, bound - 1, bound) if b >= 0])
 
-    def reference(labels, sub, pos, images):
-        subpos = np.flatnonzero(sums[sub] <= next(levels) - 1)
-        labels, joins = _closure_reference(labels, sub, subpos, images)
-        return labels, subpos, joins
+    def reference(labels, pos, images):
+        members = np.arange(_prefix(p.generator_count, next(levels) - 1))
+        labels, joins = _closure_reference(labels, members, images)
+        return labels, members, joins
 
     return reference
 
@@ -765,11 +786,11 @@ def assert_closures_agree(p, bound):
     reference = _reference_levels(p, bound)
     levels = []
 
-    def both(labels, sub, pos, images):
-        want, subpos, _ = reference(labels, sub, pos, images)
-        got, kept, joins = closure(labels, sub, pos, images)
+    def both(labels, pos, images):
+        want, members, _ = reference(labels, pos, images)
+        got, kept, joins = closure(labels, pos, images)
         assert np.array_equal(_canonical(got), _canonical(want))
-        assert np.array_equal(np.sort(got[sub[kept]]), np.unique(got[sub[subpos]]))
+        assert np.array_equal(np.sort(got[kept]), np.unique(got[members]))
         levels.append(joins)
         return got, kept, joins
 
@@ -853,17 +874,21 @@ def _whole_box_edges(p, bound, vectors, sums):
     return np.concatenate(srcs), np.concatenate(dsts), np.concatenate(esums)
 
 
-def _sweep_reference(p, bound):
+def _sweep_reference(p, bound, vectors):
     """The level sweep on one whole-box edge list, masked per level by
-    edge sum, carrying the closure's members from level to level.
-    Returns the canonical labels, `translation_joins`, `stabilized` and
-    the class count."""
-    vectors = monoid._box_vectors(p.generator_count, bound)
+    edge sum, carrying the closure's members from level to level, on the
+    box `vectors` listed in any translation-invariant order.  Returns the
+    labels, canonical in that order, `translation_joins`, `stabilized`
+    and the class count."""
     sums = vectors.sum(axis=1, dtype=np.int32)
     src, dst, esum = _whole_box_edges(p, bound, vectors, sums)
     sub = np.flatnonzero(sums <= bound - 1).astype(np.int32)
     sub_sums = sums[sub]
-    images = monoid._shift_images(vectors)
+    # images[k][r] is the rank of vectors[r] + e_k, for r in `sub`
+    images = []
+    for img in monoid._shift_images(vectors):
+        images.append(np.zeros(len(vectors), dtype=np.int32))
+        images[-1][sub] = img
     ranks = np.arange(len(vectors), dtype=np.int32)
     labels, pos, joins, counts, done = ranks, np.zeros(0, dtype=np.intp), 0, {}, -1
     for b in (bound - 2, bound - 1, bound):
@@ -873,10 +898,10 @@ def _sweep_reference(p, bound):
         labels = monoid._merge(labels, src[new], dst[new])
         # the members kept by the level below, and the sub-box vectors
         # new to this level
-        fresh = np.flatnonzero((sub_sums >= done) & (sub_sums < b))
+        fresh = sub[(sub_sums >= done) & (sub_sums < b)]
         done = b
         pos = np.concatenate((pos, fresh))
-        labels, pos, joins = monoid._close_under_translation(labels, sub, pos, images)
+        labels, pos, joins = monoid._close_under_translation(labels, pos, images)
         if b < bound:
             counts[b] = int(np.count_nonzero((labels == ranks) & (sums <= b))) - 1
     first_member = np.flatnonzero(labels == ranks)
@@ -888,15 +913,23 @@ def _sweep_reference(p, bound):
 
 
 def assert_sweep_matches_reference(g, extra):
+    """The sweep on the lex box gives the labels, `stabilized` and the
+    class counts; `translation_joins` counts the pairs in the order the
+    closure meets them, so it comes from the sweep on the graded box, the
+    lex box listed stably by sum."""
     p = presentation(g)
     bound = needed_bound(p) + extra
     c = saturate(p, bound)
-    labels, joins, stabilized, count = _sweep_reference(p, bound)
+    lex = _box_vectors_by_blocks(p.generator_count, bound)
+    labels, _, stabilized, count = _sweep_reference(p, bound, lex)
     assert c.labels.dtype == labels.dtype
     assert np.array_equal(c.labels, labels)
-    assert c.translation_joins == joins
     assert c.stabilized == stabilized
     assert (c.class_count, c.nonzero_class_count) == (count, count - 1)
+    graded = lex[np.argsort(lex.sum(axis=1), kind="stable")]
+    _, joins, stabilized, count = _sweep_reference(p, bound, graded)
+    assert c.translation_joins == joins
+    assert (c.stabilized, c.class_count) == (stabilized, count)
 
 
 class TestLevelEdgesAgainstWholeBoxEdges:
@@ -916,6 +949,24 @@ class TestLevelEdgesAgainstWholeBoxEdges:
         assert_sweep_matches_reference(NAMED_GRAPHS[name], extra)
 
 
+def _graded_rank_vectors(w, table):
+    """Rank of each row of `w` in the graded box: the number of vectors of
+    smaller sum s, plus the lex rank of w among those of sum s, which is
+    the lex rank of its first n - 1 coordinates in the box of n - 1
+    coordinates and sum <= s (`_rank_vectors`' formula, row by row)."""
+    m, n = w.shape
+    if n == 0:
+        return np.zeros(m, dtype=np.int64)
+    w = w.astype(np.int64)
+    s = w.sum(axis=1)
+    below = np.where(s > 0, table[n, np.maximum(s - 1, 0)], 0)
+    head = w[:, :-1]
+    budgets = s[:, None] - (head.cumsum(axis=1) - head)
+    ks = np.arange(n - 1, 0, -1)
+    within = (table[ks[None, :], budgets] - table[ks[None, :], budgets - head]).sum(axis=1)
+    return below + within
+
+
 @settings(deadline=None, max_examples=100)
 @given(multigraphs(max_vertices=5, max_mult=2), st.integers(0, 6))
 @example(NAMED_GRAPHS["empty"], 3)
@@ -923,18 +974,19 @@ class TestLevelEdgesAgainstWholeBoxEdges:
 @example(NAMED_GRAPHS["source_into_rose"], 6)
 @example(NAMED_GRAPHS["parallel_edges"], 4)
 @example(NAMED_GRAPHS["rank_one"], 6)
-def test_lex_order_ranks_match_formula(g, extra):
-    """The shift images and rewrite edges read off the lex order, against
-    the ranking formula applied to the translated vectors.  The edges are
-    checked in each level window of the sweep, with larger endpoint sums
-    inside it, and in the whole box; per relation, the three windows
-    split the whole box's edges."""
+def test_graded_order_ranks_match_formula(g, extra):
+    """The shift images and rewrite edges read off the graded order,
+    against the graded ranking formula applied to the translated vectors.
+    The edges are checked in each level window of the sweep, with larger
+    endpoint sums inside it, and in the whole box; per relation, the
+    three windows split the whole box's edges."""
     p = presentation(g)
     n = p.generator_count
     bound = max([1] + [sum(rhs) for _, rhs in p.relations]) + extra
     vectors = monoid._box_vectors(n, bound)
     sums = vectors.sum(axis=1, dtype=np.int32)
     table = _simplex_table(n, bound)
+    assert np.array_equal(_graded_rank_vectors(vectors, table), np.arange(len(vectors)))
 
     images = monoid._shift_images(vectors)
     sub = vectors[sums <= bound - 1]
@@ -943,13 +995,13 @@ def test_lex_order_ranks_match_formula(g, extra):
         shifted = sub.copy()
         shifted[:, k] += 1
         assert img.dtype == np.int32
-        assert np.array_equal(img, _rank_vectors(shifted, bound, table))
+        assert np.array_equal(img, _graded_rank_vectors(shifted, table))
 
     # the three level windows of the sweep, then the whole box
     windows = [(-1, bound - 2), (bound - 2, bound - 1), (bound - 1, bound)]
     rows = [tuple(int(x) for x in v) for v in vectors]
     for lo, hi in windows + [(-1, bound)]:
-        src, dst = monoid._elementary_edges(p, vectors, sums, lo, hi)
+        src, dst = monoid._elementary_edges(p, vectors, lo, hi)
         want_src, want_dst = [], []
         for i, rhs in p.relations:
             top = sums + sum(rhs) - 1
@@ -958,7 +1010,7 @@ def test_lex_order_ranks_match_formula(g, extra):
             targets[:, i] -= 1
             targets += np.asarray(rhs, dtype=np.int16)
             want_src.append(idx)
-            want_dst.append(_rank_vectors(targets, bound, table))
+            want_dst.append(_graded_rank_vectors(targets, table))
         want_src = np.concatenate(want_src) if want_src else np.zeros(0, np.int64)
         want_dst = np.concatenate(want_dst) if want_dst else np.zeros(0, np.int64)
         assert src.dtype == dst.dtype == np.int32
@@ -972,15 +1024,39 @@ def test_lex_order_ranks_match_formula(g, extra):
     # per relation, the three windows split the whole box's edges
     for relation in p.relations:
         q = MonoidPresentation(n, (relation,))
-        whole = np.stack(monoid._elementary_edges(q, vectors, sums, -1, bound))
+        whole = np.stack(monoid._elementary_edges(q, vectors, -1, bound))
         parts = np.concatenate(
-            [
-                np.stack(monoid._elementary_edges(q, vectors, sums, lo, hi))
-                for lo, hi in windows
-            ],
+            [np.stack(monoid._elementary_edges(q, vectors, lo, hi)) for lo, hi in windows],
             axis=1,
         )
         assert np.array_equal(parts[:, np.argsort(parts[0], kind="stable")], whole)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 7), st.integers(1, 9))
+@example(0, 1)
+@example(0, 9)
+@example(1, 1)
+@example(1, 9)
+def test_graded_box_lists_each_sum_as_a_prefix(n, bound):
+    """In the graded box the vectors of sum <= s are the first C(n + s, n)
+    for every s, those of one sum are in lex order, and the graded-to-lex
+    permutation sends each graded rank to the lex rank that `rank_of`
+    and `_rank_vectors` give its vector."""
+    graded = monoid._box_vectors(n, bound)
+    sums = graded.sum(axis=1, dtype=np.int64)
+    for s in range(bound + 1):
+        assert np.array_equal(np.flatnonzero(sums <= s), np.arange(_prefix(n, s)))
+    lex_ranks = _rank_vectors(graded, bound, _simplex_table(n, bound))
+    same_sum = sums[1:] == sums[:-1]
+    assert np.all(lex_ranks[1:][same_sum] > lex_ranks[:-1][same_sum])
+
+    c = saturate(MonoidPresentation(n, ()), bound)
+    perm = monoid._graded_to_lex(c.vectors)
+    assert np.array_equal(perm, lex_ranks)
+    assert np.array_equal(c.vectors[perm], graded)
+    for g in range(0, len(graded), max(1, len(graded) // 50)):
+        assert c.rank_of(graded[g]) == perm[g]
 
 
 def _box_vectors_by_blocks(n, bound):
@@ -1017,8 +1093,44 @@ BOX_SHAPES += [(n, b) for n in range(0, 5) for b in range(0, 4)]
 
 @pytest.mark.parametrize("n, bound", BOX_SHAPES)
 def test_box_vectors_match_blockwise_reference(n, bound):
-    got = monoid._box_vectors(n, bound)
+    """The graded box is the lex reference listed stably by sum, and the
+    lex box `_lex_box` derives from it is the reference itself."""
     want = _box_vectors_by_blocks(n, bound)
-    assert got.dtype == want.dtype == np.int16
-    assert got.flags.f_contiguous and got.shape == want.shape
-    assert np.array_equal(got, want)
+    graded = monoid._box_vectors(n, bound)
+    lex = monoid._lex_box(graded, bound)
+    for got in (graded, lex):
+        assert got.dtype == want.dtype == np.int16
+        assert got.flags.f_contiguous and got.shape == want.shape
+    assert np.array_equal(graded, want[np.argsort(want.sum(axis=1), kind="stable")])
+    assert np.array_equal(lex, want)
+
+
+def test_box_of_many_generators():
+    """1,500 generators at bound 1: the box is 0, then the unit vectors,
+    last coordinate first, in both orders.  Each shell is written by a
+    loop over the coordinates, not a recursion as deep as n."""
+    n = 1500
+    want = np.concatenate([np.zeros((1, n)), np.eye(n)[::-1]])
+    graded = monoid._box_vectors(n, 1)
+    assert np.array_equal(graded, want)
+    assert np.array_equal(monoid._lex_box(graded, 1), want)
+
+
+def _cycle(n):
+    return graph_from_pairs(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def test_byte_cap_estimate_holds_on_a_cycle():
+    """The traced peak of one saturation stays under the byte cap's
+    estimate, on the worst shape: a cycle, whose relations have one term
+    each, so every vector with a nonzero coordinate starts a rewrite at
+    the top level.  The 16-cycle at bound 6 has 74,613 vectors."""
+    p = presentation(_cycle(16))
+    tracemalloc.start()
+    try:
+        c = saturate(p, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(c.vectors) == 74_613
+    assert peak < monoid._box_bytes_per_vector(16) * len(c.vectors)

@@ -404,10 +404,10 @@ def test_each_level_closes_over_the_members_the_level_below_kept(monkeypatch):
     received, classes = [], []
     original = monoid._close_under_translation
 
-    def recorded(labels, sub, pos, images):
+    def recorded(labels, pos, images):
         received.append(len(pos))
-        result = original(labels, sub, pos, images)
-        classes.append(len(set(result[0][sub[pos]].tolist())))
+        result = original(labels, pos, images)
+        classes.append(len(set(result[0][pos].tolist())))
         return result
 
     monkeypatch.setattr(monoid, "_close_under_translation", recorded)
