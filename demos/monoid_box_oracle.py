@@ -18,9 +18,9 @@ from lpa_invariants import (
 g = cayley_graph(3)
 pres = presentation(g)
 print("relations:")
-for i, rhs in pres.relations:
-    terms = " + ".join(f"{c}*v{j + 1}" for j, c in enumerate(rhs) if c)
-    print(f"  v{i + 1} ~ {terms}")
+for i, terms in pres.relations:
+    rhs = " + ".join(f"{c}*v{j + 1}" for j, c in terms)
+    print(f"  v{i + 1} ~ {rhs}")
 
 classes = saturate(pres, bound=8)
 print(f"\nbox: all vectors of N^3 with sum <= {classes.bound}"

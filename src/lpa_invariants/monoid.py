@@ -1,10 +1,12 @@
 """Brute-force oracle for the graph monoid of a finite directed graph.
 
 The monoid is the free commutative monoid on the vertices modulo the
-relations v_i ~ sum_j a_ij v_j at non-sink vertices.  Equality is only
-decided inside a box: all vectors of N^n with coordinate sum <= bound
-are partitioned by the congruence generated by single-relation rewrites
-(both directions) plus translation closure.  The saturation stores the
+relations v_i ~ sum_j a_ij v_j at non-sink vertices.  Each relation is
+stored and read as its nonzero terms (j, a_ij), one per out-neighbour
+of v_i, never as an n-wide row.  Equality is only decided inside a
+box: all vectors of N^n with coordinate sum <= bound are partitioned
+by the congruence generated by single-relation rewrites (both
+directions) plus translation closure.  The saturation stores the
 box in graded order, by coordinate sum and then lexicographically, so
 the vectors up to each sum are a prefix of it; the result lists the box
 in lexicographic order.
@@ -29,13 +31,14 @@ computation.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import cached_property
 from typing import Literal, Union
 
 import numpy as np
 
 from ._record import record
-from .graphs import Graph, _adjacency_rows
+from .graphs import Graph
 from .intlinalg import _as_index
 from .ktheory import _coprime_base, _valuation, cokernel_pointed, element_order
 
@@ -79,43 +82,84 @@ def _box_bytes_per_vector(n: int) -> int:
 
 @record
 class MonoidPresentation:
-    """One relation (i, rhs) per non-sink vertex: v_i ~ sum rhs[j] v_j."""
+    """One relation (i, terms) per non-sink vertex: v_i ~ sum a v_j over
+    the terms (j, a).
+
+    The terms are the right-hand side's nonzero entries, sorted by j, each
+    coefficient a at least 1, so a relation has as many terms as its
+    vertex has out-neighbours.  The constructor checks a caller's
+    relations and stores them as tuples of ints; a term that is not an
+    (index, coefficient) pair, such as an entry of a dense row, is
+    refused.  `presentation` builds its record with `_trusted`, from a
+    graph that was checked already.
+    """
 
     generator_count: int
-    relations: tuple[tuple[int, tuple[int, ...]], ...]
+    relations: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
     def __post_init__(self) -> None:
         n = _as_index(self.generator_count, "generator count")
         rels = []
-        for i, rhs in self.relations:
+        for i, terms in self.relations:
             i = _as_index(i, "relation generator index")
-            rhs = tuple(_as_index(x, "relation coefficient") for x in rhs)
             if not 0 <= i < n:
                 raise ValueError(f"relation generator index {i} out of range")
-            if len(rhs) != n:
-                raise ValueError("relation right-hand side has the wrong length")
-            if any(x < 0 for x in rhs):
-                raise ValueError("relation coefficients must be nonnegative")
-            if sum(rhs) == 0:
-                # non-sinks always contribute at least one edge, and empty
-                # right sides would let rewrites shrink coordinate sums
-                raise ValueError("relation right-hand side must be nonempty")
-            rels.append((i, rhs))
+            rels.append((i, _relation_terms(terms, n)))
         object.__setattr__(self, "generator_count", n)
         object.__setattr__(self, "relations", tuple(rels))
 
 
+def _relation_terms(terms, n: int) -> tuple[tuple[int, int], ...]:
+    """A caller's right-hand side as checked (index, coefficient) pairs."""
+    out: list[tuple[int, int]] = []
+    for term in terms:
+        try:
+            j, a = term
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"relation term must be an (index, coefficient) pair, got {term!r}"
+            ) from None
+        j = _as_index(j, "relation term index")
+        a = _as_index(a, "relation coefficient")
+        if not 0 <= j < n:
+            raise ValueError(f"relation term index {j} out of range")
+        if out and j <= out[-1][0]:
+            raise ValueError("relation term indices must be strictly increasing")
+        if a < 1:
+            raise ValueError(f"relation coefficients must be positive, got {a}")
+        out.append((j, a))
+    if not out:
+        # non-sinks always contribute at least one edge, and empty right
+        # sides would let rewrites shrink coordinate sums
+        raise ValueError("relation right-hand side must be nonempty")
+    return tuple(out)
+
+
 def presentation(g: Graph) -> MonoidPresentation:
-    """Read the defining relations off the out-edges of the non-sinks:
-    rhs[j] of v_i counts the edges from v_i to v_j."""
-    rows = _adjacency_rows(g)
-    relations = tuple((i, tuple(row)) for i, row in enumerate(rows) if any(row))
-    return MonoidPresentation(generator_count=g.n_vertices, relations=relations)
+    """Read the defining relations off the out-edges of the non-sinks: the
+    term (j, a) of v_i says that a edges go from v_i to v_j."""
+    relations = tuple(
+        (i, tuple(sorted(Counter(succ).items())))
+        for i, succ in enumerate(g.successors)
+        if succ
+    )
+    return MonoidPresentation._trusted(g.n_vertices, relations)
+
+
+def _relation_sum(terms) -> int:
+    """The coordinate sum of a relation's right-hand side."""
+    return sum(a for _, a in terms)
 
 
 def default_bound(p: MonoidPresentation) -> int:
-    """max(8, 2 * n * largest relation sum); generous at desk scale."""
-    max_sum = max((sum(rhs) for _, rhs in p.relations), default=1)
+    """max(8, 2 * n * largest relation sum).
+
+    `saturate` refuses this bound's box from C_8 on: on C_n the bound is
+    4n, and C_8's box at bound 32 has C(40, 8) = 76,904,685 vectors,
+    about 19,949 MiB against the 2,048 MiB cap.  Every larger C_n needs
+    an explicit bound too.
+    """
+    max_sum = max((_relation_sum(terms) for _, terms in p.relations), default=1)
     return max(8, 2 * p.generator_count * max_sum)
 
 
@@ -220,21 +264,21 @@ def _elementary_edges(p, vectors, lo, hi):
     (w_i >= 1 and sum w + sum(rhs_i) - 1 in (lo, hi]) in rank order onto
     its targets, the box vectors v >= rhs_i with sum v in (lo, hi];
     sources and targets pair up by position.  Each of the two sum windows
-    is one slice of the box, and only that slice is masked.
+    is one slice of the box, and only that slice is masked, one column
+    per term of the relation.
     """
     n = vectors.shape[1]
     first, last = _box_size(n, lo), _box_size(n, hi)
     srcs, dsts = [], []
-    for gi, rhs in p.relations:
-        shift = sum(rhs) - 1
+    for gi, terms in p.relations:
+        shift = _relation_sum(terms) - 1
         start = _box_size(n, lo - shift)
         idx = np.flatnonzero(vectors[start : _box_size(n, hi - shift), gi] >= 1)
         if idx.size == 0:
             continue
         covers = np.ones(last - first, dtype=bool)
-        for j, r in enumerate(rhs):
-            if r:
-                covers &= vectors[first:last, j] >= r
+        for j, a in terms:
+            covers &= vectors[first:last, j] >= a
         srcs.append(idx.astype(np.int32) + np.int32(start))
         dsts.append(np.flatnonzero(covers).astype(np.int32) + np.int32(first))
     if not srcs:
@@ -568,7 +612,7 @@ def saturate(p: MonoidPresentation, bound: int) -> CongruenceClasses:
     is allocated.
     """
     bound = _as_index(bound, "bound")
-    needed = max([1] + [sum(rhs) for _, rhs in p.relations])
+    needed = max([1] + [_relation_sum(terms) for _, terms in p.relations])
     if bound < needed:
         raise ValueError(
             f"bound {bound} too small to express any relation (need >= {needed})"

@@ -44,7 +44,7 @@ I2 = IntMatrix(((1, 0), (0, 1)))
 K0 = PointedK0(
     AbelianGroup((3,)), (GroupElement((1,)), GroupElement((2,))), GroupElement((0,))
 )
-PRESENTATION = MonoidPresentation(1, ((0, (2,)),))
+PRESENTATION = MonoidPresentation(1, ((0, ((0, 2),)),))
 
 # Each class with its field names, in order, and the arguments of one instance.
 FIELDS = {
@@ -96,7 +96,7 @@ ARGS = {
     KPVerdict: ("Isomorphic", (("pis_first", "True"), ("pis_second", "True"))),
     CanonicalAlgebra: (4, 3),
     CayleyClass: ("Z3", (2, 4), (3,), -3, CanonicalAlgebra(4, 3)),
-    MonoidPresentation: (2, ((0, (0, 2)), (1, (1, 1)))),
+    MonoidPresentation: (2, ((0, ((1, 2),)), (1, ((0, 1), (1, 1))))),
     CongruenceClasses: (
         1,
         2,
@@ -152,7 +152,8 @@ REPRS = {
         "canonical=CanonicalAlgebra(n=4, d=3))"
     ),
     MonoidPresentation: (
-        "MonoidPresentation(generator_count=2, relations=((0, (0, 2)), (1, (1, 1))))"
+        "MonoidPresentation(generator_count=2, "
+        "relations=((0, ((1, 2),)), (1, ((0, 1), (1, 1)))))"
     ),
     CongruenceClasses: (
         "CongruenceClasses(generator_count=1, bound=2, stabilized=False, "
@@ -160,7 +161,7 @@ REPRS = {
         "vectors=array([[0],\n       [1],\n       [2]], dtype=int16), "
         "labels=array([0, 1, 1]), class_sizes=array([1, 2]), "
         "_first_member=array([0, 1]), _presentation=MonoidPresentation("
-        "generator_count=1, relations=((0, (2,)),)))"
+        "generator_count=1, relations=((0, ((0, 2),)),)))"
     ),
     FiniteGroupTable: (
         "FiniteGroupTable(element_class_ids=(1,), table=((1,),), "
@@ -277,7 +278,7 @@ class TestValidationAtConstruction:
             lambda: GroupElement(coords=(0.5,)),
             lambda: Graph(vertices=("a", "a"), edges=()),
             lambda: CanonicalAlgebra(n=1, d=1),
-            lambda: MonoidPresentation(generator_count=1, relations=((0, (0,)),)),
+            lambda: MonoidPresentation(generator_count=1, relations=((0, ((0, 0),)),)),
             lambda: IntMatrix(entries=((1,), (1, 2))),
         ],
     )
